@@ -9,9 +9,7 @@ growth, and the density of states. Every probe is deterministic for a fixed
 seed, independent of the worker count.
 """
 
-from ._blocks import STREAM_IDS, STREAM_PRIMARY, STREAM_SECONDARY, block_rng
 from .eigensolve import (
-    SpectralWindowCount,
     batched_eigenvalues_in,
     count_in_interval,
     dense_spectrum,
@@ -20,7 +18,6 @@ from .eigensolve import (
     envelope_decay_rate,
     localization_center,
     nearest_eigenvalue_distance,
-    spectral_window,
     sturm_count,
     sturm_counts,
 )
@@ -51,7 +48,6 @@ from .operators import (
     draw_width,
     energy_family_potential,
     make_draw,
-    omega_block,
     truncate_alloy,
 )
 from .probes import (

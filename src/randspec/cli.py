@@ -8,9 +8,9 @@ Config grammar (INI):
     workers = 4             ; optional; overridden by --workers / env
 
     [probe:some_name]       ; one section per probe invocation
-    type = wegner           ; one of the registered probe types
-    kind = anderson         ; ensemble kind (qgraph-minami: law only)
-    law = uniform:0,1       ; optional; defaults per kind
+    type = wegner           ; one of the probe types in PROBES
+    kind = anderson         ; ensemble kind; qgraph-minami takes no kind,
+    law = uniform:0,1       ;   only a law (optional; defaults per kind)
     size = 100
     samples = 100000
     energy = 0.0
@@ -18,11 +18,15 @@ Config grammar (INI):
     check_slope_min = 0.9   ; optional bounds on named estimates,
     check_slope_max = 1.1   ; evaluated under --check
 
+`randspec list-probes` prints every field of every type with its format,
+default and allowed range; any other field or value is rejected.
+
 Each probe writes <name>.json (canonical apart from runtime_s) plus
 plot-ready CSVs, and one combined summary.csv. Per-probe seeds are derived
 from the master seed and the probe name, so adding or reordering sections
 never changes another probe's numbers. Exit codes: 0 all probes ran (checks
-pass or not requested), 1 a --check bound failed, 2 a probe raised.
+pass or not requested), 1 a --check bound failed, 2 a probe raised or an
+input was rejected.
 """
 
 from __future__ import annotations
@@ -30,74 +34,30 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import importlib.resources
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import probes, transfer
 from .ids import estimate_ids
 from .operators import (
-    EnsembleSpec,
-    FiniteProfile,
-    GeometricProfile,
-    KINDS,
-    PiecewiseLinearLaw,
-    UniformLaw,
+    KINDS, EnsembleSpec, FiniteProfile, GeometricProfile, PiecewiseLinearLaw, UniformLaw,
 )
 
 ENV_WORKERS = "RANDSPEC_WORKERS"
 
-# probe registry: type -> (runner, claim tested, parameter hint)
-REGISTRY = {
-    "wegner": (
-        "single-window occupancy P[count >= 1] scales linearly in the "
-        "window width (slope 1 log-log), with constant <= C |J| L",
-        "energy, widths, size, samples",
-    ),
-    "minami": (
-        "excess E[max(count-1, 0)] scales quadratically in the width for "
-        "independent potentials (slope 2); couplings-only disorder at a "
-        "band edge keeps slope >= 3/2",
-        "energy, widths, size, samples",
-    ),
-    "decorrelation": (
-        "windows at two energies with |E| != |E'| are occupied jointly at "
-        "the product rate (independence ratio -> 1); mirrored energies in "
-        "the pure hopping model make the events identical (control)",
-        "energy_a, energy_b, size, samples, half_width, disjoint",
-    ),
-    "level_statistics": (
-        "unfolded eigenvalue counts near a localized energy converge to a "
-        "Poisson process: per-interval counts are Poisson(|I|) in total "
-        "variation and disjoint intervals decorrelate",
-        "energy, intervals, size, samples, ids_*",
-    ),
-    "joint_independence": (
-        "count processes at two distinct energies converge to independent "
-        "Poisson processes: joint pmf matches the product law",
-        "energy_a, energy_b, length_a, length_b, size, samples, ids_*",
-    ),
-    "spacing": (
-        "unfolded nearest-neighbour spacings L(N(E_{j+1}) - N(E_j)) are "
-        "asymptotically exponential(1): KS to e^{-x} small, mean 1",
-        "energy, half_width, size, samples, ids_*",
-    ),
-    "qgraph-minami": (
-        "window counts of the reduced quantum-graph operator at fixed "
-        "energy scale like (width L)^k for k = 1, 2 eigenvalues, with the "
-        "vertex-coupling scale factor sin(sqrt E)/sqrt(E)",
-        "energy, widths, size, samples, width_scale",
-    ),
-}
 
-
-class ConfigError(Exception):
-    """Config file problem, annotated with section/field."""
+class ConfigError(ValueError):
+    """Rejected input, annotated with section/field."""
 
 
 def _fmt(x) -> str:
@@ -107,139 +67,301 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# field parsers: text -> value, ValueError when the text does not parse.
+# The docstring names the accepted format for messages and list-probes.
+
+
+def _int(text):
+    """integer"""
+    return int(text)
+
+
+def _float(text):
+    """finite number"""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
+def _floats(text):
+    """comma-separated finite numbers"""
+    out = [_float(t) for t in text.split(",") if t.strip()]
+    if not out:
+        raise ValueError(text)
+    return out
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(text):
+    """true/false (or yes/no, on/off, 1/0)"""
+    if text.lower() not in _BOOLS:
+        raise ValueError(text)
+    return _BOOLS[text.lower()]
+
+
+def _intervals(text):
+    """comma-separated a:b pairs with a < b"""
+    pairs = [tuple(_float(x) for x in part.split(":")) for part in text.split(",")]
+    if not all(len(pair) == 2 and pair[0] < pair[1] for pair in pairs):
+        raise ValueError(text)
+    return pairs
+
+
+def _kind(text):
+    if text not in KINDS:
+        raise ValueError(text)
+    return text
+
+
+_kind.__doc__ = "one of " + ", ".join(KINDS)
 
 
 def _parse_law(text: str):
+    """uniform:lo,hi or piecewise:FILE"""
     head, _, rest = text.partition(":")
     if head == "uniform":
         lo, hi = (float(t) for t in rest.split(","))
         return UniformLaw(lo, hi)
     if head == "piecewise":
         return PiecewiseLinearLaw.from_csv(rest)
-    raise ConfigError(f"unknown law {text!r} (use uniform:lo,hi or piecewise:FILE)")
+    raise ConfigError(f"unknown law {text!r}")
 
 
 def _parse_profile(text: str):
+    """finite:v-r,...,vr or geometric:amp,rate"""
     head, _, rest = text.partition(":")
     if head == "finite":
         return FiniteProfile(tuple(float(t) for t in rest.split(",")))
     if head == "geometric":
         amp, rate = (float(t) for t in rest.split(","))
         return GeometricProfile(rate, amp)
-    raise ConfigError(
-        f"unknown profile {text!r} (use finite:v-r,...,vr or geometric:amp,rate)"
-    )
+    raise ConfigError(f"unknown profile {text!r}")
 
 
-class _Section:
-    """One probe section with typed, error-annotated accessors."""
-
-    def __init__(self, name: str, options: dict):
-        self.name = name
-        self.options = dict(options)
-        self.used = set()
-
-    def _raw(self, key, default=None, required=False):
-        self.used.add(key)
-        if key in self.options:
-            return self.options[key]
-        if required:
-            raise ConfigError(f"[probe:{self.name}] missing required field {key!r}")
-        return default
-
-    def get(self, key, default=None, required=False):
-        return self._raw(key, default, required)
-
-    def get_int(self, key, default=None, required=False):
-        v = self._raw(key, default, required)
-        try:
-            return v if v is None else int(v)
-        except ValueError as exc:
-            raise ConfigError(f"[probe:{self.name}] {key} = {v!r}: not an integer") from exc
-
-    def get_float(self, key, default=None, required=False):
-        v = self._raw(key, default, required)
-        try:
-            return v if v is None else float(v)
-        except ValueError as exc:
-            raise ConfigError(f"[probe:{self.name}] {key} = {v!r}: not a number") from exc
-
-    def get_floats(self, key, required=False):
-        v = self._raw(key, None, required)
-        if v is None:
-            return None
-        try:
-            return [float(t) for t in str(v).split(",") if t.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"[probe:{self.name}] {key} = {v!r}: not a number list") from exc
-
-    def get_bool(self, key, default=False):
-        v = self._raw(key, None)
-        if v is None:
-            return default
-        if str(v).lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(v).lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[probe:{self.name}] {key} = {v!r}: not a boolean")
-
-    def get_intervals(self, key, default):
-        v = self._raw(key, None)
-        if v is None:
-            return default
-        out = []
-        for part in str(v).split(","):
-            a, sep, b = part.partition(":")
-            if not sep:
-                raise ConfigError(
-                    f"[probe:{self.name}] {key}: expected a:b pairs, got {part!r}"
-                )
-            out.append((float(a), float(b)))
-        return out
-
-    def checks(self):
-        """(estimate_name, 'min'|'max', bound) triples from check_* keys."""
-        out = []
-        for key, val in self.options.items():
-            if not key.startswith("check_"):
-                continue
-            self.used.add(key)
-            rest = key[len("check_"):]
-            if rest.endswith("_min"):
-                which, est = "min", rest[:-4]
-            elif rest.endswith("_max"):
-                which, est = "max", rest[:-4]
-            else:
-                raise ConfigError(
-                    f"[probe:{self.name}] {key}: check keys end in _min or _max"
-                )
-            try:
-                out.append((est, which, float(val)))
-            except ValueError as exc:
-                raise ConfigError(f"[probe:{self.name}] {key} = {val!r}") from exc
-        return out
-
-    def warn_unused(self):
-        extra = set(self.options) - self.used
-        if extra:
-            raise ConfigError(
-                f"[probe:{self.name}] unknown fields: {', '.join(sorted(extra))}"
-            )
+REQUIRED = object()  # default of a field that must be given
 
 
-def _ensemble(sec: _Section) -> EnsembleSpec:
-    kind = sec.get("kind", required=True)
-    if kind not in KINDS:
-        raise ConfigError(f"[probe:{sec.name}] unknown kind {kind!r}")
-    law = sec.get("law")
-    profile = sec.get("profile")
-    return EnsembleSpec(
-        kind,
-        law=_parse_law(law) if law else None,
-        profile=_parse_profile(profile) if profile else None,
-        margin=sec.get_int("margin", 0),
-    )
+@dataclass(frozen=True)
+class Field:
+    """One typed input: its parser, its default text (REQUIRED, or None for
+    "not passed"), the range every number in it must lie in (> gt, >= ge),
+    and whether --scale multiplies it (the result is clamped up to ge)."""
+
+    parse: Callable
+    default: str | None | object = REQUIRED
+    gt: float | None = None
+    ge: float | None = None
+    scaled: bool = False
+
+    def bound(self) -> str:
+        return f"> {self.gt:g}" if self.gt is not None else f">= {self.ge:g}"
+
+    def describe(self) -> str:
+        parts = [self.parse.__doc__, "required" if self.default is REQUIRED else
+                 "optional" if self.default is None else f"default {self.default}"]
+        if self.gt is not None or self.ge is not None:
+            parts.append(self.bound())
+        if self.scaled:
+            parts.append("multiplied by --scale")
+        return ", ".join(parts)
+
+
+def _value(label: str, field: Field, text: str, error=ConfigError):
+    """Parsed and range-checked value of one input; errors name `label`."""
+    try:
+        value = field.parse(text)
+    except OSError as exc:
+        raise error(f"{label} = {text!r}: {exc}") from None
+    except ValueError:
+        raise error(f"{label} = {text!r}: expected {field.parse.__doc__}") from None
+    for x in value if isinstance(value, list) else [value]:
+        if (field.gt is not None and not x > field.gt) or (
+            field.ge is not None and not x >= field.ge
+        ):
+            raise error(f"{label} = {text!r}: must be {field.bound()}")
+    return value
+
+
+def _arg(field: Field):
+    """argparse type that parses and range-checks like a config field."""
+    return functools.partial(_value, "value", field, error=argparse.ArgumentTypeError)
+
+
+def _parse_fields(where: str, options, fields: dict) -> dict:
+    """{field: value} for one section; every error names `where` and the field."""
+    unknown = sorted(set(options) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where} unknown fields: {', '.join(unknown)}")
+    values = {}
+    for key, field in fields.items():
+        text = options.get(key, field.default)
+        if text is REQUIRED:
+            raise ConfigError(f"{where} missing required field {key!r}")
+        values[key] = None if text is None else _value(f"{where} {key}", field, text)
+    return values
+
+
+# ---------------------------------------------------------------------------
+# the probe table
+
+
+_WORKERS = Field(_int, None, ge=1)
+_SCALE = Field(_float, gt=0)
+_BOUND = Field(_float)
+_ENSEMBLE = {"kind": Field(_kind), "law": Field(_parse_law, None),
+             "profile": Field(_parse_profile, None), "margin": Field(_int, "0", ge=0)}
+_BOX = {"size": Field(_int, ge=1), "samples": Field(_int, ge=1, scaled=True)}
+_IDS_BOX = {**_BOX, "size": Field(_int, ge=100)}  # estimate_ids needs L >= 100
+_ENERGY = Field(_float)
+_WIDTHS = Field(_floats, gt=0)
+_IDS_SAMPLES = Field(_int, "2048", ge=8, scaled=True)
+_IDS = {"ids_half_width": Field(_float, "0.75", gt=0),
+        "ids_points": Field(_int, "161", ge=2), "ids_samples": _IDS_SAMPLES}
+
+
+def _width_curve(header, *stats):
+    """Emitter of <name>_curve.csv: per width, each statistic and its CI."""
+
+    def emit(name, kwargs, report):
+        rows = [header]
+        for w in kwargs["widths"]:
+            row = [w]
+            for stat in stats:
+                e = report.estimate(f"{stat}[{w:.6g}]")
+                row += [e.value, *e.ci]
+            rows.append(row)
+        return report, {f"{name}_curve.csv": rows}
+
+    return emit
+
+
+def _points_curve(name, kwargs, result):
+    report, samples = result
+    rows = [("draw", "xi")] + [(s.index, float(x)) for s in samples for x in s.points]
+    return report, ({f"{name}_points.csv": rows} if samples else {})
+
+
+def _ecdf_curve(name, kwargs, result):
+    report, spacings = result
+    srt = np.sort(spacings)
+    rows = [("spacing", "ecdf")]
+    rows += [(float(x), (i + 1) / srt.size) for i, x in enumerate(srt)]
+    return report, {f"{name}_ecdf.csv": rows}
+
+
+@dataclass(frozen=True)
+class ProbeType:
+    """A config probe type: the `randspec.probes` function it calls (looked up
+    at call time), the claim it tests, its fields (named like the function's
+    parameters; kind/law/profile/margin become `spec`), and its optional
+    curve emitter (section name, kwargs, probe result) -> (report, CSVs)."""
+
+    function: str
+    claim: str
+    fields: dict
+    curves: Callable | None = None
+
+
+PROBES = {
+    "wegner": ProbeType(
+        "wegner_probe",
+        "single-window occupancy P[count >= 1] scales linearly in the "
+        "window width (slope 1 log-log), with constant <= C |J| L",
+        {**_ENSEMBLE, **_BOX, "energy": _ENERGY, "widths": _WIDTHS},
+        _width_curve(("width", "p_hat", "ci_lo", "ci_hi"), "p_hat"),
+    ),
+    "minami": ProbeType(
+        "minami_probe",
+        "excess E[max(count-1, 0)] scales quadratically in the width for "
+        "independent potentials (slope 2); couplings-only disorder at a "
+        "band edge keeps slope >= 3/2",
+        {**_ENSEMBLE, **_BOX, "energy": _ENERGY, "widths": _WIDTHS},
+        _width_curve(
+            ("width", "m_hat", "m_lo", "m_hi", "p2_hat", "p2_lo", "p2_hi"),
+            "m_hat", "p2_hat",
+        ),
+    ),
+    "decorrelation": ProbeType(
+        "decorrelation_probe",
+        "windows at two energies with |E| != |E'| are occupied jointly at "
+        "the product rate (independence ratio -> 1); mirrored energies in "
+        "the pure hopping model make the events identical (control)",
+        {
+            **_ENSEMBLE, **_BOX, "energy_a": _ENERGY, "energy_b": _ENERGY,
+            "half_width": Field(_float, None, gt=0),
+            "disjoint": Field(_bool, "false"),
+        },
+    ),
+    "level_statistics": ProbeType(
+        "level_statistics_probe",
+        "unfolded eigenvalue counts near a localized energy converge to a "
+        "Poisson process: per-interval counts are Poisson(|I|) in total "
+        "variation and disjoint intervals decorrelate",
+        {
+            **_ENSEMBLE, **_IDS_BOX, "energy": _ENERGY,
+            "intervals": Field(_intervals, "0:1,1:2,0:2"),
+            "collect": Field(_int, "0", ge=0),
+            **_IDS,
+        },
+        _points_curve,
+    ),
+    "joint_independence": ProbeType(
+        "joint_independence_probe",
+        "count processes at two distinct energies converge to independent "
+        "Poisson processes: joint pmf matches the product law",
+        {
+            **_ENSEMBLE, **_IDS_BOX, "energy_a": _ENERGY, "energy_b": _ENERGY,
+            "length_a": Field(_float, "1.0", gt=0),
+            "length_b": Field(_float, "1.0", gt=0),
+            **_IDS,
+        },
+    ),
+    "spacing": ProbeType(
+        "spacing_probe",
+        "unfolded nearest-neighbour spacings L(N(E_{j+1}) - N(E_j)) are "
+        "asymptotically exponential(1): KS to e^{-x} small, mean 1",
+        {
+            **_ENSEMBLE, **_IDS_BOX, "energy": _ENERGY,
+            "half_width": Field(_float, "2.0", gt=0),
+            "ids_points": Field(_int, "301", ge=2),
+            "ids_samples": _IDS_SAMPLES,
+        },
+        _ecdf_curve,
+    ),
+    "qgraph-minami": ProbeType(
+        "qgraph_minami_probe",
+        "window counts of the reduced quantum-graph operator at fixed "
+        "energy scale like (width L)^k for k = 1, 2 eigenvalues, with the "
+        "vertex-coupling scale factor sin(sqrt E)/sqrt(E)",
+        {
+            "law": Field(_parse_law, "uniform:0,1"), **_BOX,
+            "energy": Field(_float, gt=0), "widths": _WIDTHS,
+            "width_scale": Field(_float, None, gt=0),
+        },
+        _width_curve(
+            ("width", "p1_hat", "p1_lo", "p1_hi", "p2_hat", "p2_lo", "p2_hi"),
+            "p1_hat", "p2_hat",
+        ),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# config parsing
+
+
+class Section(NamedTuple):
+    """One [probe:NAME] section: its name and its raw text fields."""
+
+    name: str
+    options: dict
+
+
+_EXPERIMENT = {"seed": Field(_int), "out": Field(str, "results"), "workers": _WORKERS}
 
 
 def load_config(path: str):
@@ -248,37 +370,58 @@ def load_config(path: str):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # estimate names in check keys are case-sensitive
     if path == "paper-suite":
-        text = (
-            importlib.resources.files("randspec")
-            .joinpath("configs/paper_suite.cfg")
-            .read_text()
-        )
-        parser.read_string(text, source="paper-suite")
+        cfg = importlib.resources.files("randspec") / "configs/paper_suite.cfg"
+        parser.read_string(cfg.read_text(), source="paper-suite")
     else:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
     if "experiment" not in parser:
         raise ConfigError("config needs an [experiment] section")
-    exp = parser["experiment"]
-    if "seed" not in exp:
-        raise ConfigError("[experiment] needs a seed")
-    try:
-        seed = int(exp["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"[experiment] seed = {exp['seed']!r}: not an integer") from exc
-    out_dir = exp.get("out", "results")
-    workers = int(exp["workers"]) if "workers" in exp else None
+    exp = _parse_fields("[experiment]", parser["experiment"], _EXPERIMENT)
     sections = []
     for sec_name in parser.sections():
-        if sec_name == "experiment":
-            continue
-        if not sec_name.startswith("probe:"):
-            raise ConfigError(f"unexpected section [{sec_name}]")
-        name = sec_name[len("probe:"):]
-        if not name:
-            raise ConfigError("probe sections are named [probe:NAME]")
-        sections.append(_Section(name, parser[sec_name]))
-    return seed, out_dir, workers, sections
+        head, _, name = sec_name.partition(":")
+        if head == "probe" and name:
+            sections.append(Section(name, dict(parser[sec_name])))
+        elif sec_name != "experiment":
+            raise ConfigError(f"unexpected section [{sec_name}]; use [probe:NAME]")
+    return exp["seed"], exp["out"], exp["workers"], sections
+
+
+def _ensemble(where, kind, law=None, profile=None, margin=0) -> EnsembleSpec:
+    try:
+        return EnsembleSpec(kind, law=law, profile=profile, margin=margin)
+    except ValueError as exc:
+        raise ConfigError(f"{where} kind/law/profile/margin: {exc}") from None
+
+
+def parse_probe(sec: Section, scale: float = 1.0):
+    """(probe type, probe keyword arguments, check triples) for one section.
+
+    Check triples are (estimate name, 'min' | 'max', bound) from the
+    check_<estimate>_min/_max fields.
+    """
+    where = f"[probe:{sec.name}]"
+    options = dict(sec.options)
+    ptype = options.pop("type", None)
+    if ptype not in PROBES:
+        raise ConfigError(f"{where} type = {ptype!r}: unknown probe type; see list-probes")
+    checks = []
+    for key in [k for k in options if k.startswith("check_")]:
+        est, _, which = key[len("check_"):].rpartition("_")
+        if not est or which not in ("min", "max"):
+            raise ConfigError(f"{where} {key}: check keys end in _min or _max")
+        checks.append((est, which, _value(f"{where} {key}", _BOUND, options.pop(key))))
+    probe = PROBES[ptype]
+    kwargs = _parse_fields(where, options, probe.fields)
+    for key, field in probe.fields.items():
+        if field.scaled:
+            kwargs[key] = max(field.ge, round(kwargs[key] * scale))
+    if "kind" in kwargs:
+        kwargs["spec"] = _ensemble(
+            where, *(kwargs.pop(k) for k in ("kind", "law", "profile", "margin"))
+        )
+    return probe, kwargs, checks
 
 
 def probe_seed(master: int, name: str) -> int:
@@ -287,143 +430,12 @@ def probe_seed(master: int, name: str) -> int:
     return (master ^ int.from_bytes(digest[:8], "big")) & (2**63 - 1)
 
 
+def _env_workers() -> int:
+    return _value(ENV_WORKERS, _WORKERS, os.environ.get(ENV_WORKERS, "1"))
+
+
 # ---------------------------------------------------------------------------
 # probe execution
-
-
-def _scaled(n: int, scale: float) -> int:
-    return max(1, round(n * scale))
-
-
-def _run_probe(sec: _Section, seed: int, workers: int, scale: float):
-    """Dispatch one probe section; returns (report, {filename: rows})."""
-    ptype = sec.get("type", required=True)
-    if ptype not in REGISTRY:
-        raise ConfigError(
-            f"[probe:{sec.name}] unknown type {ptype!r}; see list-probes"
-        )
-    samples = _scaled(sec.get_int("samples", required=True), scale)
-    size = sec.get_int("size", required=True)
-    curves = {}
-
-    if ptype in ("wegner", "minami"):
-        spec = _ensemble(sec)
-        energy = sec.get_float("energy", required=True)
-        widths = sec.get_floats("widths", required=True)
-        fn = probes.wegner_probe if ptype == "wegner" else probes.minami_probe
-        sec.warn_unused()
-        report = fn(spec, energy, widths, size, samples, seed=seed, workers=workers)
-        if ptype == "wegner":
-            rows = [("width", "p_hat", "ci_lo", "ci_hi")]
-            for w in widths:
-                e = report.estimate(f"p_hat[{w:.6g}]")
-                rows.append((w, e.value, e.ci[0], e.ci[1]))
-        else:
-            rows = [("width", "m_hat", "m_lo", "m_hi", "p2_hat", "p2_lo", "p2_hi")]
-            for w in widths:
-                m = report.estimate(f"m_hat[{w:.6g}]")
-                p2 = report.estimate(f"p2_hat[{w:.6g}]")
-                rows.append((w, m.value, m.ci[0], m.ci[1], p2.value, p2.ci[0], p2.ci[1]))
-        curves[f"{sec.name}_curve.csv"] = rows
-
-    elif ptype == "decorrelation":
-        spec = _ensemble(sec)
-        ea = sec.get_float("energy_a", required=True)
-        eb = sec.get_float("energy_b", required=True)
-        hw = sec.get_float("half_width")
-        disjoint = sec.get_bool("disjoint")
-        sec.warn_unused()
-        report = probes.decorrelation_probe(
-            spec, ea, eb, size, samples, seed=seed, workers=workers,
-            half_width=hw, disjoint=disjoint,
-        )
-
-    elif ptype == "level_statistics":
-        spec = _ensemble(sec)
-        energy = sec.get_float("energy", required=True)
-        intervals = sec.get_intervals("intervals", [(0.0, 1.0), (1.0, 2.0), (0.0, 2.0)])
-        collect = sec.get_int("collect", 0)
-        kw = _ids_kwargs(sec, scale)
-        sec.warn_unused()
-        report, samples_out = probes.level_statistics_probe(
-            spec, energy, size, samples, seed=seed, workers=workers,
-            intervals=intervals, collect=collect, **kw,
-        )
-        if samples_out:
-            pts = [("draw", "xi")]
-            for s in samples_out:
-                for x in s.points:
-                    pts.append((s.index, float(x)))
-            curves[f"{sec.name}_points.csv"] = pts
-
-    elif ptype == "joint_independence":
-        spec = _ensemble(sec)
-        ea = sec.get_float("energy_a", required=True)
-        eb = sec.get_float("energy_b", required=True)
-        la = sec.get_float("length_a", 1.0)
-        lb = sec.get_float("length_b", 1.0)
-        kw = _ids_kwargs(sec, scale)
-        sec.warn_unused()
-        report = probes.joint_independence_probe(
-            spec, ea, eb, size, samples, seed=seed, workers=workers,
-            length_a=la, length_b=lb, **kw,
-        )
-
-    elif ptype == "spacing":
-        spec = _ensemble(sec)
-        energy = sec.get_float("energy", required=True)
-        hw = sec.get_float("half_width", 2.0)
-        kw = _ids_kwargs(sec, scale)
-        kw.pop("ids_half_width", None)
-        sec.warn_unused()
-        report, spacings = probes.spacing_probe(
-            spec, energy, size, samples, seed=seed, workers=workers,
-            half_width=hw, **kw,
-        )
-        ecdf = [("spacing", "ecdf")]
-        srt = np.sort(spacings)
-        m = srt.size
-        for i, x in enumerate(srt):
-            ecdf.append((float(x), (i + 1) / m))
-        curves[f"{sec.name}_ecdf.csv"] = ecdf
-
-    else:  # qgraph-minami
-        law = _parse_law(sec.get("law", "uniform:0,1"))
-        energy = sec.get_float("energy", required=True)
-        widths = sec.get_floats("widths", required=True)
-        wscale = sec.get_float("width_scale")
-        sec.get("kind")  # tolerated for uniformity; ensemble is fixed
-        sec.warn_unused()
-        report = probes.qgraph_minami_probe(
-            law, energy, widths, size, samples, seed=seed, workers=workers,
-            width_scale=wscale,
-        )
-        rows = [("width", "p1_hat", "p1_lo", "p1_hi", "p2_hat", "p2_lo", "p2_hi")]
-        for w in widths:
-            p1 = report.estimate(f"p1_hat[{w:.6g}]")
-            p2 = report.estimate(f"p2_hat[{w:.6g}]")
-            rows.append((w, p1.value, p1.ci[0], p1.ci[1], p2.value, p2.ci[0], p2.ci[1]))
-        curves[f"{sec.name}_curve.csv"] = rows
-
-    return report, curves
-
-
-def _ids_kwargs(sec: _Section, scale: float) -> dict:
-    kw = {}
-    for key in ("ids_half_width",):
-        v = sec.get_float(key)
-        if v is not None:
-            kw[key] = v
-    for key in ("ids_points",):
-        v = sec.get_int(key)
-        if v is not None:
-            kw[key] = v
-    v = sec.get_int("ids_samples")
-    if v is not None:
-        kw["ids_samples"] = max(8, _scaled(v, scale))
-    elif scale != 1.0:
-        kw["ids_samples"] = max(8, _scaled(2048, scale))
-    return kw
 
 
 def _write_csv(path: Path, rows):
@@ -453,26 +465,24 @@ def _evaluate_checks(report, checks):
 
 
 def cmd_run(args) -> int:
-    try:
-        master, out_dir, cfg_workers, sections = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    workers = args.workers or cfg_workers or int(os.environ.get(ENV_WORKERS, "1"))
+    master, out_dir, cfg_workers, sections = load_config(args.config)
+    workers = args.workers or cfg_workers or _env_workers()
     out = Path(args.out or out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = [
         ("probe", "type", "estimate", "value", "ci_lo", "ci_hi",
          "check", "bound", "status")
     ]
-    any_error = False
-    any_check_failed = False
+    any_error = any_check_failed = False
     for sec in sections:
         ptype = sec.options.get("type", "?")
         try:
-            checks = sec.checks()
-            report, curves = _run_probe(
-                sec, probe_seed(master, sec.name), workers, args.scale
+            probe, kwargs, checks = parse_probe(sec, args.scale)
+            result = getattr(probes, probe.function)(
+                **kwargs, seed=probe_seed(master, sec.name), workers=workers
+            )
+            report, curves = (
+                probe.curves(sec.name, kwargs, result) if probe.curves else (result, {})
             )
         except Exception as exc:  # isolate probe failures
             any_error = True
@@ -490,20 +500,14 @@ def cmd_run(args) -> int:
         for est in report.estimates:
             lo, hi = est.ci if est.ci is not None else ("", "")
             for which, bound, ok in check_map.get(est.name, [(None, "", None)]):
-                summary.append(
-                    (
-                        sec.name, ptype, est.name, est.value, lo, hi,
-                        which or "", bound,
-                        "" if ok is None else ("PASS" if ok else "FAIL"),
-                    )
-                )
+                status = "" if ok is None else ("PASS" if ok else "FAIL")
+                summary.append((sec.name, ptype, est.name, est.value, lo, hi,
+                                which or "", bound, status))
         for est_name, entries in check_map.items():
             if all(e.name != est_name for e in report.estimates):
                 for which, bound, ok in entries:
-                    summary.append(
-                        (sec.name, ptype, est_name, "missing", "", "",
-                         which, bound, "FAIL")
-                    )
+                    summary.append((sec.name, ptype, est_name, "missing", "", "",
+                                    which, bound, "FAIL"))
     _write_csv(out / "summary.csv", summary)
     if any_error:
         return 2
@@ -513,27 +517,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_list_probes(args) -> int:
-    for name, (claim, params) in REGISTRY.items():
+    for name, probe in PROBES.items():
         print(name)
-        print(f"  tests: {claim}")
-        print(f"  params: {params}")
+        print(f"  tests: {probe.claim}")
+        print("  params:")
+        for key, field in probe.fields.items():
+            print(f"    {key}: {field.describe()}")
+    print("every type also takes check_<estimate>_min/_max bounds (see --check)")
     return 0
 
 
-def _spec_from_args(args) -> EnsembleSpec:
-    return EnsembleSpec(
-        args.kind,
-        law=_parse_law(args.law) if args.law else None,
-        profile=_parse_profile(args.profile) if args.profile else None,
-        margin=args.margin,
-    )
-
-
 def cmd_ids(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
     grid = np.linspace(args.min, args.max, args.points)
     table = estimate_ids(
-        spec, args.size, args.samples, grid, seed=args.seed, workers=args.workers
+        spec, args.size, args.samples, grid, seed=args.seed,
+        workers=args.workers or _env_workers(),
     )
     table.to_csv(args.out)
     print(f"wrote {args.points}-point table to {args.out}")
@@ -541,35 +540,27 @@ def cmd_ids(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
     est = transfer.lyapunov(
         spec, args.energy, steps=args.steps, samples=args.samples, seed=args.seed
     )
-    print(
-        json.dumps(
-            {
-                "gamma": est.gamma,
-                "stderr": est.stderr,
-                "ci99": list(est.ci99),
-                "steps": est.steps,
-                "samples": est.samples,
-                "energy": args.energy,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    payload = {
+        "gamma": est.gamma, "stderr": est.stderr, "ci99": list(est.ci99),
+        "steps": est.steps, "samples": est.samples, "energy": args.energy,
+    }
+    print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
 
 def _add_spec_args(p):
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--law", help="uniform:lo,hi or piecewise:FILE")
-    p.add_argument("--profile", help="finite:v,... or geometric:amp,rate (alloy)")
-    p.add_argument("--margin", type=int, default=0, help="alloy overhang margin")
+    for key in ("law", "profile", "margin"):
+        field = _ENSEMBLE[key]
+        p.add_argument(f"--{key}", type=_arg(field), default=field.default,
+                       help=field.describe())
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=int(os.environ.get(ENV_WORKERS, "1")))
+    p.add_argument("--workers", type=_arg(_WORKERS))
 
 
 def main(argv=None) -> int:
@@ -582,16 +573,16 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the probes in a config file")
     p_run.add_argument("config", help="config path, or 'paper-suite' for the bundled suite")
     p_run.add_argument("--check", action="store_true", help="evaluate check_* bounds")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=_arg(_WORKERS))
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=_arg(_SCALE), default=1.0,
         help="multiply all sample counts (smoke-test factor; estimates keep "
              "their meaning, bounds may fail at reduced scale)",
     )
     p_run.set_defaults(fn=cmd_run)
 
-    p_list = sub.add_parser("list-probes", help="show the probe registry")
+    p_list = sub.add_parser("list-probes", help="show the probe types and their fields")
     p_list.set_defaults(fn=cmd_list_probes)
 
     p_ids = sub.add_parser("ids", help="estimate an integrated density of states table")
@@ -610,7 +601,11 @@ def main(argv=None) -> int:
     p_ly.set_defaults(fn=cmd_lyapunov)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

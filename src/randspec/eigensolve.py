@@ -121,31 +121,6 @@ def eigenvalues_in(
     return np.sort(vals)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralWindowCount:
-    """Eigenvalue count and locations for one window of one operator."""
-
-    window: tuple[float, float]
-    count: int
-    eigenvalues: np.ndarray
-    eigenvectors: tuple = ()
-
-
-def spectral_window(
-    op: TridiagonalOperator,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    extract_vectors: bool = False,
-    max_window_eigs: int = DEFAULT_MAX_WINDOW_EIGS,
-) -> SpectralWindowCount:
-    vals = eigenvalues_in(op, lo, hi, tol, max_window_eigs)
-    vecs = ()
-    if extract_vectors:
-        vecs = tuple(eigenvector(op, float(v)).vector for v in vals)
-    return SpectralWindowCount((float(lo), float(hi)), vals.size, vals, vecs)
-
-
 def batched_eigenvalues_in(
     diag2d: np.ndarray,
     offdiag,
@@ -215,8 +190,10 @@ class EigenvectorResult:
     """Inverse-iteration output with residual and isolation diagnostics.
 
     `flagged` is set when another eigenvalue sits within `cluster_tol` of the
-    Rayleigh quotient; `cluster` then carries an orthonormal basis of the
-    near-degenerate group (it holds just the vector itself otherwise).
+    Rayleigh quotient (`cluster` then carries an orthonormal basis of the
+    near-degenerate group; it holds just the vector itself otherwise), when
+    the gap is at most `gap_floor`, or when inverse iteration stopped with a
+    residual above its target 1e-10 * norm bound (an unconverged vector).
     """
 
     value: float
@@ -253,9 +230,12 @@ def eigenvector(
     Inverse iteration from a deterministic seeded start vector; the sign is
     fixed by making the largest-magnitude entry positive. Near-degenerate
     eigenvalues (gap <= gap_floor) yield a flagged result carrying the whole
-    cluster basis instead of an error.
+    cluster basis instead of an error. A vector whose final residual misses
+    1e-10 * op.norm_bound() after `max_iter` steps (e.g. for an `energy`
+    midway between two eigenvalues) is returned flagged as well.
     """
     scale = op.norm_bound()
+    target = 1e-10 * scale
     if cluster_tol is None:
         cluster_tol = 1e-12 * scale
     if gap_floor is None:
@@ -280,7 +260,7 @@ def eigenvector(
         v = w / nw
         ray = float(v @ op.apply(v))
         resid = float(np.linalg.norm(op.apply(v) - ray * v))
-        if resid <= 1e-10 * scale:
+        if resid <= target:
             break
     ray = float(v @ op.apply(v))
     resid = float(np.linalg.norm(op.apply(v) - ray * v))
@@ -297,7 +277,7 @@ def eigenvector(
     if j_hi < op.size:
         above = _nearest_index_value(op, j_hi + 1, ray + cluster_tol, ghi, 0.0)
         gap = min(gap, above - ray)
-    flagged = n_cluster > 1 or gap <= gap_floor
+    flagged = n_cluster > 1 or gap <= gap_floor or resid > target
     v = _canonical_sign(v)
     cluster = (v,)
     if n_cluster > 1:

@@ -66,7 +66,12 @@ class IdsTable:
         return np.interp(e, self.energies, self.values)
 
     def inverse(self, y):
-        """Smallest E with N(E) = y; flat segments map to their left edge."""
+        """Smallest E with N(E) = y; flat segments map to their left edge.
+
+        A scalar level gives a float; a 1-d array of levels gives an array of
+        the same length, including length 1.
+        """
+        scalar = np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if np.any(y < self.values[0]) or np.any(y > self.values[-1]):
             raise OutsideGridError("level outside tabulated IDS range")
@@ -82,7 +87,7 @@ class IdsTable:
                 out[k] = e0
             else:
                 out[k] = e0 + (yy - v0) / (v1 - v0) * (e1 - e0)
-        return out if out.size > 1 else float(out[0])
+        return float(out[0]) if scalar else out
 
     def to_csv(self, path):
         """Three columns (energy, ids, stderr), 17 significant digits."""

@@ -298,13 +298,6 @@ class IntervalGraphFamily:
         return s * math.cos(s) / math.sin(s)
 
 
-FAMILIES = {
-    "identity": IdentityFamily,
-    "affine": AffineFamily,
-    "interval_graph": IntervalGraphFamily,
-}
-
-
 # ---------------------------------------------------------------------------
 # the tridiagonal box operator
 

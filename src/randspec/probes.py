@@ -19,7 +19,7 @@ import dataclasses
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -122,6 +122,12 @@ def _law_params(law) -> dict:
     return d
 
 
+def _report(name, spec, params, ests, samples, seed, t0) -> ProbeReport:
+    """Report whose params also carry the ensemble kind and law."""
+    params = {"kind": spec.kind, "law": _law_params(spec.law), **params}
+    return ProbeReport(name, params, ests, samples, seed, time.perf_counter() - t0)
+
+
 # ---------------------------------------------------------------------------
 # statistics helpers
 
@@ -135,6 +141,11 @@ def wilson_ci(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
     center = (ph + z * z / (2 * n)) / denom
     half = z * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
+
+
+def _proportion(name: str, k, n: int) -> Estimate:
+    """Estimate of the proportion k / n with its Wilson CI."""
+    return Estimate(name, int(k) / n, wilson_ci(int(k), n))
 
 
 def normal_ci(mean: float, sd: float, n: int, z: float = _Z95):
@@ -217,7 +228,19 @@ def log_slope(widths, values) -> tuple[float, float, int]:
 
 
 # ---------------------------------------------------------------------------
-# block engine: window counts
+# block engine: draws, window counts and eigenvalue extraction
+
+
+def _draw_block(spec, size, seed, block, rows, stream=_blocks.STREAM_PRIMARY,
+                post_affine=None):
+    """(diag, offdiag) of one RNG block's draws; diag -> a + b * diag when
+    post_affine = (a, b) is given."""
+    omega = omega_block(spec, size, seed, block, rows, stream)
+    diag, off = coefficients(spec, size, omega)
+    if post_affine is not None:
+        a, b = post_affine
+        diag = a + b * diag
+    return diag, off
 
 
 @dataclass(frozen=True)
@@ -228,14 +251,13 @@ class _WindowJob:
     total: int
     windows: tuple  # ((lo, hi), ...) exact endpoints; worker applies nextafter
     kcap: int = 64
-    stream: int = _blocks.STREAM_PRIMARY
     joint_pair: tuple[int, int] | None = None
     split: int | None = None  # windows[split:] evaluated on an independent draw
     post_affine: tuple[float, float] | None = None  # diag -> a + b * diag
 
 
-def _counts_for(job, diag, off, window_slice):
-    edges = np.array([e for w in job.windows[window_slice] for e in w])
+def _counts_for(windows, diag, off):
+    edges = np.array([e for w in windows for e in w])
     edges = np.nextafter(edges, np.inf)
     s = sturm_counts(diag, off, edges[:, None])  # (2W, rows)
     return s[1::2] - s[0::2]
@@ -243,27 +265,14 @@ def _counts_for(job, diag, off, window_slice):
 
 def _window_block(job: _WindowJob, block: int):
     rows = _blocks.block_rows(job.total, draw_width(job.spec, job.size), block)
-    omega = omega_block(job.spec, job.size, job.seed, block, rows, job.stream)
-    diag, off = coefficients(job.spec, job.size, omega)
-    if job.post_affine is not None:
-        a, b = job.post_affine
-        diag = a + b * diag
-    if job.split is None:
-        counts = _counts_for(job, diag, off, slice(None))
-    else:
-        omega2 = omega_block(
-            job.spec, job.size, job.seed, block, rows, _blocks.STREAM_SECONDARY
-        )
-        diag2, off2 = coefficients(job.spec, job.size, omega2)
-        if job.post_affine is not None:
-            a, b = job.post_affine
-            diag2 = a + b * diag2
-        counts = np.concatenate(
-            [
-                _counts_for(job, diag, off, slice(None, job.split)),
-                _counts_for(job, diag2, off2, slice(job.split, None)),
-            ]
-        )
+    split = len(job.windows) if job.split is None else job.split
+    streams = ((_blocks.STREAM_PRIMARY, job.windows[:split]),
+               (_blocks.STREAM_SECONDARY, job.windows[split:]))
+    counts = np.concatenate([
+        _counts_for(windows, *_draw_block(
+            job.spec, job.size, job.seed, block, rows, stream, job.post_affine))
+        for stream, windows in streams if windows
+    ])
     n_win = counts.shape[0]
     kcap = job.kcap
     clipped = np.minimum(counts, kcap)
@@ -301,6 +310,54 @@ def _run_window_job(job: _WindowJob, workers: int) -> dict:
     return out
 
 
+def _extract_block(spec, size, seed, total, e_lo, e_hi, block):
+    """Eigenvalues in (e_lo, e_hi] of one block's draws, as (global draw
+    index, value) arrays sorted by draw then value."""
+    width = draw_width(spec, size)
+    diag, off = _draw_block(
+        spec, size, seed, block, _blocks.block_rows(total, width, block)
+    )
+    draws, values = batched_eigenvalues_in(diag, off, e_lo, e_hi)
+    return draws + block * _blocks.block_size(width), values
+
+
+def _extract(spec, size, seed, total, e_lo, e_hi, workers):
+    """Eigenvalues in (e_lo, e_hi] of the first `total` draws, block by block."""
+    blocks = _blocks.n_blocks(total, draw_width(spec, size))
+    fn = partial(_extract_block, spec, size, seed, total, e_lo, e_hi)
+    parts = _blocks.map_blocks(fn, blocks, workers)
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _width_scan(spec, center, widths, size, samples, seed, workers,
+                scale=1.0, post_affine=None):
+    """Sorted half-widths w and the window counts of [center -+ scale * w].
+
+    The stats gain `k2`, the number of draws with >= 2 eigenvalues in each
+    window.
+    """
+    widths = [float(w) for w in widths]
+    if not widths or not all(math.isfinite(w) and w > 0 for w in widths):
+        raise ValueError("need positive finite window half-widths")
+    widths.sort()
+    windows = tuple((center - w * scale, center + w * scale) for w in widths)
+    job = _WindowJob(spec, size, seed, samples, windows, post_affine=post_affine)
+    stats = _run_window_job(job, workers)
+    stats["k2"] = samples - stats["hist"][:, 0] - stats["hist"][:, 1]
+    return widths, stats
+
+
+def _slope_estimate(name, widths, values):
+    """Log-log slope estimate with a 95% CI, and the number of fitted points."""
+    slope, se, npts = log_slope(widths, values)
+    ci = None
+    if math.isfinite(slope) and math.isfinite(se):
+        ci = (slope - _Z95 * se, slope + _Z95 * se)
+    return Estimate(name, slope, ci), npts
+
+
 # ---------------------------------------------------------------------------
 # occupancy probes (Wegner / Minami scaling)
 
@@ -322,42 +379,19 @@ def wegner_probe(
     bound p_hat <= C eps L.
     """
     t0 = time.perf_counter()
-    widths = sorted(float(w) for w in widths)
-    if not widths or widths[0] <= 0:
-        raise ValueError("need positive window half-widths")
-    windows = tuple((energy - w, energy + w) for w in widths)
-    job = _WindowJob(spec, size, seed, samples, windows)
-    stats = _run_window_job(job, workers)
+    widths, stats = _width_scan(spec, energy, widths, size, samples, seed, workers)
     p = stats["occupancy"] / samples
-    ests = [
-        Estimate(f"p_hat[{w:.6g}]", float(p[i]), wilson_ci(int(stats["occupancy"][i]), samples))
-        for i, w in enumerate(widths)
-    ]
-    slope, se, npts = log_slope(widths, p)
-    ests.append(Estimate("slope", slope, _slope_ci(slope, se)))
+    ests = [_proportion(f"p_hat[{w:.6g}]", k, samples)
+            for w, k in zip(widths, stats["occupancy"])]
+    slope, npts = _slope_estimate("slope", widths, p)
+    ests.append(slope)
     c_hat = float(np.max(p / (np.asarray(widths) * size)))
     ests.append(Estimate("C_hat", c_hat))
-    return ProbeReport(
-        "wegner",
-        {
-            "kind": spec.kind,
-            "law": _law_params(spec.law),
-            "size": size,
-            "energy": energy,
-            "widths": widths,
-            "slope_points": npts,
-        },
-        ests,
-        samples,
-        seed,
-        time.perf_counter() - t0,
+    return _report(
+        "wegner", spec,
+        {"size": size, "energy": energy, "widths": widths, "slope_points": npts},
+        ests, samples, seed, t0,
     )
-
-
-def _slope_ci(slope, se):
-    if not (math.isfinite(slope) and math.isfinite(se)):
-        return None
-    return (slope - _Z95 * se, slope + _Z95 * se)
 
 
 def minami_probe(
@@ -378,12 +412,7 @@ def minami_probe(
     with a Wilson CI.
     """
     t0 = time.perf_counter()
-    widths = sorted(float(w) for w in widths)
-    if not widths or widths[0] <= 0:
-        raise ValueError("need positive window half-widths")
-    windows = tuple((energy - w, energy + w) for w in widths)
-    job = _WindowJob(spec, size, seed, samples, windows)
-    stats = _run_window_job(job, workers)
+    widths, stats = _width_scan(spec, energy, widths, size, samples, seed, workers)
     m = stats["excess_sum"] / samples
     var = np.maximum(stats["excess_sq"] / samples - m**2, 0.0)
     ests = []
@@ -395,24 +424,13 @@ def minami_probe(
                 normal_ci(float(m[i]), math.sqrt(var[i]), samples),
             )
         )
-        k2 = samples - int(stats["hist"][i, 0] + stats["hist"][i, 1])
-        ests.append(Estimate(f"p2_hat[{w:.6g}]", k2 / samples, wilson_ci(k2, samples)))
-    slope, se, npts = log_slope(widths, m)
-    ests.append(Estimate("slope", slope, _slope_ci(slope, se)))
-    return ProbeReport(
-        "minami",
-        {
-            "kind": spec.kind,
-            "law": _law_params(spec.law),
-            "size": size,
-            "energy": energy,
-            "widths": widths,
-            "slope_points": npts,
-        },
-        ests,
-        samples,
-        seed,
-        time.perf_counter() - t0,
+        ests.append(_proportion(f"p2_hat[{w:.6g}]", stats["k2"][i], samples))
+    slope, npts = _slope_estimate("slope", widths, m)
+    ests.append(slope)
+    return _report(
+        "minami", spec,
+        {"size": size, "energy": energy, "widths": widths, "slope_points": npts},
+        ests, samples, seed, t0,
     )
 
 
@@ -464,9 +482,9 @@ def decorrelation_probe(
     n_b = int(stats["occupancy"][1])
     p11, pa, pb = n_both / n, n_a / n, n_b / n
     ests = [
-        Estimate("p_joint", p11, wilson_ci(n_both, n)),
-        Estimate("p_first", pa, wilson_ci(n_a, n)),
-        Estimate("p_second", pb, wilson_ci(n_b, n)),
+        _proportion("p_joint", n_both, n),
+        _proportion("p_first", n_a, n),
+        _proportion("p_second", n_b, n),
     ]
     if p11 > 0 and pa > 0 and pb > 0:
         ratio = p11 / (pa * pb)
@@ -504,21 +522,11 @@ def decorrelation_probe(
     if not disjoint and spec.kind == "hopping" and energy_b == -energy_a:
         mismatch = n_a + n_b - 2 * n_both
         ests.append(Estimate("event_mismatch", float(mismatch)))
-    return ProbeReport(
-        "decorrelation",
-        {
-            "kind": spec.kind,
-            "law": _law_params(spec.law),
-            "size": size,
-            "energy_a": energy_a,
-            "energy_b": energy_b,
-            "half_width": half_width,
-            "disjoint": disjoint,
-        },
-        ests,
-        samples,
-        seed,
-        time.perf_counter() - t0,
+    return _report(
+        "decorrelation", spec,
+        {"size": size, "energy_a": energy_a, "energy_b": energy_b,
+         "half_width": half_width, "disjoint": disjoint},
+        ests, samples, seed, t0,
     )
 
 # ---------------------------------------------------------------------------
@@ -623,46 +631,37 @@ def level_statistics_probe(
     stats = _run_window_job(job, workers)
     ests = []
     for i, (a, b) in enumerate(intervals):
-        length = b - a
-        tv = tv_to_poisson(stats["hist"][i], length)
-        mean = stats["count_sum"][i] / samples
-        var = max(stats["count_sq"][i] / samples - mean**2, 0.0)
         tag = f"{a:.6g},{b:.6g}"
-        ests.append(Estimate(f"tv_poisson[{tag}]", tv))
-        ests.append(
-            Estimate(
-                f"mean_count[{tag}]",
-                float(mean),
-                normal_ci(float(mean), math.sqrt(var), samples),
-            )
-        )
+        ests.append(Estimate(f"tv_poisson[{tag}]", tv_to_poisson(stats["hist"][i], b - a)))
+        ests.append(_mean_count(f"mean_count[{tag}]", stats, i, samples))
     if pair is not None:
         ests.append(Estimate("corr_z", _pair_corr_z(stats, samples)))
-    report = ProbeReport(
-        "level_statistics",
-        {
-            "kind": spec.kind,
-            "law": _law_params(spec.law),
-            "size": size,
-            "energy": energy,
-            "intervals": intervals,
-            "windows": windows,
-            "kcap": kcap,
-        },
-        ests,
-        samples,
-        seed,
-        time.perf_counter() - t0,
+    report = _report(
+        "level_statistics", spec,
+        {"size": size, "energy": energy, "intervals": intervals, "windows": windows,
+         "kcap": kcap},
+        ests, samples, seed, t0,
     )
     configs = []
     if collect > 0:
         lo = min(w[0] for w in windows)
         hi = max(w[1] for w in windows)
-        configs = _collect_unfolded(
-            spec, size, seed, collect, lo, hi, table, energy
-        )
+        draws, values = _extract(spec, size, seed, collect, lo, hi, workers)
+        n0 = float(table.evaluate(np.array([energy]))[0])
+        xi = (table.evaluate(values) - n0) * size
+        configs = [
+            PointProcessSample(r, energy, (lo, hi), np.sort(xi[draws == r]))
+            for r in range(collect)
+        ]
     report.runtime_s = time.perf_counter() - t0
     return report, configs
+
+
+def _mean_count(name, stats, i, n):
+    """Mean count of window i over n draws, with a normal CI."""
+    mean = float(stats["count_sum"][i] / n)
+    var = max(stats["count_sq"][i] / n - mean**2, 0.0)
+    return Estimate(name, mean, normal_ci(mean, math.sqrt(var), n))
 
 
 def _pair_corr_z(stats, n):
@@ -674,28 +673,6 @@ def _pair_corr_z(stats, n):
         return math.nan
     cov = stats["pair_prod"][0, 1] / n - m1 * m2
     return float(cov / math.sqrt(v1 * v2) * math.sqrt(n))
-
-
-def _collect_unfolded(spec, size, seed, count, e_lo, e_hi, table, center):
-    """Extract and unfold the spectra of the first `count` draws."""
-    width = draw_width(spec, size)
-    bs = _blocks.block_size(width)
-    out = []
-    n0 = float(table.evaluate(np.array([center]))[0])
-    block = 0
-    while len(out) < count:
-        rows = min(bs, count - len(out))
-        omega = omega_block(spec, size, seed, block, rows, _blocks.STREAM_PRIMARY)
-        diag, off = coefficients(spec, size, omega)
-        draws, values = batched_eigenvalues_in(diag, off, e_lo, e_hi)
-        xi = (table.evaluate(values) - n0) * size
-        for r in range(rows):
-            pts = np.sort(xi[draws == r])
-            out.append(
-                PointProcessSample(block * bs + r, center, (e_lo, e_hi), pts)
-            )
-        block += 1
-    return out[:count]
 
 
 def joint_independence_probe(
@@ -746,62 +723,19 @@ def joint_independence_probe(
         Estimate("tv_second", tv_to_poisson(stats["hist"][1], length_b)),
         Estimate("corr_z", _pair_corr_z(stats, samples)),
     ]
-    for i, (tag, length) in enumerate((("first", length_a), ("second", length_b))):
-        mean = stats["count_sum"][i] / samples
-        var = max(stats["count_sq"][i] / samples - mean**2, 0.0)
-        ests.append(
-            Estimate(
-                f"mean_{tag}",
-                float(mean),
-                normal_ci(float(mean), math.sqrt(var), samples),
-            )
-        )
-    return ProbeReport(
-        "joint_independence",
-        {
-            "kind": spec.kind,
-            "law": _law_params(spec.law),
-            "size": size,
-            "energy_a": energy_a,
-            "energy_b": energy_b,
-            "length_a": length_a,
-            "length_b": length_b,
-            "windows": [list(windows[0]), list(windows[1])],
-            "kcap": kcap,
-        },
-        ests,
-        samples,
-        seed,
-        time.perf_counter() - t0,
+    ests += [_mean_count(f"mean_{tag}", stats, i, samples)
+             for i, tag in enumerate(("first", "second"))]
+    return _report(
+        "joint_independence", spec,
+        {"size": size, "energy_a": energy_a, "energy_b": energy_b,
+         "length_a": length_a, "length_b": length_b,
+         "windows": [list(windows[0]), list(windows[1])], "kcap": kcap},
+        ests, samples, seed, t0,
     )
 
 
 # ---------------------------------------------------------------------------
 # nearest-neighbour spacings
-
-
-@dataclass(frozen=True)
-class _SpacingJob:
-    spec: EnsembleSpec
-    size: int
-    seed: int
-    total: int
-    e_lo: float
-    e_hi: float
-    grid: tuple
-    values: tuple
-
-
-def _spacing_block(job: _SpacingJob, block: int):
-    rows = _blocks.block_rows(job.total, draw_width(job.spec, job.size), block)
-    omega = omega_block(
-        job.spec, job.size, job.seed, block, rows, _blocks.STREAM_PRIMARY
-    )
-    diag, off = coefficients(job.spec, job.size, omega)
-    draws, values = batched_eigenvalues_in(diag, off, job.e_lo, job.e_hi)
-    unfolded = np.interp(values, job.grid, job.values) * job.size
-    same = draws[1:] == draws[:-1]
-    return np.diff(unfolded)[same]
 
 
 def spacing_probe(
@@ -832,13 +766,9 @@ def spacing_probe(
         0.75, ids_points, ids_samples, max_offset=half_width,
     )
     lo, hi = _unfolded_window_edges(table, size, energy, (-half_width, half_width))
-    job = _SpacingJob(
-        spec, size, seed, samples, float(lo), float(hi),
-        tuple(table.energies.tolist()), tuple(table.values.tolist()),
-    )
-    blocks = _blocks.n_blocks(samples, draw_width(spec, size))
-    parts = _blocks.map_blocks(partial(_spacing_block, job), blocks, workers)
-    spacings = np.concatenate(parts) if parts else np.empty(0)
+    draws, values = _extract(spec, size, seed, samples, float(lo), float(hi), workers)
+    unfolded = np.interp(values, table.energies, table.values) * size
+    spacings = np.diff(unfolded)[draws[1:] == draws[:-1]]
     m = spacings.size
     if m == 0:
         ests = [
@@ -854,20 +784,11 @@ def spacing_probe(
             Estimate("mean_spacing", mean, normal_ci(mean, sd, m)),
             Estimate("ks_exponential", ks_to_exponential(np.sort(spacings))),
         ]
-    report = ProbeReport(
-        "spacing",
-        {
-            "kind": spec.kind,
-            "law": _law_params(spec.law),
-            "size": size,
-            "energy": energy,
-            "half_width": half_width,
-            "window": [float(lo), float(hi)],
-        },
-        ests,
-        samples,
-        seed,
-        time.perf_counter() - t0,
+    report = _report(
+        "spacing", spec,
+        {"size": size, "energy": energy, "half_width": half_width,
+         "window": [float(lo), float(hi)]},
+        ests, samples, seed, t0,
     )
     return report, spacings
 
@@ -895,67 +816,29 @@ def qgraph_minami_probe(
     the graph analogue of the single/pair window bounds.
     """
     t0 = time.perf_counter()
-    widths = sorted(float(w) for w in widths)
-    if not widths or widths[0] <= 0:
-        raise ValueError("need positive window half-widths")
     family = IntervalGraphFamily()
     if width_scale is None:
         root = math.sqrt(energy)
         width_scale = math.sin(root) / root
     lam = family.lambda_at(energy)  # -c(E0)
     mu = family.mu_at(energy)
-    spec = EnsembleSpec("qgraph", law=law)
     # diag of R(E0) is (omega - mu)/lam on top of the -1 couplings
-    windows = tuple(
-        (-w * width_scale, w * width_scale) for w in widths
+    widths, stats = _width_scan(
+        EnsembleSpec("qgraph", law=law), 0.0, widths, size, samples, seed,
+        workers, scale=width_scale, post_affine=(-mu / lam, 1.0 / lam),
     )
-    job = _WindowJob(
-        spec,
-        size,
-        seed,
-        samples,
-        windows,
-        post_affine=(-mu / lam, 1.0 / lam),
-    )
-    stats = _run_window_job(job, workers)
     p1 = stats["occupancy"] / samples
-    p2 = np.array(
-        [samples - int(stats["hist"][i, 0] + stats["hist"][i, 1])
-         for i in range(len(widths))]
-    ) / samples
+    p2 = stats["k2"] / samples
     ests = []
     for i, w in enumerate(widths):
-        ests.append(
-            Estimate(
-                f"p1_hat[{w:.6g}]",
-                float(p1[i]),
-                wilson_ci(int(stats["occupancy"][i]), samples),
-            )
-        )
-        ests.append(
-            Estimate(
-                f"p2_hat[{w:.6g}]",
-                float(p2[i]),
-                wilson_ci(int(round(p2[i] * samples)), samples),
-            )
-        )
-    s1, se1, _ = log_slope(widths, p1)
-    s2, se2, _ = log_slope(widths, p2)
-    ests.append(Estimate("slope_k1", s1, _slope_ci(s1, se1)))
-    ests.append(Estimate("slope_k2", s2, _slope_ci(s2, se2)))
+        ests.append(_proportion(f"p1_hat[{w:.6g}]", stats["occupancy"][i], samples))
+        ests.append(_proportion(f"p2_hat[{w:.6g}]", stats["k2"][i], samples))
+    ests.append(_slope_estimate("slope_k1", widths, p1)[0])
+    ests.append(_slope_estimate("slope_k2", widths, p2)[0])
     scaled = np.asarray(widths) * width_scale
     ests.append(Estimate("c1_hat", float(np.max(p1 / (scaled * size)))))
+    params = {"law": _law_params(law), "size": size, "energy": energy,
+              "widths": widths, "width_scale": width_scale}
     return ProbeReport(
-        "qgraph_minami",
-        {
-            "law": _law_params(law),
-            "size": size,
-            "energy": energy,
-            "widths": widths,
-            "width_scale": width_scale,
-        },
-        ests,
-        samples,
-        seed,
-        time.perf_counter() - t0,
+        "qgraph_minami", params, ests, samples, seed, time.perf_counter() - t0
     )

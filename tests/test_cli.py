@@ -2,20 +2,24 @@
 
 import csv
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from randspec import FiniteProfile, GeometricProfile, IdsTable, UniformLaw
+from randspec import FiniteProfile, GeometricProfile, IdsTable, UniformLaw, probes
 from randspec.cli import (
+    PROBES,
     ConfigError,
+    Section,
     _evaluate_checks,
     _fmt,
     _parse_law,
     _parse_profile,
     load_config,
     main,
+    parse_probe,
     probe_seed,
 )
 from randspec.probes import Estimate, ProbeReport
@@ -117,9 +121,13 @@ check_slope_min = 0.5
     assert len(sections) == 1
     sec = sections[0]
     assert sec.name == "first"
-    assert sec.get_floats("widths") == [0.05, 0.1]
-    assert sec.checks() == [("slope", "min", 0.5)]
-    assert sec.get_int("size") == 100
+    probe, kwargs, checks = parse_probe(sec)
+    assert probe is PROBES["wegner"]
+    assert kwargs["widths"] == [0.05, 0.1]
+    assert checks == [("slope", "min", 0.5)]
+    assert kwargs["size"] == 100 and kwargs["samples"] == 50
+    assert kwargs["spec"].kind == "anderson" and kwargs["energy"] == 0.0
+    assert parse_probe(sec, scale=0.1)[1]["samples"] == 5
 
 
 def test_load_config_defaults_and_errors(tmp_path):
@@ -159,13 +167,23 @@ check_corr_z_max = 3
 """,
     )
     _, _, _, (sec,) = load_config(path)
-    assert sec.get_intervals("intervals", None) == [(-1.5, -0.5), (0.5, 1.5)]
-    assert sec.get_bool("disjoint") is True
-    assert sec.checks() == [("corr_z", "max", 3.0)]
-    with pytest.raises(ConfigError):
-        sec.get_int("energy")
-    with pytest.raises(ConfigError):
-        sec.warn_unused()  # size/samples/... not consumed yet
+    with pytest.raises(ConfigError, match=r"\[probe:p\] unknown fields: disjoint"):
+        parse_probe(sec)  # disjoint belongs to decorrelation only
+    options = dict(sec.options)
+    del options["disjoint"]
+    _, kwargs, checks = parse_probe(Section("p", options))
+    assert kwargs["intervals"] == [(-1.5, -0.5), (0.5, 1.5)]
+    assert checks == [("corr_z", "max", 3.0)]
+    with pytest.raises(ConfigError, match=r"\[probe:p\] size"):
+        parse_probe(Section("p", {**options, "size": "100.0"}))  # float in an int field
+    decorrelation = {
+        "type": "decorrelation", "kind": "anderson", "size": "10", "samples": "5",
+        "energy_a": "0.5", "energy_b": "-0.5",
+    }
+    for text, want in (("true", True), ("yes", True), ("OFF", False), ("0", False)):
+        _, kwargs, _ = parse_probe(Section("d", {**decorrelation, "disjoint": text}))
+        assert kwargs["disjoint"] is want
+    assert parse_probe(Section("d", decorrelation))[1]["disjoint"] is False
 
 
 def test_section_check_suffix_required(tmp_path):
@@ -174,8 +192,8 @@ def test_section_check_suffix_required(tmp_path):
         "[experiment]\nseed = 1\n\n[probe:p]\ntype = wegner\ncheck_slope = 1\n",
     )
     _, _, _, (sec,) = load_config(path)
-    with pytest.raises(ConfigError):
-        sec.checks()
+    with pytest.raises(ConfigError, match=r"\[probe:p\] check_slope: .*_min or _max"):
+        parse_probe(sec)
 
 
 def test_paper_suite_config_bundled():
@@ -318,11 +336,92 @@ def test_run_env_workers(tmp_path, monkeypatch):
     assert rep["samples"] == 300
 
 
+# one valid section per probe type; each bad-input row breaks one field
+_VALID = {
+    "w": {"type": "wegner", "kind": "anderson", "size": "20", "samples": "5",
+          "energy": "0", "widths": "0.1"},
+    "d": {"type": "decorrelation", "kind": "anderson", "size": "20", "samples": "5",
+          "energy_a": "0.5", "energy_b": "-0.5"},
+    "l": {"type": "level_statistics", "kind": "anderson", "size": "100",
+          "samples": "5", "energy": "0"},
+    "s": {"type": "spacing", "kind": "anderson", "size": "100", "samples": "5",
+          "energy": "0"},
+    "q": {"type": "qgraph-minami", "size": "20", "samples": "5", "energy": "4",
+          "widths": "0.1"},
+}
+
+
+@pytest.mark.parametrize(
+    "where, field, text, label",
+    [
+        ("experiment", "workers", "four", "[experiment] workers"),
+        ("experiment", "workers", "0", "[experiment] workers"),
+        ("experiment", "seed", "1.5", "[experiment] seed"),
+        ("experiment", "outdir", "x", "[experiment] unknown fields: outdir"),
+        ("w", "type", "nope", "[probe:w] type"),
+        ("w", "samples", "0", "[probe:w] samples"),
+        ("w", "samples", "2.5", "[probe:w] samples"),
+        ("w", "size", "0", "[probe:w] size"),
+        ("w", "energy", "inf", "[probe:w] energy"),
+        ("w", "widths", "nan,0.1", "[probe:w] widths"),
+        ("w", "widths", "0.1,-0.2", "[probe:w] widths"),
+        ("w", "widths", ",", "[probe:w] widths"),
+        ("w", "kind", "gaussian", "[probe:w] kind"),
+        ("w", "law", "gaussian:0,1", "[probe:w] law"),
+        ("w", "law", "piecewise:no-such-file.csv", "[probe:w] law"),
+        ("w", "profile", "finite:1", "[probe:w] kind/law/profile/margin"),
+        ("w", "margin", "-1", "[probe:w] margin"),
+        ("w", "check_slope_min", "nan", "[probe:w] check_slope_min"),
+        ("d", "disjoint", "maybe", "[probe:d] disjoint"),
+        ("d", "half_width", "0", "[probe:d] half_width"),
+        ("l", "size", "99", "[probe:l] size"),
+        ("l", "intervals", "1:1", "[probe:l] intervals"),
+        ("l", "intervals", "0:1,2", "[probe:l] intervals"),
+        ("l", "collect", "-1", "[probe:l] collect"),
+        ("l", "ids_points", "1", "[probe:l] ids_points"),
+        ("l", "ids_samples", "4", "[probe:l] ids_samples"),
+        ("s", "ids_half_width", "0.5", "[probe:s] unknown fields: ids_half_width"),
+        ("q", "kind", "anderson", "[probe:q] unknown fields: kind"),
+        ("q", "energy", "-1", "[probe:q] energy"),
+        ("q", "width_scale", "-0.5", "[probe:q] width_scale"),
+        ("argv", "--scale", "-1", "--scale"),
+        ("argv", "--scale", "nan", "--scale"),
+        ("argv", "--scale", "0", "--scale"),
+        ("argv", "--workers", "0", "--workers"),
+        ("env", "RANDSPEC_WORKERS", "x", "RANDSPEC_WORKERS"),
+        ("env", "RANDSPEC_WORKERS", "0", "RANDSPEC_WORKERS"),
+    ],
+)
+def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, where, field, text, label):
+    experiment = {"seed": "1"}
+    sections = {"w": dict(_VALID["w"])}
+    argv = []
+    if where == "experiment":
+        experiment[field] = text
+    elif where == "argv":
+        argv = [field, text]
+    elif where == "env":
+        monkeypatch.setenv(field, text)
+    else:
+        sections = {where: {**_VALID[where], field: text}}
+    body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in experiment.items())
+    for name, options in sections.items():
+        body += f"[probe:{name}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+    cfg = _write_config(tmp_path, body)
+    try:
+        code = main(["run", cfg, "--out", str(tmp_path / "res"), *argv])
+    except SystemExit as exc:  # argparse rejects command-line values
+        code = exc.code
+    assert code == 2
+    assert label in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # utility subcommands
 
 
-def test_list_probes_prints_registry(capsys):
+def test_list_probes_prints_registry(capsys, monkeypatch):
+    monkeypatch.setenv("RANDSPEC_WORKERS", "x")  # read only by commands that run
     assert main(["list-probes"]) == 0
     out = capsys.readouterr().out
     for name in (
@@ -330,6 +429,38 @@ def test_list_probes_prints_registry(capsys):
         "joint_independence", "spacing", "qgraph-minami",
     ):
         assert name in out
+
+
+# a valid value for every field name any probe type takes
+_EXAMPLES = {
+    "kind": "alloy", "law": "uniform:0,1", "profile": "finite:1", "margin": "1",
+    "size": "100", "samples": "10", "energy": "4.0", "widths": "0.1,0.2",
+    "energy_a": "0.5", "energy_b": "-0.5", "half_width": "0.5", "disjoint": "true",
+    "intervals": "0:1", "collect": "2", "ids_half_width": "0.5", "ids_points": "11",
+    "ids_samples": "16", "length_a": "1", "length_b": "2", "width_scale": "0.5",
+}
+
+
+def test_list_probes_fields_match_parser(capsys):
+    assert main(["list-probes"]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line and " " not in line:
+            printed[line] = fields = []
+        elif line.startswith("    "):
+            fields.append(line.split(":")[0].strip())
+    assert set(printed) == {
+        "wegner", "minami", "decorrelation", "level_statistics",
+        "joint_independence", "spacing", "qgraph-minami",
+    }
+    for ptype, fields in printed.items():
+        options = {"type": ptype, **{k: _EXAMPLES[k] for k in fields}}
+        probe, kwargs, _ = parse_probe(Section("x", options))  # all printed: accepted
+        # and every argument names a parameter of the probe function
+        inspect.signature(getattr(probes, probe.function)).bind_partial(**kwargs)
+        for extra in sorted(set(_EXAMPLES) - set(fields)):  # not printed: rejected
+            with pytest.raises(ConfigError, match=f"unknown fields: {extra}"):
+                parse_probe(Section("x", {**options, extra: _EXAMPLES[extra]}))
 
 
 def test_ids_subcommand_writes_table(tmp_path, capsys):

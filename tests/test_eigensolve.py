@@ -16,7 +16,6 @@ from randspec import (
     envelope_decay_rate,
     localization_center,
     nearest_eigenvalue_distance,
-    spectral_window,
     sturm_count,
     sturm_counts,
 )
@@ -149,11 +148,11 @@ def test_nearest_eigenvalue_distance():
 
 def test_spectral_window_report():
     op = TridiagonalOperator(np.array([0.0, 1.0, 2.0]), np.zeros(2))
-    win = spectral_window(op, -0.5, 1.5, extract_vectors=True)
-    assert win.window == (-0.5, 1.5)
-    assert win.count == 2
-    assert np.allclose(win.eigenvalues, [0.0, 1.0], atol=1e-12)
-    assert len(win.eigenvectors) == 2
+    vals = eigenvalues_in(op, -0.5, 1.5)
+    assert vals.size == count_in_interval(op, -0.5, 1.5) == 2
+    assert np.allclose(vals, [0.0, 1.0], atol=1e-12)
+    for v, unit in zip(vals, np.eye(3)):
+        assert np.allclose(eigenvector(op, float(v)).vector, unit, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +235,24 @@ def test_window_vectors_have_small_residuals():
     rng = np.random.default_rng(17)
     op = random_operator(rng, size=12)
     lo, hi = op.gershgorin()
-    win = spectral_window(op, lo, hi, extract_vectors=True)
+    vals = eigenvalues_in(op, lo, hi)
     dense = op.to_dense()
-    assert win.count == 12
-    for value, vec in zip(win.eigenvalues, win.eigenvectors):
+    assert vals.size == 12
+    for value in vals:
+        vec = eigenvector(op, float(value)).vector
         resid = dense @ vec - value * vec
         assert np.max(np.abs(resid)) <= 1e-8
+
+
+def test_eigenvector_flags_unconverged_vector():
+    # E midway between two eigenvalues: 8 inverse-iteration steps do not
+    # converge, which must be reported rather than returned as a clean result
+    op = TridiagonalOperator(4.0 * np.random.default_rng(1).random(60), np.ones(59))
+    vals = np.linalg.eigvalsh(op.to_dense())
+    pair = eigenvector(op, 0.5 * (vals[31] + vals[32]))
+    assert pair.residual > 1e-10 * op.norm_bound()
+    assert pair.gap > 1e-3  # an isolated eigenvalue: only the residual flags it
+    assert pair.flagged
 
 
 # ---------------------------------------------------------------------------

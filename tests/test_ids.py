@@ -79,6 +79,10 @@ def test_evaluate_and_inverse():
     ys = np.array([0.1, 0.5, 1.0])
     back = t.evaluate(t.inverse(ys))
     assert np.allclose(back, ys, atol=1e-14)
+    one = t.inverse(np.array([0.625]))  # array in, array out, even for one level
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == pytest.approx(2.5, abs=1e-14)
+    assert isinstance(t.inverse(0.625), float)
     with pytest.raises(OutsideGridError):
         t.evaluate(3.5)
     with pytest.raises(OutsideGridError):
