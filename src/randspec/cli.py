@@ -528,6 +528,8 @@ def cmd_list_probes(args) -> int:
 
 
 def cmd_ids(args) -> int:
+    if not args.min < args.max:
+        raise ConfigError(f"--min = {args.min:g}, --max = {args.max:g}: need --min < --max")
     spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
     grid = np.linspace(args.min, args.max, args.points)
     table = estimate_ids(
@@ -552,15 +554,19 @@ def cmd_lyapunov(args) -> int:
     return 0
 
 
-def _add_spec_args(p):
+def _flag(p, name: str, field: Field):
+    """Add --name, parsed and range-checked by `field`; errors name the flag."""
+    required = field.default is REQUIRED
+    p.add_argument(f"--{name}", type=_arg(field), required=required,
+                   default=None if required else field.default, help=field.describe())
+
+
+def _add_spec_args(p, samples: Field):
     p.add_argument("--kind", required=True, choices=KINDS)
     for key in ("law", "profile", "margin"):
-        field = _ENSEMBLE[key]
-        p.add_argument(f"--{key}", type=_arg(field), default=field.default,
-                       help=field.describe())
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_arg(_WORKERS))
+        _flag(p, key, _ENSEMBLE[key])
+    _flag(p, "samples", samples)
+    _flag(p, "seed", Field(_int, "0", ge=0))
 
 
 def main(argv=None) -> int:
@@ -586,18 +592,19 @@ def main(argv=None) -> int:
     p_list.set_defaults(fn=cmd_list_probes)
 
     p_ids = sub.add_parser("ids", help="estimate an integrated density of states table")
-    _add_spec_args(p_ids)
-    p_ids.add_argument("--size", type=int, required=True)
-    p_ids.add_argument("--min", type=float, required=True)
-    p_ids.add_argument("--max", type=float, required=True)
-    p_ids.add_argument("--points", type=int, default=201)
+    _add_spec_args(p_ids, Field(_int, "64", ge=1))
+    _flag(p_ids, "workers", _WORKERS)
+    _flag(p_ids, "size", _IDS_BOX["size"])
+    _flag(p_ids, "min", Field(_float))
+    _flag(p_ids, "max", Field(_float))
+    _flag(p_ids, "points", Field(_int, "201", ge=2))
     p_ids.add_argument("--out", default="ids.csv")
     p_ids.set_defaults(fn=cmd_ids)
 
     p_ly = sub.add_parser("lyapunov", help="estimate a Lyapunov exponent")
-    _add_spec_args(p_ly)
-    p_ly.add_argument("--energy", type=float, required=True)
-    p_ly.add_argument("--steps", type=int, default=2000)
+    _add_spec_args(p_ly, Field(_int, "64", ge=2))
+    _flag(p_ly, "energy", _ENERGY)
+    _flag(p_ly, "steps", Field(_int, "2000", ge=1000))  # transfer.lyapunov's minimum
     p_ly.set_defaults(fn=cmd_lyapunov)
 
     args = parser.parse_args(argv)

@@ -12,6 +12,7 @@ Eigenvalue indices are 1-based (E_1 <= ... <= E_L); site indices are 1-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,20 @@ from .operators import TridiagonalOperator
 
 _TINY = 1e-300  # pivot clamp; preserves sign, zero maps to +tiny
 
+# Calls with at most this many lanes (broadcast batch entries) sweep each lane
+# as a plain-float loop; wider calls take the site-major numpy sweep, which
+# costs 2-3 us per site step at any lane count below a few hundred. Measured
+# on a 2-core Xeon VM (Python 3.11, numpy 2.4), the two paths cost the same
+# at about 24 lanes when the lanes share one diagonal (L = 30, 60 and 5000)
+# and at about 16 when each lane has its own row, converted lane by lane.
+_FLOAT_LANES = 20
+
+# Bytes of pivots one site tile of the numpy sweep holds. The tile is the only
+# site-major copy of the input, so memory stays O(lanes) above the input.
+# 256 KB to 4 MB tiles timed within noise of each other on the VM above
+# (1048 lanes x L = 1000: 5.0-6.6 ns/pivot; 104 lanes x L = 10^4: 24-28).
+_TILE_BYTES = 1 << 18
+
 DEFAULT_MAX_WINDOW_EIGS = 512
 DEFAULT_ORACLE_MAX = 64
 
@@ -29,27 +44,120 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     """Vectorized negative-pivot counts: #{eigenvalues < shift}.
 
     diag: (..., L); offdiag: (..., L-1) or (L-1,); shifts: broadcastable to
-    the batch shape of diag. Returns int64 counts of the leading batch shape.
-    Pivots with |d| < 1e-300 are clamped to +/-1e-300 keeping their sign
-    (exact zeros clamp to +tiny), which preserves the count and makes the
-    recurrence division-safe.
+    the batch shape of diag. Returns int64 counts of the broadcast batch
+    shape. Pivots with |d| < 1e-300 are clamped to +/-1e-300 keeping their
+    sign (zeros of either sign clamp to +tiny; NaN passes through), which
+    preserves the count and makes the recurrence division-safe.
+
+    Up to `_FLOAT_LANES` lanes run as plain-float loops, wider batches as one
+    site-major numpy sweep; both do the same IEEE operations in the same
+    order, so the counts do not depend on the path.
     """
     diag = np.asarray(diag, dtype=np.float64)
+    offdiag = np.asarray(offdiag, dtype=np.float64)
     shifts = np.asarray(shifts, dtype=np.float64)
-    offsq = np.square(np.asarray(offdiag, dtype=np.float64))
     size = diag.shape[-1]
+    if offdiag.shape[-1:] != (size - 1,):
+        raise ValueError(f"offdiag needs {size - 1} entries per row, got shape {offdiag.shape}")
+    flat = diag.ndim == 1 and offdiag.ndim == 1
+    if flat:
+        shape = shifts.shape
+    else:
+        shape = np.broadcast_shapes(diag.shape[:-1], offdiag.shape[:-1], shifts.shape)
+    lanes = math.prod(shape)
+    if lanes > _FLOAT_LANES:
+        return _site_major_counts(diag, offdiag, shifts, shape)
+    offsq = np.square(offdiag)
+    if flat:
+        a, b = diag.tolist(), offsq.tolist()
+        counts = [_float_sweep(a, b, s) for s in shifts.ravel().tolist()]
+    else:
+        rows = np.broadcast_to(diag, shape + (size,)).reshape(lanes, size)
+        offs = np.broadcast_to(offsq, shape + (size - 1,)).reshape(lanes, size - 1)
+        counts = [
+            _float_sweep(a.tolist(), b.tolist(), s)
+            for a, b, s in zip(rows, offs, np.broadcast_to(shifts, shape).ravel().tolist())
+        ]
+    return np.array(counts, dtype=np.int64).reshape(shape)
 
-    def clamp(x):
-        return np.where(
-            np.abs(x) < _TINY, np.where(x == 0.0, _TINY, np.copysign(_TINY, x)), x
-        )
 
-    d = clamp(diag[..., 0] - shifts)
-    count = (d < 0).astype(np.int64)
-    for k in range(1, size):
-        d = clamp((diag[..., k] - shifts) - offsq[..., k - 1] / d)
-        count += d < 0
+def _float_sweep(a, b, s, tiny=_TINY):
+    """Negative pivots of one lane: diag list a, squared couplings b, shift s."""
+    d = a[0] - s
+    c = 0
+    if d < 0.0:
+        c = 1
+        if d > -tiny:
+            d = -tiny
+    elif d < tiny:  # also -0.0, which is not < 0.0
+        d = tiny
+    for ak, bk in zip(a[1:], b):
+        d = (ak - s) - bk / d
+        if d < 0.0:
+            c += 1
+            if d > -tiny:
+                d = -tiny
+        elif d < tiny:
+            d = tiny
+    return c
+
+
+def _site_major_counts(diag, offdiag, shifts, shape):
+    """The sweep over a (sites, *shape) layout, one tile of sites at a time.
+
+    Each tile is first swept without the clamp. The clamp leaves every pivot
+    with |d| >= tiny (or NaN) unchanged, so a tile holding no smaller pivot
+    is exact as it stands; otherwise the tile is swept again with the clamp
+    from the pivot before it.
+    """
+    size = diag.shape[-1]
+    ndim = len(shape)
+
+    def site_major(x):  # a view: the site axis first, batch axes aligned with shape
+        lead = (1,) * (ndim + 1 - x.ndim)
+        return np.moveaxis(x, -1, 0).reshape(x.shape[-1:] + lead + x.shape[:-1])
+
+    dsite, osite = site_major(diag), site_major(offdiag)
+    tile = max(1, min(size, _TILE_BYTES // (8 * math.prod(shape))))
+    buf = np.empty((tile,) + shape)
+    q = np.empty(shape)
+    count = np.zeros(shape, dtype=np.int64)
+    d = None
+    with np.errstate(all="ignore"):
+        for k0 in range(0, size, tile):
+            k1 = min(size, k0 + tile)
+            piv = buf[: k1 - k0]
+            offsq = np.square(osite[max(k0 - 1, 0) : k1 - 1])
+            _tile_pivots(piv, dsite[k0:k1], shifts, offsq, d, q, clamp=False)
+            if (np.abs(piv) < _TINY).any():
+                _tile_pivots(piv, dsite[k0:k1], shifts, offsq, d, q, clamp=True)
+            count += (piv < 0.0).sum(axis=0)
+            d = piv[-1].copy()
     return count
+
+
+def _tile_pivots(piv, dtile, shifts, offsq, d, q, clamp):
+    """Pivots of one site tile into piv; d is the pivot before it (None at site 0)."""
+    np.subtract(dtile, shifts, out=piv)
+    # a - s is the only term that can be -0.0; with it gone, no pivot is -0.0,
+    # and copysign(max(|d|, tiny), d) maps zeros to +tiny as the clamp requires
+    piv += 0.0
+    if d is None:
+        if clamp:
+            _clamp(piv[0], q)
+        d, piv = piv[0], piv[1:]
+    for p, b in zip(piv, offsq):
+        np.divide(b, d, out=q)
+        np.subtract(p, q, out=p)
+        if clamp:
+            _clamp(p, q)
+        d = p
+
+
+def _clamp(d, scratch):
+    np.abs(d, out=scratch)
+    np.maximum(scratch, _TINY, out=scratch)
+    np.copysign(scratch, d, out=d)
 
 
 def sturm_count(op: TridiagonalOperator, energy: float) -> int:

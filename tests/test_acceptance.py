@@ -12,6 +12,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from randspec import (
     EnsembleSpec,
@@ -49,6 +50,9 @@ from randspec import (
 from randspec import cli
 
 from conftest import random_operator, record_criterion
+
+# the slow tier: `pytest -m "not accept"` runs everything else in under a minute
+pytestmark = pytest.mark.accept
 
 
 def test_accept_01_eigensolver_oracle_equivalence():

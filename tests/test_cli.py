@@ -490,3 +490,38 @@ def test_lyapunov_subcommand_prints_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"gamma", "stderr", "ci99", "steps", "samples", "energy"}
     assert payload["steps"] == 1000
+
+
+_IDS_ARGV = ["ids", "--kind", "anderson", "--size", "100", "--min", "-2", "--max", "3",
+             "--points", "21", "--samples", "16"]
+_LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", "1000",
+                  "--samples", "4"]
+
+
+@pytest.mark.parametrize(
+    "base, flag, text, label",
+    [
+        (_LYAPUNOV_ARGV, "--steps", "100", "--steps"),
+        (_LYAPUNOV_ARGV, "--steps", "2e3", "--steps"),
+        (_LYAPUNOV_ARGV, "--samples", "1", "--samples"),
+        (_LYAPUNOV_ARGV, "--seed", "-1", "--seed"),
+        (_LYAPUNOV_ARGV, "--energy", "nan", "--energy"),
+        (_LYAPUNOV_ARGV, "--workers", "2", "unrecognized arguments: --workers"),
+        (_IDS_ARGV, "--samples", "0", "--samples"),
+        (_IDS_ARGV, "--size", "99", "--size"),
+        (_IDS_ARGV, "--points", "1", "--points"),
+        (_IDS_ARGV, "--seed", "-1", "--seed"),
+        (_IDS_ARGV, "--workers", "0", "--workers"),
+        (_IDS_ARGV, "--min", "inf", "--min"),
+        (_IDS_ARGV, "--max", "-2", "--min = -2, --max = -2"),
+    ],
+)
+def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
+    # the last occurrence of a flag wins, so each row overrides one valid value
+    try:
+        code = main([*base, "--out", str(tmp_path / "ids.csv"), flag, text]
+                    if base is _IDS_ARGV else [*base, flag, text])
+    except SystemExit as exc:  # argparse rejects command-line values
+        code = exc.code
+    assert code == 2
+    assert label in capsys.readouterr().err
