@@ -219,7 +219,7 @@ _IDS_BOX = {**_BOX, "size": Field(_int, ge=100)}  # estimate_ids needs L >= 100
 _ENERGY = Field(_float)
 _WIDTHS = Field(_floats, gt=0)
 _IDS_SAMPLES = Field(_int, "2048", ge=8, scaled=True)
-_IDS = {"ids_half_width": Field(_float, "0.75", gt=0),
+_IDS = {"ids_half_width": Field(_float, "0.75", ge=probes.IDS_DENSITY_HALF_SPAN),
         "ids_points": Field(_int, "161", ge=2), "ids_samples": _IDS_SAMPLES}
 
 
@@ -530,6 +530,9 @@ def cmd_list_probes(args) -> int:
 def cmd_ids(args) -> int:
     if not args.min < args.max:
         raise ConfigError(f"--min = {args.min:g}, --max = {args.max:g}: need --min < --max")
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # checked before the estimate runs
+        raise ConfigError(f"--out = {args.out!r}: not a file in an existing directory")
     spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
     grid = np.linspace(args.min, args.max, args.points)
     table = estimate_ids(

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .operators import TridiagonalOperator
 
@@ -35,6 +34,13 @@ _FLOAT_LANES = 20
 # 256 KB to 4 MB tiles timed within noise of each other on the VM above
 # (1048 lanes x L = 1000: 5.0-6.6 ns/pivot; 104 lanes x L = 10^4: 24-28).
 _TILE_BYTES = 1 << 18
+
+# Bisection levels one sweep resolves when a call has enough targets for the
+# numpy sweep, and the lane budget of such a sweep. That sweep costs about the
+# same per site step at 21 lanes as at 1024, so evaluating all 2^m - 1
+# midpoints of the next m levels at once cuts the sweep count by about m.
+_REPLAY_LEVELS = 3
+_REPLAY_LANES = 1024
 
 DEFAULT_MAX_WINDOW_EIGS = 512
 DEFAULT_ORACLE_MAX = 64
@@ -180,6 +186,11 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
     Invariant per target j: count(lo) < j <= count(hi). Terminates when the
     bracket width is below max(tol, 4 ulp); all brackets start equal so a
     fixed iteration count suffices.
+
+    The level count m per sweep follows from the target count n: m =
+    `_REPLAY_LEVELS` when n > `_FLOAT_LANES` (the one-level sweep already
+    takes the numpy path) and (2^m - 1) n <= `_REPLAY_LANES` (see
+    `_replay_levels`); m = 1 otherwise. Both give the same bits.
     """
     targets = np.asarray(targets, dtype=np.int64)
     lo = np.full(targets.shape, lo, dtype=np.float64)
@@ -188,6 +199,8 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
     tol_eff = max(tol, 4.0 * np.spacing(scale))
     width = float(hi.ravel()[0] - lo.ravel()[0]) if targets.size else 0.0
     iters = max(1, int(np.ceil(np.log2(max(width / tol_eff, 2.0)))) + 1)
+    if _FLOAT_LANES < targets.size and (2**_REPLAY_LEVELS - 1) * targets.size <= _REPLAY_LANES:
+        return _replay_levels(diag, offsq_offdiag, targets, lo, hi, tol, iters)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         counts = sturm_counts(diag, offsq_offdiag, mid)
@@ -196,6 +209,38 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
         lo = np.where(above, lo, mid)
         if np.all(hi - lo <= np.maximum(tol, 4.0 * np.spacing(np.abs(mid)))):
             break
+    return 0.5 * (lo + hi)
+
+
+def _replay_levels(diag, offdiag, targets, lo, hi, tol, iters):
+    """The bisection loop of `_bisect_indices`, several levels per sweep.
+
+    Each sweep counts, in one `sturm_counts` call, every midpoint the next m
+    levels could visit (2^m - 1 per target, in heap order: node i has
+    children 2i + 1 and 2i + 2), then replays those levels with the same
+    midpoints, updates and stop test as one level per sweep would.
+    """
+    done = 0
+    while done < iters:
+        levels = min(_REPLAY_LEVELS, iters - done)
+        los, his, mids = lo[None], hi[None], []
+        for level in range(levels):
+            mid = 0.5 * (los + his)
+            mids.append(mid)
+            if level + 1 < levels:  # children (lo, mid) and (mid, hi), interleaved
+                los = np.stack([los, mid], axis=1).reshape((-1,) + lo.shape)
+                his = np.stack([mid, his], axis=1).reshape((-1,) + lo.shape)
+        counts = sturm_counts(diag, offdiag, np.concatenate(mids))
+        node = np.zeros((1,) + targets.shape, dtype=np.intp)
+        for _ in range(levels):
+            mid = 0.5 * (lo + hi)
+            above = np.take_along_axis(counts, node, axis=0)[0] >= targets
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+            done += 1
+            if np.all(hi - lo <= np.maximum(tol, 4.0 * np.spacing(np.abs(mid)))):
+                return 0.5 * (lo + hi)
+            node = 2 * node + np.where(above, 1, 2)
     return 0.5 * (lo + hi)
 
 
@@ -313,6 +358,9 @@ class EigenvectorResult:
 
 
 def _solve_shifted(op, shift, rhs):
+    # imported here: only eigenvector needs scipy, and loading it costs every process ~0.2 s
+    import scipy.linalg
+
     ab = np.zeros((3, op.size))
     ab[0, 1:] = op.offdiag
     ab[1, :] = op.diag - shift

@@ -533,6 +533,11 @@ def decorrelation_probe(
 # local statistics around a reference energy
 
 
+# The local density at a center is the IDS increment over center +/- this
+# span; ids_half_width must cover it.
+IDS_DENSITY_HALF_SPAN = 0.2
+
+
 def _ids_for(
     spec,
     size,
@@ -549,26 +554,39 @@ def _ids_for(
     """Integrated-density table for unfolding near the given centers.
 
     When no table is supplied, estimates one in two stages: a coarse pass
-    over [center - half_width, center + half_width] pins the local density,
+    pins the local density (N(c + 0.2) - N(c - 0.2)) / 0.4 at each center c,
     then a fine high-sample pass covers just the span the windows need
     (max_offset mean spacings plus safety margin on each side). Unfolding
     precision is what limits the count statistics, so the sample budget is
     concentrated on the few relevant spacings around each center.
+
+    The coarse interpolation nodes are 41 points over [c - half_width,
+    c + half_width] per center, but only the two nodes around each of c +/- 0.2
+    are swept: they are all that linear interpolation reads there, and every
+    grid energy is an independent lane of the same draws, so the density is
+    the one the full 41-point table gives.
     """
     if table is not None:
         return table
+    if not half_width >= IDS_DENSITY_HALF_SPAN:
+        raise ValueError(
+            f"ids_half_width = {half_width!r}: must be >= {IDS_DENSITY_HALF_SPAN}"
+        )
     centers = (center, *extra_centers)
-    coarse_grid = np.unique(
+    nodes = np.unique(
         np.concatenate([np.linspace(c - half_width, c + half_width, 41) for c in centers])
     )
+    queries = np.array([[c - IDS_DENSITY_HALF_SPAN, c + IDS_DENSITY_HALF_SPAN] for c in centers])
+    # np.interp reads nodes right - 1 and right; a query on the last node reads it
+    right = np.searchsorted(nodes, queries.ravel(), side="right").clip(1, nodes.size - 1)
     coarse = estimate_ids(
-        spec, size, 64, coarse_grid, seed=seed, workers=workers,
-        stream=_blocks.STREAM_IDS,
+        spec, size, 64, nodes[np.unique(np.concatenate([right - 1, right]))],
+        seed=seed, workers=workers, stream=_blocks.STREAM_IDS,
     )
     fine = []
-    for c in centers:
-        pair = coarse.evaluate(np.array([c - 0.2, c + 0.2]))
-        density = max((pair[1] - pair[0]) / 0.4, 1e-3)
+    for c, pair in zip(centers, queries):
+        n_lo, n_hi = coarse.evaluate(pair)
+        density = max((n_hi - n_lo) / (2 * IDS_DENSITY_HALF_SPAN), 1e-3)
         span = 2.5 * (max_offset + 2.0) / (size * density)
         fine.append(np.linspace(c - span, c + span, points))
     grid = np.unique(np.concatenate(fine))

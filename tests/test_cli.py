@@ -4,10 +4,15 @@ import csv
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randspec
 from randspec import FiniteProfile, GeometricProfile, IdsTable, UniformLaw, probes
 from randspec.cli import (
     PROBES,
@@ -36,6 +41,16 @@ def test_probe_seed_derivation():
     assert probe_seed(12345, "alpha") != probe_seed(12345, "beta")
     assert probe_seed(1, "alpha") != probe_seed(2, "alpha")
     assert 0 <= probe_seed(2**62, "x") < 2**63
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded only by eigenvector; every other process skips its start-up cost
+    src = str(Path(randspec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, randspec.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_fmt_roundtrips_floats():
@@ -380,6 +395,7 @@ _VALID = {
         ("l", "collect", "-1", "[probe:l] collect"),
         ("l", "ids_points", "1", "[probe:l] ids_points"),
         ("l", "ids_samples", "4", "[probe:l] ids_samples"),
+        ("l", "ids_half_width", "0.1", "[probe:l] ids_half_width"),
         ("s", "ids_half_width", "0.5", "[probe:s] unknown fields: ids_half_width"),
         ("q", "kind", "anderson", "[probe:q] unknown fields: kind"),
         ("q", "energy", "-1", "[probe:q] energy"),
@@ -514,6 +530,7 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
         (_IDS_ARGV, "--workers", "0", "--workers"),
         (_IDS_ARGV, "--min", "inf", "--min"),
         (_IDS_ARGV, "--max", "-2", "--min = -2, --max = -2"),
+        (_IDS_ARGV, "--out", "no_such_dir/ids.csv", "--out = 'no_such_dir/ids.csv'"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):

@@ -1,11 +1,15 @@
 """Sturm counting, counting-indexed bisection, and eigenvector extraction."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_operator
+from randspec import eigensolve as es
 from randspec import (
     TridiagonalOperator,
     batched_eigenvalues_in,
@@ -153,6 +157,68 @@ def test_spectral_window_report():
     assert np.allclose(vals, [0.0, 1.0], atol=1e-12)
     for v, unit in zip(vals, np.eye(3)):
         assert np.allclose(eigenvector(op, float(v)).vector, unit, atol=1e-10)
+
+
+def _one_level_bisection(diag, offdiag, targets, lo, hi, tol):
+    """Reference: the bisection loop with one sweep per level."""
+    targets = np.asarray(targets, dtype=np.int64)
+    lo = np.full(targets.shape, lo, dtype=np.float64)
+    hi = np.full(targets.shape, hi, dtype=np.float64)
+    scale = float(np.max(np.abs([lo.ravel()[0], hi.ravel()[0]]))) if targets.size else 1.0
+    tol_eff = max(tol, 4.0 * np.spacing(scale))
+    width = float(hi.ravel()[0] - lo.ravel()[0]) if targets.size else 0.0
+    iters = max(1, int(np.ceil(np.log2(max(width / tol_eff, 2.0)))) + 1)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        counts = es.sturm_counts(diag, offdiag, mid)
+        above = counts >= targets
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        if np.all(hi - lo <= np.maximum(tol, 4.0 * np.spacing(np.abs(mid)))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _bisection_case(seed, n, size, two_d, shared_off):
+    """diag, offdiag, targets and a bracket of the whole spectrum. Small
+    integer diagonals with zero couplings give repeated eigenvalues."""
+    rng = np.random.default_rng(seed)
+    rows = (n,) if two_d else ()
+    diag = np.where(rng.random(rows + (size,)) < 0.5,
+                    rng.integers(-2, 3, rows + (size,)), rng.uniform(-2, 2, rows + (size,)))
+    off_rows = rows if two_d and not shared_off else ()
+    off = rng.choice([0.0, 0.0, 1.0, 0.3, -0.7], off_rows + (size - 1,))
+    targets = rng.integers(1, size + 1, n)
+    bound = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0)) + 1.0
+    return diag, off, targets, -bound, bound
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(seed=1, n=20, size=9, two_d=False, shared_off=True, tol=0.0)
+@example(seed=2, n=21, size=9, two_d=True, shared_off=False, tol=1e-10)
+@example(seed=3, n=146, size=30, two_d=False, shared_off=True, tol=1e-10)
+@example(seed=4, n=147, size=30, two_d=True, shared_off=True, tol=0.0)
+@example(seed=5, n=300, size=5, two_d=True, shared_off=False, tol=0.0)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), size=st.integers(1, 30),
+    two_d=st.booleans(), shared_off=st.booleans(), tol=st.sampled_from([0.0, 1e-10]),
+)
+def test_bisection_equals_one_level_loop(seed, n, size, two_d, shared_off, tol):
+    diag, off, targets, lo, hi = _bisection_case(seed, n, size, two_d, shared_off)
+    got = es._bisect_indices(diag, off, targets, lo, hi, tol)
+    want = _one_level_bisection(diag, off, targets, lo, hi, tol)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, levels", [(1, 1), (20, 1), (21, 3), (146, 3), (147, 1)])
+def test_bisection_levels_per_sweep(n, levels):
+    diag, off, targets, lo, hi = _bisection_case(7, n, 40, False, True)
+    with mock.patch.object(es, "sturm_counts", wraps=es.sturm_counts) as sweep:
+        _one_level_bisection(diag, off, targets, lo, hi, 0.0)
+        one_level = sweep.call_count
+        sweep.reset_mock()
+        es._bisect_indices(diag, off, targets, lo, hi, 0.0)
+    assert sweep.call_count == math.ceil(one_level / levels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """IDS tables: estimation, interpolation, unfolding, Holder moduli."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randspec import (
     EnsembleSpec,
@@ -113,6 +117,30 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back.energies, t.energies)
     assert np.array_equal(back.values, t.values)
     assert np.array_equal(back.stderr, t.stderr)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _monotone_tables(draw):
+    """IdsTables with any finite entries: subnormals, -0.0, extreme magnitudes."""
+    n = draw(st.integers(2, 30))
+    energies = sorted(draw(st.lists(_FINITE, min_size=n, max_size=n, unique=True)))
+    values = sorted(draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    stderr = draw(st.lists(_FINITE, min_size=n, max_size=n))
+    return IdsTable(np.array(energies), np.array(values), np.array(stderr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_monotone_tables())
+def test_csv_roundtrip_is_bit_exact(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.csv"
+        table.to_csv(path)
+        back = IdsTable.from_csv(path)
+    for name in ("energies", "values", "stderr"):
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes()
 
 
 # ---------------------------------------------------------------------------

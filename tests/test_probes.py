@@ -31,7 +31,7 @@ from randspec import (
     wegner_probe,
     wilson_ci,
 )
-from randspec import _blocks
+from randspec import _blocks, probes
 from randspec.probes import Estimate, ProbeReport
 
 
@@ -404,6 +404,56 @@ def test_spacing_probe_empty_marker():
     assert math.isnan(rep.estimate("mean_spacing").value)
     d = json.loads(rep.to_json())
     assert d["estimates"][1]["value"] is None
+
+
+def _ids_for_full_coarse(spec, size, centers, seed, half_width, points, samples, max_offset):
+    """Reference unfolding table whose coarse pass sweeps all 41 nodes per center."""
+    coarse = estimate_ids(
+        spec, size, 64,
+        np.unique(np.concatenate(
+            [np.linspace(c - half_width, c + half_width, 41) for c in centers]
+        )),
+        seed=seed, stream=_blocks.STREAM_IDS,
+    )
+    fine = []
+    for c in centers:
+        pair = coarse.evaluate(np.array([c - 0.2, c + 0.2]))
+        density = max((pair[1] - pair[0]) / 0.4, 1e-3)
+        span = 2.5 * (max_offset + 2.0) / (size * density)
+        fine.append(np.linspace(c - span, c + span, points))
+    return estimate_ids(
+        spec, size, samples, np.unique(np.concatenate(fine)), seed=seed,
+        stream=_blocks.STREAM_IDS,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, centers, half_width",
+    [
+        ("anderson", (0.0,), 0.75),
+        ("anderson", (0.1,), 0.2),  # c + 0.2 is the last node
+        ("hopping", (0.4, -0.3), 0.75),  # overlapping node sets
+        ("anderson", (-1.0, 1.3), 0.2),
+    ],
+)
+def test_ids_for_matches_full_coarse_grid(kind, centers, half_width):
+    spec = EnsembleSpec(kind)
+    got = probes._ids_for(
+        spec, 100, centers[0], 5, 1, None, half_width, 11, 8,
+        extra_centers=centers[1:], max_offset=2.0,
+    )
+    want = _ids_for_full_coarse(spec, 100, centers, 5, half_width, 11, 8, 2.0)
+    for name in ("energies", "values", "stderr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_ids_for_rejects_half_width_below_density_span(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before checking ids_half_width")
+
+    monkeypatch.setattr(probes, "estimate_ids", no_sweep)
+    with pytest.raises(ValueError, match="ids_half_width"):
+        probes._ids_for(EnsembleSpec("anderson"), 100, 0.0, 0, 1, None, 0.1, 11, 8)
 
 
 # ---------------------------------------------------------------------------
