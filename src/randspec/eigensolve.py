@@ -22,7 +22,8 @@ from .operators import TridiagonalOperator
 _TINY = 1e-300  # pivot clamp; preserves sign, zero maps to +tiny
 
 # Calls with at most this many lanes (broadcast batch entries) sweep each lane
-# as a plain-float loop; wider calls take the site-major numpy sweep, which
+# as a plain-float loop, and bisections with at most this many targets run
+# in plain floats throughout; wider calls take the site-major numpy sweep, which
 # costs 2-3 us per site step at any lane count below a few hundred. Measured
 # on a 2-core Xeon VM (Python 3.11, numpy 2.4), the two paths cost the same
 # at about 24 lanes when the lanes share one diagonal (L = 30, 60 and 5000)
@@ -187,52 +188,83 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
     bracket width is below max(tol, 4 ulp); all brackets start equal so a
     fixed iteration count suffices.
 
-    The level count m per sweep follows from the target count n: m =
-    `_REPLAY_LEVELS` when n > `_FLOAT_LANES` (the one-level sweep already
-    takes the numpy path) and (2^m - 1) n <= `_REPLAY_LANES` (see
-    `_replay_levels`); m = 1 otherwise. Both give the same bits.
+    The path follows from the target count n: up to `_FLOAT_LANES` targets
+    run one plain-float loop (`_float_bisect`); above, every sweep takes the
+    numpy path and resolves m levels (`_replay_levels`), m =
+    `_REPLAY_LEVELS` while (2^m - 1) n <= `_REPLAY_LANES` and m = 1 beyond.
+    All paths give the bits of one level per sweep.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    lo = np.full(targets.shape, lo, dtype=np.float64)
-    hi = np.full(targets.shape, hi, dtype=np.float64)
-    scale = float(np.max(np.abs([lo.ravel()[0], hi.ravel()[0]]))) if targets.size else 1.0
+    lo, hi = float(lo), float(hi)
+    scale = max(abs(lo), abs(hi)) if targets.size else 1.0
     tol_eff = max(tol, 4.0 * np.spacing(scale))
-    width = float(hi.ravel()[0] - lo.ravel()[0]) if targets.size else 0.0
+    width = hi - lo if targets.size else 0.0
     iters = max(1, int(np.ceil(np.log2(max(width / tol_eff, 2.0)))) + 1)
-    if _FLOAT_LANES < targets.size and (2**_REPLAY_LEVELS - 1) * targets.size <= _REPLAY_LANES:
-        return _replay_levels(diag, offsq_offdiag, targets, lo, hi, tol, iters)
+    if targets.size <= _FLOAT_LANES:
+        return _float_bisect(diag, offsq_offdiag, targets, lo, hi, tol, iters)
+    levels = _REPLAY_LEVELS if (2**_REPLAY_LEVELS - 1) * targets.size <= _REPLAY_LANES else 1
+    lo = np.full(targets.shape, lo)
+    hi = np.full(targets.shape, hi)
+    return _replay_levels(diag, offsq_offdiag, targets, lo, hi, tol, iters, levels)
+
+
+def _float_bisect(diag, offdiag, targets, lo, hi, tol, iters):
+    """The bisection loop of `_bisect_indices` in plain floats.
+
+    Rows are converted to lists once (one shared row, or one per target when
+    diag or offdiag is 2-D) and every count is one `_float_sweep`. The
+    midpoints, updates and stop test are those of the numpy loop;
+    `math.ulp(x)` equals `np.spacing(x)` for every finite x >= 0 below the
+    largest float.
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    offsq = np.square(np.asarray(offdiag, dtype=np.float64))
+    n = targets.size
+    if diag.ndim == 1 and offsq.ndim == 1:
+        rows = [(diag.tolist(), offsq.tolist())] * n
+    else:
+        size = diag.shape[-1]
+        a = np.broadcast_to(diag, targets.shape + (size,)).reshape(n, size)
+        b = np.broadcast_to(offsq, targets.shape + (size - 1,)).reshape(n, size - 1)
+        rows = list(zip(a.tolist(), b.tolist()))
+    jobs = list(zip(rows, targets.ravel().tolist()))
+    los, his = [lo] * n, [hi] * n
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        counts = sturm_counts(diag, offsq_offdiag, mid)
-        above = counts >= targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.all(hi - lo <= np.maximum(tol, 4.0 * np.spacing(np.abs(mid)))):
+        converged = True
+        for j, ((a, b), target) in enumerate(jobs):
+            mid = 0.5 * (los[j] + his[j])
+            if _float_sweep(a, b, mid) >= target:
+                his[j] = mid
+            else:
+                los[j] = mid
+            if his[j] - los[j] > max(tol, 4.0 * math.ulp(abs(mid))):
+                converged = False
+        if converged:
             break
-    return 0.5 * (lo + hi)
+    return np.array([0.5 * (x + y) for x, y in zip(los, his)]).reshape(targets.shape)
 
 
-def _replay_levels(diag, offdiag, targets, lo, hi, tol, iters):
-    """The bisection loop of `_bisect_indices`, several levels per sweep.
+def _replay_levels(diag, offdiag, targets, lo, hi, tol, iters, levels):
+    """The bisection loop of `_bisect_indices`, `levels` levels per sweep.
 
-    Each sweep counts, in one `sturm_counts` call, every midpoint the next m
-    levels could visit (2^m - 1 per target, in heap order: node i has
+    Each sweep counts, in one `sturm_counts` call, every midpoint the next
+    levels could visit (2^levels - 1 per target, in heap order: node i has
     children 2i + 1 and 2i + 2), then replays those levels with the same
     midpoints, updates and stop test as one level per sweep would.
     """
     done = 0
     while done < iters:
-        levels = min(_REPLAY_LEVELS, iters - done)
+        step = min(levels, iters - done)
         los, his, mids = lo[None], hi[None], []
-        for level in range(levels):
+        for level in range(step):
             mid = 0.5 * (los + his)
             mids.append(mid)
-            if level + 1 < levels:  # children (lo, mid) and (mid, hi), interleaved
+            if level + 1 < step:  # children (lo, mid) and (mid, hi), interleaved
                 los = np.stack([los, mid], axis=1).reshape((-1,) + lo.shape)
                 his = np.stack([mid, his], axis=1).reshape((-1,) + lo.shape)
         counts = sturm_counts(diag, offdiag, np.concatenate(mids))
         node = np.zeros((1,) + targets.shape, dtype=np.intp)
-        for _ in range(levels):
+        for _ in range(step):
             mid = 0.5 * (lo + hi)
             above = np.take_along_axis(counts, node, axis=0)[0] >= targets
             hi = np.where(above, mid, hi)
@@ -242,6 +274,15 @@ def _replay_levels(diag, offdiag, targets, lo, hi, tol, iters):
                 return 0.5 * (lo + hi)
             node = 2 * node + np.where(above, 1, 2)
     return 0.5 * (lo + hi)
+
+
+def _check_inputs(tol=0.0, **values):
+    """ValueError naming the first non-finite value, or a tol that is not >= 0."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def eigenvalues_in(
@@ -257,6 +298,7 @@ def eigenvalues_in(
     eigenvalue appears k times). Refuses windows holding more than
     `max_window_eigs` eigenvalues.
     """
+    _check_inputs(tol, lo=lo, hi=hi)
     if not lo <= hi:
         raise ValueError("need lo <= hi")
     lo_e, hi_e = np.nextafter([lo, hi], np.inf)
@@ -287,6 +329,7 @@ def batched_eigenvalues_in(
     diag2d: (batch, L); offdiag: (L-1,) shared or (batch, L-1).
     Returns (draw_index, value) arrays, sorted by draw then by value.
     """
+    _check_inputs(tol, lo=lo, hi=hi)
     diag2d = np.asarray(diag2d, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
     lo_e, hi_e = np.nextafter([lo, hi], np.inf)
@@ -317,6 +360,7 @@ def nearest_eigenvalue_distance(
     op: TridiagonalOperator, energy: float, tol: float = 0.0
 ) -> float:
     """Distance from `energy` to the spectrum of op."""
+    _check_inputs(tol, energy=energy)
     glo, ghi = op.gershgorin()
     glo, ghi = glo - 1.0, ghi + 1.0
     if energy <= glo:
@@ -358,14 +402,46 @@ class EigenvectorResult:
 
 
 def _solve_shifted(op, shift, rhs):
-    # imported here: only eigenvector needs scipy, and loading it costs every process ~0.2 s
-    import scipy.linalg
+    """Solve (op - shift) x = rhs: LAPACK dgtsv in plain floats.
 
-    ab = np.zeros((3, op.size))
-    ab[0, 1:] = op.offdiag
-    ab[1, :] = op.diag - shift
-    ab[2, :-1] = op.offdiag
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    Gaussian elimination with partial pivoting fills a second superdiagonal
+    in place of the subdiagonal, then back-substitutes. The operations and
+    their order are dgtsv's, so x has the bits of scipy's
+    `solve_banded((1, 1), ...)`, which calls it. An exactly zero pivot raises
+    LinAlgError (so does a 1x1 zero system, which scipy divides through).
+    """
+    d = [a - shift for a in op.diag.tolist()]
+    if not all(map(math.isfinite, d)):
+        raise ValueError(f"shifted diagonal is not finite (shift {shift})")
+    n = op.size
+    du, b = op.offdiag.tolist(), rhs.tolist()
+    dl = list(du)  # the subdiagonal; becomes the second superdiagonal
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):  # no row interchange
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
 
 
 def _canonical_sign(v):
@@ -390,6 +466,7 @@ def eigenvector(
     1e-10 * op.norm_bound() after `max_iter` steps (e.g. for an `energy`
     midway between two eigenvalues) is returned flagged as well.
     """
+    _check_inputs(energy=energy)
     scale = op.norm_bound()
     target = 1e-10 * scale
     if cluster_tol is None:

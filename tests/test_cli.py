@@ -43,14 +43,32 @@ def test_probe_seed_derivation():
     assert 0 <= probe_seed(2**62, "x") < 2**63
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded only by eigenvector; every other process skips its start-up cost
+def _scipy_modules_after(code):
+    """scipy modules loaded by a fresh interpreter that runs `code`."""
     src = str(Path(randspec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, randspec.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; no process pays its start-up cost
+    assert _scipy_modules_after("import randspec.cli") == "[]"
+
+
+def test_library_calls_leave_scipy_unloaded():
+    code = "\n".join([
+        "import numpy as np",
+        "from randspec import eigensolve, qgraph",
+        "from randspec.operators import TridiagonalOperator",
+        "op = TridiagonalOperator(np.linspace(0.0, 1.0, 12), np.ones(11))",
+        "value = eigensolve.eigenvalues_in(op, -3.0, 3.0)[4]",
+        "eigensolve.eigenvector(op, float(value) + 1e-9)",
+        "eigensolve.nearest_eigenvalue_distance(op, 0.3)",
+        "qgraph.graph_eigenvalues(qgraph.QGraphInstance(np.full(6, 0.25)), (3.0, 4.2))",
+    ])
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_fmt_roundtrips_floats():

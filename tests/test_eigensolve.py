@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -196,6 +197,9 @@ def _bisection_case(seed, n, size, two_d, shared_off):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(seed=1, n=20, size=9, two_d=False, shared_off=True, tol=0.0)
 @example(seed=2, n=21, size=9, two_d=True, shared_off=False, tol=1e-10)
+@example(seed=6, n=20, size=12, two_d=True, shared_off=False, tol=0.0)
+@example(seed=7, n=20, size=12, two_d=True, shared_off=True, tol=1e-10)
+@example(seed=8, n=21, size=12, two_d=True, shared_off=True, tol=0.0)
 @example(seed=3, n=146, size=30, two_d=False, shared_off=True, tol=1e-10)
 @example(seed=4, n=147, size=30, two_d=True, shared_off=True, tol=0.0)
 @example(seed=5, n=300, size=5, two_d=True, shared_off=False, tol=0.0)
@@ -217,8 +221,98 @@ def test_bisection_levels_per_sweep(n, levels):
         _one_level_bisection(diag, off, targets, lo, hi, 0.0)
         one_level = sweep.call_count
         sweep.reset_mock()
-        es._bisect_indices(diag, off, targets, lo, hi, 0.0)
-    assert sweep.call_count == math.ceil(one_level / levels)
+        with mock.patch.object(es, "_float_sweep", wraps=es._float_sweep) as lane:
+            es._bisect_indices(diag, off, targets, lo, hi, 0.0)
+    if n <= es._FLOAT_LANES:  # the plain-float loop: one lane sweep per target and level
+        assert sweep.call_count == 0
+        assert lane.call_count == n * one_level
+    else:
+        assert sweep.call_count == math.ceil(one_level / levels)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda op: nearest_eigenvalue_distance(op, math.nan), "energy"),
+    (lambda op: nearest_eigenvalue_distance(op, math.inf), "energy"),
+    (lambda op: nearest_eigenvalue_distance(op, 0.5, tol=math.nan), "tol"),
+    (lambda op: nearest_eigenvalue_distance(op, 0.5, tol=-1e-12), "tol"),
+    (lambda op: eigenvalues_in(op, -math.inf, math.inf), "lo"),
+    (lambda op: eigenvalues_in(op, 0.0, math.inf), "hi"),
+    (lambda op: eigenvalues_in(op, math.nan, 1.0), "lo"),
+    (lambda op: eigenvalues_in(op, 0.0, 1.0, tol=math.nan), "tol"),
+    (lambda op: eigenvalues_in(op, 0.0, 1.0, tol=math.inf), "tol"),
+    (lambda op: batched_eigenvalues_in(op.diag[None], op.offdiag, math.nan, 1.0), "lo"),
+    (lambda op: batched_eigenvalues_in(op.diag[None], op.offdiag, 0.0, 1.0, tol=math.nan), "tol"),
+    (lambda op: eigenvector(op, math.nan), "energy"),
+    (lambda op: eigenvector(op, -math.inf), "energy"),
+])
+def test_scalar_entry_points_name_bad_input(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(_free(6))
+
+
+# ---------------------------------------------------------------------------
+# the tridiagonal solve of inverse iteration
+
+
+def _banded(op, shift):
+    ab = np.zeros((3, op.size))
+    ab[0, 1:] = op.offdiag
+    ab[1] = op.diag - shift
+    ab[2, :-1] = op.offdiag
+    return ab
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+    couplings=st.sampled_from(["uniform", "zero", "negative", "tiny"]),
+    offset=st.floats(-1e-9, 1e-9),
+)
+def test_solve_shifted_equals_scipy_gtsv(seed, n, couplings, offset):
+    # scipy's solve_banded((1, 1), ...) calls LAPACK dgtsv, which _solve_shifted ports
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-2.0, 2.0, n - 1)
+    if couplings == "zero":
+        off[rng.random(n - 1) < 0.5] = 0.0
+    elif couplings == "negative":
+        off = -np.abs(off)
+    elif couplings == "tiny":
+        off *= 10.0 ** -rng.integers(8, 300, n - 1).astype(float)
+    op = TridiagonalOperator(rng.uniform(-3.0, 3.0, n), off)
+    shift = float(np.linalg.eigvalsh(op.to_dense())[rng.integers(n)]) + offset
+    rhs = rng.standard_normal(n)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = scipy.linalg.solve_banded((1, 1), _banded(op, shift), rhs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            es._solve_shifted(op, shift, rhs)
+        return
+    if n == 1 and op.diag[0] == shift:  # scipy divides through; the port raises
+        with pytest.raises(np.linalg.LinAlgError):
+            es._solve_shifted(op, shift, rhs)
+        return
+    assert es._solve_shifted(op, shift, rhs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("diag, off, shift", [
+    ([1.5], [], 1.5),
+    ([1.0, 2.0], [0.0], 1.0),
+    ([1.0, 2.0], [0.0], 2.0),
+    ([0.0, 1.0, 1.0], [0.0, 0.0], 1.0),
+    ([0.0, 0.0, 0.0], [1.0, 1.0], 0.0),  # the free Laplacian on 3 sites at E = 0
+])
+def test_solve_shifted_raises_on_singular_system(diag, off, shift):
+    op = TridiagonalOperator(np.array(diag), np.array(off))
+    with pytest.raises(np.linalg.LinAlgError):
+        es._solve_shifted(op, shift, np.ones(op.size))
+
+
+def test_solve_shifted_rejects_non_finite_shifted_diagonal():
+    op = TridiagonalOperator(np.array([1e308, 0.0]), np.array([1.0]))
+    for shift in (-1e308, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            es._solve_shifted(op, shift, np.ones(2))
 
 
 # ---------------------------------------------------------------------------

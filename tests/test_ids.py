@@ -119,6 +119,19 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back.stderr, t.stderr)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1 is not the header"),
+    ("energy,ids,stderr\n", "no rows below the header"),
+    ("energy,ids,stderr\n0,0,0\n1,0.5\n", "line 3 has 2 fields, the header 3"),
+    ("energy,ids,stderr\n0,0,x\n1,0.5,0\n", "line 2 holds a field that is not a number"),
+])
+def test_from_csv_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "ids.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"ids.csv: {message}"):
+        IdsTable.from_csv(path)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randspec import (
     EnsembleSpec,
@@ -312,6 +314,30 @@ def test_wegner_worker_invariance():
     three = wegner_probe(spec, workers=3, **kwargs)
     assert _strip_runtime(one) == _strip_runtime(three)
     assert _blocks.n_blocks(2500, 1000) >= 2  # the merge order is exercised
+
+
+def _count_probe_reports(samples, seed, workers):
+    spec = EnsembleSpec("anderson")
+    common = dict(size=2000, samples=samples, seed=seed, workers=workers)
+    reports = [
+        wegner_probe(spec, 0.0, (1e-3, 1e-2), **common),
+        minami_probe(spec, 0.0, (1e-2, 4e-2), **common),
+        decorrelation_probe(spec, 0.5, -0.9, **common),
+        decorrelation_probe(spec, 0.5, -0.9, disjoint=True, **common),
+        qgraph_minami_probe(UniformLaw(0.0, 3.0), 4.0, (1e-3, 1e-2), **common),
+    ]
+    return [_strip_runtime(r) for r in reports]
+
+
+@settings(max_examples=5, deadline=None)
+@example(samples=1048, seed=0)  # two full blocks
+@given(samples=st.integers(1, 3 * 524), seed=st.integers(0, 2**63 - 1))
+def test_count_probes_invariant_under_workers_and_blocks(samples, seed):
+    # L = 2000 draws come in blocks of 524 rows, so samples span 1-3 blocks,
+    # the last one partial, and two workers split them between processes
+    assert _blocks.block_size(2000) == 524
+    one = _count_probe_reports(samples, seed, workers=1)
+    assert one == _count_probe_reports(samples, seed, workers=2)
 
 
 def test_level_statistics_worker_invariance():
