@@ -24,16 +24,18 @@ _TINY = 1e-300  # pivot clamp; preserves sign, zero maps to +tiny
 # Calls with at most this many lanes (broadcast batch entries) sweep each lane
 # as a plain-float loop, and bisections with at most this many targets run
 # in plain floats throughout; wider calls take the site-major numpy sweep, which
-# costs 2-3 us per site step at any lane count below a few hundred. Measured
-# on a 2-core Xeon VM (Python 3.11, numpy 2.4), the two paths cost the same
-# at about 24 lanes when the lanes share one diagonal (L = 30, 60 and 5000)
-# and at about 16 when each lane has its own row, converted lane by lane.
+# costs about 2 us per site step at any lane count below a few hundred.
+# Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), the two paths cost
+# the same at about 20 lanes when the lanes share one diagonal (L = 30 and 60;
+# about 15 at L = 5000) and at 12-16 when each lane has its own row, converted
+# lane by lane (about 11 at L = 5000).
 _FLOAT_LANES = 20
 
-# Bytes of pivots one site tile of the numpy sweep holds. The tile is the only
-# site-major copy of the input, so memory stays O(lanes) above the input.
-# 256 KB to 4 MB tiles timed within noise of each other on the VM above
-# (1048 lanes x L = 1000: 5.0-6.6 ns/pivot; 104 lanes x L = 10^4: 24-28).
+# Bytes of pivots one site tile of the numpy sweep holds (tiles also stop at
+# 255 sites). The tile's buffers are the only site-major copies of the input,
+# so memory stays O(lanes) above the input. On the VM above, 256 KB to 4 MB
+# tiles timed within noise of each other (1048 lanes x L = 1000: 5.1-5.8
+# ns/pivot; 1040 lanes x L = 10^4: 5.9-7.0) and 64 KB tiles 25-45% slower.
 _TILE_BYTES = 1 << 18
 
 # Bisection levels one sweep resolves when a call has enough targets for the
@@ -54,7 +56,9 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     the batch shape of diag. Returns int64 counts of the broadcast batch
     shape. Pivots with |d| < 1e-300 are clamped to +/-1e-300 keeping their
     sign (zeros of either sign clamp to +tiny; NaN passes through), which
-    preserves the count and makes the recurrence division-safe.
+    preserves the count and makes the recurrence division-safe. A NaN shift
+    raises ValueError: it would make every pivot of its lane NaN, counted as
+    no eigenvalue.
 
     Up to `_FLOAT_LANES` lanes run as plain-float loops, wider batches as one
     site-major numpy sweep; both do the same IEEE operations in the same
@@ -73,17 +77,21 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
         shape = np.broadcast_shapes(diag.shape[:-1], offdiag.shape[:-1], shifts.shape)
     lanes = math.prod(shape)
     if lanes > _FLOAT_LANES:
+        if np.isnan(shifts).any():
+            raise ValueError("shifts must not be NaN")
         return _site_major_counts(diag, offdiag, shifts, shape)
+    lane_shifts = (shifts if flat else np.broadcast_to(shifts, shape)).ravel().tolist()
+    if any(map(math.isnan, lane_shifts)):  # the list costs less to test than the array
+        raise ValueError("shifts must not be NaN")
     offsq = np.square(offdiag)
     if flat:
         a, b = diag.tolist(), offsq.tolist()
-        counts = [_float_sweep(a, b, s) for s in shifts.ravel().tolist()]
+        counts = [_float_sweep(a, b, s) for s in lane_shifts]
     else:
         rows = np.broadcast_to(diag, shape + (size,)).reshape(lanes, size)
         offs = np.broadcast_to(offsq, shape + (size - 1,)).reshape(lanes, size - 1)
         counts = [
-            _float_sweep(a.tolist(), b.tolist(), s)
-            for a, b, s in zip(rows, offs, np.broadcast_to(shifts, shape).ravel().tolist())
+            _float_sweep(a.tolist(), b.tolist(), s) for a, b, s in zip(rows, offs, lane_shifts)
         ]
     return np.array(counts, dtype=np.int64).reshape(shape)
 
@@ -110,55 +118,86 @@ def _float_sweep(a, b, s, tiny=_TINY):
 
 
 def _site_major_counts(diag, offdiag, shifts, shape):
-    """The sweep over a (sites, *shape) layout, one tile of sites at a time.
+    """The sweep over a (sites, *lanes) layout, one tile of sites at a time.
+
+    The lanes are the batch axes of `shape`, reordered so that the longer of
+    two groups runs innermost in every ufunc: the row axes, along which diag
+    or offdiag varies, or the shift-only axes; the counts are transposed back.
+    Each tile copies its diagonal slice once into a contiguous buffer, adding
+    0.0 there: a - s is the only term that can be -0.0, and (a + 0.0) - s is
+    (a - s) + 0.0 bit for bit, so no pivot is -0.0 and copysign(max(|d|,
+    tiny), d) maps zeros to +tiny as the clamp requires.
 
     Each tile is first swept without the clamp. The clamp leaves every pivot
     with |d| >= tiny (or NaN) unchanged, so a tile holding no smaller pivot
     is exact as it stands; otherwise the tile is swept again with the clamp
-    from the pivot before it.
+    from the pivot before it. Tiles hold at most 255 sites, so a tile's
+    negative pivots per lane fit in a uint8.
     """
     size = diag.shape[-1]
     ndim = len(shape)
 
-    def site_major(x):  # a view: the site axis first, batch axes aligned with shape
-        lead = (1,) * (ndim + 1 - x.ndim)
-        return np.moveaxis(x, -1, 0).reshape(x.shape[-1:] + lead + x.shape[:-1])
+    def aligned(x, trailing):  # a view with leading 1s: batch axes aligned with shape
+        return x.reshape((1,) * (ndim + trailing - x.ndim) + x.shape)
 
-    dsite, osite = site_major(diag), site_major(offdiag)
-    tile = max(1, min(size, _TILE_BYTES // (8 * math.prod(shape))))
-    buf = np.empty((tile,) + shape)
-    q = np.empty(shape)
-    count = np.zeros(shape, dtype=np.int64)
-    d = None
+    dal, oal, sal = aligned(diag, 1), aligned(offdiag, 1), aligned(shifts, 0)
+    rows = [i for i in range(ndim) if dal.shape[i] != 1 or oal.shape[i] != 1]
+    only = [i for i in range(ndim) if i not in rows]
+    if math.prod(shape[i] for i in rows) >= math.prod(shape[i] for i in only):
+        order = only + rows
+    else:
+        order = rows + only
+    lanes = tuple(shape[i] for i in order)
+    dsite = dal.transpose([ndim] + order)  # views: sites first, then lanes
+    shifts = np.ascontiguousarray(sal.transpose(order))
+    tile = max(1, min(size, 255, _TILE_BYTES // (8 * math.prod(shape))))
+    if offdiag.size == size - 1:  # shared couplings: Python floats per site
+        offsq, osite = np.square(offdiag).ravel().tolist(), None
+    else:
+        osite = oal.transpose([ndim] + order)
+        obuf = np.empty((tile,) + osite.shape[1:])
+        orows = list(obuf)
+    piv = np.empty((tile + 1,) + lanes)  # piv[0]: the pivot before the tile
+    sites = list(piv)  # row views made once, as are orows: the site loop only indexes
+    scratch = np.empty((tile,) + lanes)
+    negative = np.empty((tile,) + lanes, dtype=bool)
+    abuf = np.empty((tile,) + dsite.shape[1:])
+    q = np.empty(lanes)
+    tile_count = np.empty(lanes, dtype=np.uint8)
+    count = np.zeros(lanes, dtype=np.int64)
     with np.errstate(all="ignore"):
         for k0 in range(0, size, tile):
-            k1 = min(size, k0 + tile)
-            piv = buf[: k1 - k0]
-            offsq = np.square(osite[max(k0 - 1, 0) : k1 - 1])
-            _tile_pivots(piv, dsite[k0:k1], shifts, offsq, d, q, clamp=False)
-            if (np.abs(piv) < _TINY).any():
-                _tile_pivots(piv, dsite[k0:k1], shifts, offsq, d, q, clamp=True)
-            count += (piv < 0.0).sum(axis=0)
-            d = piv[-1].copy()
-    return count
+            n = min(tile, size - k0)
+            first = int(k0 == 0)
+            a = np.add(dsite[k0 : k0 + n], 0.0, out=abuf[:n])
+            if osite is None:
+                bs = offsq[k0 - 1 + first : k0 + n - 1]
+            else:
+                np.square(osite[k0 - 1 + first : k0 + n - 1], out=obuf[: n - first])
+                bs = orows[: n - first]
+            sweep = piv[1 : n + 1]
+            _tile_pivots(sweep, sites[: n + 1], a, shifts, bs, first, q, clamp=False)
+            if np.fmin.reduce(np.abs(sweep, out=scratch[:n]), axis=None) < _TINY:
+                _tile_pivots(sweep, sites[: n + 1], a, shifts, bs, first, q, clamp=True)
+            np.less(sweep, 0.0, out=negative[:n])
+            count += np.add.reduce(negative[:n], axis=0, dtype=np.uint8, out=tile_count)
+            piv[0] = piv[n]
+    return count.transpose(np.argsort(order))
 
 
-def _tile_pivots(piv, dtile, shifts, offsq, d, q, clamp):
-    """Pivots of one site tile into piv; d is the pivot before it (None at site 0)."""
-    np.subtract(dtile, shifts, out=piv)
-    # a - s is the only term that can be -0.0; with it gone, no pivot is -0.0,
-    # and copysign(max(|d|, tiny), d) maps zeros to +tiny as the clamp requires
-    piv += 0.0
-    if d is None:
-        if clamp:
-            _clamp(piv[0], q)
-        d, piv = piv[0], piv[1:]
-    for p, b in zip(piv, offsq):
-        np.divide(b, d, out=q)
-        np.subtract(p, q, out=p)
+def _tile_pivots(sweep, sites, a, shifts, bs, first, q, clamp):
+    """Pivots of one site tile into sweep, whose rows are sites[1:]: a is its
+    diagonal slice plus 0.0, bs the squared couplings into its sites, and
+    sites[0] the pivot before it (unused when the tile starts at site 0)."""
+    np.subtract(a, shifts, out=sweep)
+    if first and clamp:
+        _clamp(sites[1], q)
+    divide, subtract = np.divide, np.subtract
+    for d, p, b in zip(sites[first:], sites[1 + first :], bs):
+        divide(b, d, q)  # positional out: cheaper per call than out=
+        subtract(p, q, p)
         if clamp:
             _clamp(p, q)
-        d = p
 
 
 def _clamp(d, scratch):
@@ -169,11 +208,13 @@ def _clamp(d, scratch):
 
 def sturm_count(op: TridiagonalOperator, energy: float) -> int:
     """#{eigenvalues of op strictly below energy}."""
+    _check_inputs(energy=energy)
     return int(sturm_counts(op.diag, op.offdiag, float(energy)))
 
 
 def count_in_interval(op: TridiagonalOperator, lo: float, hi: float) -> int:
     """Number of eigenvalues in the half-open interval (lo, hi]."""
+    _check_inputs(lo=lo, hi=hi)
     if not lo <= hi:
         raise ValueError("need lo <= hi")
     edges = np.nextafter([lo, hi], np.inf)
@@ -322,12 +363,16 @@ def batched_eigenvalues_in(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    chunk: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues in (lo, hi] for a batch of operators sharing couplings.
 
     diag2d: (batch, L); offdiag: (L-1,) shared or (batch, L-1).
     Returns (draw_index, value) arrays, sorted by draw then by value.
+
+    Bisection runs on the batch's own rows: the targets form one (slot, row)
+    array over the draws that hold any, each draw's slots padded with copies
+    of its own last target. A copy is an identical lane, so it changes
+    neither the stop test nor any value, and no row is copied per target.
     """
     _check_inputs(tol, lo=lo, hi=hi)
     diag2d = np.asarray(diag2d, dtype=np.float64)
@@ -337,18 +382,16 @@ def batched_eigenvalues_in(
     c_hi = sturm_counts(diag2d, offdiag, hi_e)
     per_draw = (c_hi - c_lo).astype(np.int64)
     draws = np.repeat(np.arange(diag2d.shape[0]), per_draw)
+    held = per_draw > 0
+    if not held.all():  # a row subset of the batch
+        diag2d = diag2d[held]
+        offdiag = offdiag if offdiag.ndim == 1 else offdiag[held]
+    per_draw = per_draw[held]
+    slots = np.arange(per_draw.max(initial=0))
     # 1-based eigenvalue indices within each draw
-    targets = np.concatenate(
-        [np.arange(a + 1, b + 1) for a, b in zip(c_lo, c_hi) if b > a]
-        or [np.empty(0, dtype=np.int64)]
-    )
-    values = np.empty(draws.size)
-    for start in range(0, draws.size, chunk):
-        sel = slice(start, min(start + chunk, draws.size))
-        dsel = diag2d[draws[sel]]
-        osel = offdiag if offdiag.ndim == 1 else offdiag[draws[sel]]
-        values[sel] = _bisect_indices(dsel, osel, targets[sel], lo_e, hi_e, tol)
-    return draws, values
+    targets = c_lo[held] + 1 + np.minimum(slots[:, None], per_draw - 1)
+    values = _bisect_indices(diag2d, offdiag, targets, lo_e, hi_e, tol)
+    return draws, values.T[slots < per_draw[:, None]]
 
 
 def _nearest_index_value(op, j, lo, hi, tol):

@@ -1,6 +1,7 @@
 """Sturm counting, counting-indexed bisection, and eigenvector extraction."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -230,6 +231,90 @@ def test_bisection_levels_per_sweep(n, levels):
         assert sweep.call_count == math.ceil(one_level / levels)
 
 
+def _gathered_extraction(diag2d, offdiag, lo, hi, tol, chunk=4096):
+    """Reference: batched extraction on a per-target copy of each target's
+    row, bisected in chunks of `chunk` targets."""
+    lo_e, hi_e = np.nextafter([lo, hi], np.inf)
+    c_lo = sturm_counts(diag2d, offdiag, lo_e)
+    c_hi = sturm_counts(diag2d, offdiag, hi_e)
+    per_draw = (c_hi - c_lo).astype(np.int64)
+    draws = np.repeat(np.arange(diag2d.shape[0]), per_draw)
+    targets = np.concatenate(
+        [np.arange(a + 1, b + 1) for a, b in zip(c_lo, c_hi) if b > a]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    values = np.empty(draws.size)
+    for start in range(0, draws.size, chunk):
+        sel = slice(start, min(start + chunk, draws.size))
+        dsel = diag2d[draws[sel]]
+        osel = offdiag if offdiag.ndim == 1 else offdiag[draws[sel]]
+        values[sel] = es._bisect_indices(dsel, osel, targets[sel], lo_e, hi_e, tol)
+    return draws, values
+
+
+def _window_rows(seed, counts, shared_off, center):
+    """Rows whose window (center - 3.5, center + 3.5] holds exactly counts[i]
+    eigenvalues.
+
+    Inside entries lie within 1 of center and outside ones at least 6 away;
+    with couplings of magnitude <= 1 the Gershgorin discs of the two groups
+    are disjoint, so each group holds as many eigenvalues as it has entries.
+    Small integers and zero couplings give repeated eigenvalues.
+    """
+    rng = np.random.default_rng(seed)
+    size = max(counts) + int(rng.integers(1, 12))
+    diag = np.empty((len(counts), size))
+    for row, k in zip(diag, counts):
+        inside = np.where(rng.random(k) < 0.5, rng.integers(-1, 2, k), rng.uniform(-1, 1, k))
+        outside = rng.choice([-1.0, 1.0], size - k) * rng.uniform(6.0, 10.0, size - k)
+        row[:] = center + rng.permutation(np.concatenate([inside, outside]))
+    off_shape = (size - 1,) if shared_off else (len(counts), size - 1)
+    off = rng.choice([0.0, 0.0, 1.0, 0.3, -0.7], off_shape) * rng.uniform(0.5, 1.0, off_shape)
+    return diag, off
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(seed=1, counts=[20], shared_off=True, center=0.0, tol=0.0)
+@example(seed=2, counts=[21], shared_off=False, center=3.6, tol=1e-10)
+@example(seed=3, counts=[7, 0, 3, 10], shared_off=True, center=0.0, tol=1e-10)  # 20 targets, 30 lanes
+@example(seed=4, counts=[0, 11, 10], shared_off=False, center=3.6, tol=0.0)  # 21 targets, 22 lanes
+@example(seed=5, counts=[40, 40, 40, 26], shared_off=True, center=3.6, tol=0.0)  # 146 targets
+@example(seed=6, counts=[40, 40, 40, 27], shared_off=False, center=0.0, tol=1e-10)  # 147 targets
+@example(seed=7, counts=[21] * 6 + [20], shared_off=True, center=3.6, tol=0.0)  # 146 targets, 147 lanes
+@example(seed=8, counts=[0, 0], shared_off=False, center=0.0, tol=0.0)
+@given(
+    seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    shared_off=st.booleans(), center=st.sampled_from([0.0, 3.6]), tol=st.sampled_from([0.0, 1e-10]),
+)
+def test_batched_extraction_equals_gathered_rows(seed, counts, shared_off, center, tol):
+    # below 4096 targets the reference bisects every target in one call;
+    # center 3.6 puts the window's ends in different binades
+    diag, off = _window_rows(seed, counts, shared_off, center)
+    lo, hi = center - 3.5, center + 3.5
+    draws, values = batched_eigenvalues_in(diag, off, lo, hi, tol)
+    want_draws, want_values = _gathered_extraction(diag, off, lo, hi, tol)
+    assert np.bincount(draws, minlength=len(counts)).tolist() == counts
+    assert draws.dtype == want_draws.dtype and np.array_equal(draws, want_draws)
+    assert values.dtype == want_values.dtype and values.tobytes() == want_values.tobytes()
+
+
+def test_batched_extraction_memory_is_bounded():
+    """One call holds at most a row subset of its input plus tile-sized
+    buffers; a per-target gather of the rows holds ~4000 rows here."""
+    rng = np.random.default_rng(0)
+    diag = rng.random((200, 2000))
+    off = np.ones(1999)
+    allowance = 8 * es._TILE_BYTES
+    tracemalloc.start()
+    try:
+        _, values = batched_eigenvalues_in(diag, off, 0.47, 0.53, tol=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size >= 15 * 200  # about 20 eigenvalues per draw
+    assert peak < diag.nbytes + allowance
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda op: nearest_eigenvalue_distance(op, math.nan), "energy"),
     (lambda op: nearest_eigenvalue_distance(op, math.inf), "energy"),
@@ -244,6 +329,10 @@ def test_bisection_levels_per_sweep(n, levels):
     (lambda op: batched_eigenvalues_in(op.diag[None], op.offdiag, 0.0, 1.0, tol=math.nan), "tol"),
     (lambda op: eigenvector(op, math.nan), "energy"),
     (lambda op: eigenvector(op, -math.inf), "energy"),
+    pytest.param(lambda op: sturm_count(op, math.nan), "energy", id="sturm_count-nan"),
+    pytest.param(lambda op: sturm_count(op, math.inf), "energy", id="sturm_count-inf"),
+    pytest.param(lambda op: count_in_interval(op, math.nan, 1.0), "lo", id="count_in_interval-lo"),
+    pytest.param(lambda op: count_in_interval(op, 0.0, math.nan), "hi", id="count_in_interval-hi"),
 ])
 def test_scalar_entry_points_name_bad_input(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):

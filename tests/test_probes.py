@@ -1,6 +1,7 @@
 """Probe statistics: closed-form helpers, brute-force count equality,
 worker invariance, and report serialization."""
 
+import functools
 import json
 import math
 
@@ -338,6 +339,40 @@ def test_count_probes_invariant_under_workers_and_blocks(samples, seed):
     assert _blocks.block_size(2000) == 524
     one = _count_probe_reports(samples, seed, workers=1)
     assert one == _count_probe_reports(samples, seed, workers=2)
+
+
+@functools.cache
+def _unfold_table():
+    """One IDS table around both probe energies, shared by every example."""
+    grid = np.unique(np.concatenate(
+        [np.linspace(c - 0.02, c + 0.02, 21) for c in (0.5, 0.45)]
+    ))
+    return estimate_ids(EnsembleSpec("anderson"), 2000, 64, grid, seed=5)
+
+
+def _unfolded_probe_outputs(samples, seed, workers):
+    spec = EnsembleSpec("anderson")
+    common = dict(size=2000, samples=samples, seed=seed, workers=workers,
+                  ids_table=_unfold_table())
+    spacing, spacings = spacing_probe(spec, 0.5, half_width=0.5, **common)
+    levels, configs = level_statistics_probe(
+        spec, 0.5, intervals=((0.0, 0.5), (0.5, 1.0)), collect=samples, **common
+    )
+    joint = joint_independence_probe(spec, 0.5, 0.45, **common)
+    points = [(c.index, c.center, c.window, c.points.tobytes()) for c in configs]
+    return ([_strip_runtime(r) for r in (spacing, levels, joint)],
+            spacings.tobytes(), points)
+
+
+@settings(max_examples=2, deadline=None)
+@example(samples=1048, seed=0)  # two full blocks
+@given(samples=st.integers(1, 3 * 524), seed=st.integers(0, 2**63 - 1))
+def test_unfolded_probes_invariant_under_workers_and_blocks(samples, seed):
+    # extraction (spacings, collected points) and unfolded window counts on
+    # 1-3 blocks of 524 rows, one worker against two
+    one = _unfolded_probe_outputs(samples, seed, workers=1)
+    assert one == _unfolded_probe_outputs(samples, seed, workers=2)
+    assert len(one[2]) == samples
 
 
 def test_level_statistics_worker_invariance():

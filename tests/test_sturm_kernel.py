@@ -123,3 +123,31 @@ def test_pinned_pivot_clamp(diag, off, shift, expected):
 def test_offdiag_length_is_checked():
     with pytest.raises(ValueError, match="offdiag"):
         sturm_counts(np.zeros(4), np.ones(4), 0.0)
+
+
+@pytest.mark.parametrize("shifts", [np.nan, [0.0, np.nan, 1.0], np.r_[np.zeros(40), np.nan]])
+def test_nan_shift_is_rejected(shifts):
+    # a NaN shift makes every pivot of its lane NaN, which counts as no eigenvalue
+    with pytest.raises(ValueError, match="^shifts must not be NaN"):
+        sturm_counts(np.zeros(5), np.ones(4), shifts)
+
+
+def test_nan_lane_beside_tiny_pivot_is_reswept():
+    """One tile, one lane of NaN pivots and one with a zero pivot: the tile
+    must still be swept again with the clamp. Unclamped, 0/0 makes lane 1 NaN
+    from site 1 on and it counts 0; a minimum over the tile that propagates
+    NaN would skip the re-sweep."""
+    lanes = es._FLOAT_LANES + 4
+    diag = np.tile([2.0, 3.0, 4.0], (lanes, 1))
+    diag[0, 0] = np.nan
+    diag[1] = [0.0, -1.0, -1.0]
+    for counts in _by_path(diag, np.zeros(2), 0.0):
+        assert counts.tolist() == [0, 2] + [0] * (lanes - 2)
+
+
+def test_every_pivot_negative_across_full_tiles():
+    # above the spectrum every pivot is negative: a full tile's per-lane
+    # count is its site count, which must not wrap in the tile's uint8 count
+    size = 3 * 255 + 10
+    counts = sturm_counts(np.zeros((es._FLOAT_LANES + 1, size)), np.ones(size - 1), 3.0)
+    assert counts.tolist() == [size] * (es._FLOAT_LANES + 1)
