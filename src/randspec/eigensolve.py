@@ -12,24 +12,24 @@ Eigenvalue indices are 1-based (E_1 <= ... <= E_L); site indices are 1-based.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .operators import TridiagonalOperator
 
 _TINY = 1e-300  # pivot clamp; preserves sign, zero maps to +tiny
 
-# Calls with at most this many lanes (broadcast batch entries) sweep each lane
-# as a plain-float loop, and bisections with at most this many targets run
-# in plain floats throughout; wider calls take the site-major numpy sweep, which
-# costs about 2 us per site step at any lane count below a few hundred.
-# Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), the two paths cost
-# the same at about 20 lanes when the lanes share one diagonal (L = 30 and 60;
-# about 15 at L = 5000) and at 12-16 when each lane has its own row, converted
-# lane by lane (about 11 at L = 5000).
-_FLOAT_LANES = 20
+# Without the C kernel, calls with at most this many lanes (broadcast batch
+# entries) sweep each lane as a plain-float loop and wider calls take the
+# site-major numpy sweep, which costs about 2 us per site step at any lane
+# count below a few hundred. Measured on a 2-core Xeon VM (Python 3.11, numpy
+# 2.4), the two cost the same at 16-20 lanes sharing one diagonal (L = 30-60;
+# 16 at L = 5000) and at about 12 lanes with rows of their own (L = 30-5000).
+_FLOAT_LANES = 12
 
 # Bytes of pivots one site tile of the numpy sweep holds (tiles also stop at
 # 255 sites). The tile's buffers are the only site-major copies of the input,
@@ -38,10 +38,24 @@ _FLOAT_LANES = 20
 # ns/pivot; 1040 lanes x L = 10^4: 5.9-7.0) and 64 KB tiles 25-45% slower.
 _TILE_BYTES = 1 << 18
 
-# Bisection levels one sweep resolves when a call has enough targets for the
-# numpy sweep, and the lane budget of such a sweep. That sweep costs about the
-# same per site step at 21 lanes as at 1024, so evaluating all 2^m - 1
-# midpoints of the next m levels at once cuts the sweep count by about m.
+# Bisections with at most this many targets keep their brackets in plain
+# floats (`_float_bisect`), one level per sweep; numpy's per-level
+# bookkeeping costs more there. With the C kernel, the float loop is faster
+# than `_replay_levels` up to 32-48 targets at L = 30 and up to at least 64
+# at L >= 1000 (the VM above).
+_FLOAT_TARGETS = 20
+
+# A bisection level of at most this many pivots (lanes x L) sweeps its lanes
+# with `_float_sweep`, a larger one with one call of the C kernel: on the VM
+# above the loop is faster up to 48 pivots and the call from 64.
+_FLOAT_PIVOTS = 48
+
+# Bisection levels one sweep resolves when a call has more targets, and the
+# lane budget of such a sweep. The numpy sweep costs about the same per site
+# step at 21 lanes as at 1024, so evaluating all 2^m - 1 midpoints of the
+# next m levels at once cuts the sweep count by about m. The C sweep costs
+# in proportion to its lanes, so there it sweeps 7/3 of the pivots per level
+# that one level per sweep would.
 _REPLAY_LEVELS = 3
 _REPLAY_LANES = 1024
 
@@ -60,14 +74,18 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     raises ValueError: it would make every pivot of its lane NaN, counted as
     no eigenvalue.
 
-    Up to `_FLOAT_LANES` lanes run as plain-float loops, wider batches as one
-    site-major numpy sweep; both do the same IEEE operations in the same
-    order, so the counts do not depend on the path.
+    The sweep is the C loop of `_sturm.c` when its library loads (see
+    `_native`). Otherwise up to `_FLOAT_LANES` lanes run as plain-float
+    loops and wider batches as one site-major numpy sweep. All three do the
+    same IEEE operations in the same order, so the counts do not depend on
+    the path.
     """
     diag = np.asarray(diag, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
     shifts = np.asarray(shifts, dtype=np.float64)
     size = diag.shape[-1]
+    if size == 0:
+        raise ValueError(f"diag needs at least one site per row, got shape {diag.shape}")
     if offdiag.shape[-1:] != (size - 1,):
         raise ValueError(f"offdiag needs {size - 1} entries per row, got shape {offdiag.shape}")
     flat = diag.ndim == 1 and offdiag.ndim == 1
@@ -76,10 +94,46 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     else:
         shape = np.broadcast_shapes(diag.shape[:-1], offdiag.shape[:-1], shifts.shape)
     lanes = math.prod(shape)
-    if lanes > _FLOAT_LANES:
+    kernel = _native.kernel()
+    if kernel is None:
+        if lanes <= _FLOAT_LANES:
+            return _float_counts(diag, offdiag, shifts, shape, flat)
         if np.isnan(shifts).any():
             raise ValueError("shifts must not be NaN")
         return _site_major_counts(diag, offdiag, shifts, shape)
+    if flat:  # every lane reads row 0: no index arrays
+        drow = orow = None
+    else:
+        drow = _row_index(diag, shape)
+        orow = _row_index(offdiag, shape)
+        shifts = np.broadcast_to(shifts, shape)
+    counts = (ctypes.c_int64 * lanes)()
+    if kernel(_pointer(diag), _pointer(offdiag), size, _pointer(drow), _pointer(orow),
+              _pointer(shifts), lanes, counts):
+        raise ValueError("shifts must not be NaN")
+    return np.frombuffer(counts, dtype=np.int64).reshape(shape)
+
+
+def _pointer(x):
+    """A ctypes argument passing array x in C order: a bytes copy up to 4 KB
+    (about 0.1 us, against 1.5 us for `.ctypes`), else a contiguous array's
+    `.ctypes`, which holds the array for the duration of the call."""
+    if x is None:
+        return None
+    return x.tobytes() if x.nbytes <= 4096 else np.ascontiguousarray(x).ctypes
+
+
+def _row_index(x, shape):
+    """int64 row of x (rows are its last axis) that each lane of shape reads,
+    in C order; None when x is one row."""
+    if x.ndim == 1:
+        return None
+    rows = np.arange(math.prod(x.shape[:-1]), dtype=np.int64).reshape(x.shape[:-1])
+    return np.broadcast_to(rows, shape)
+
+
+def _float_counts(diag, offdiag, shifts, shape, flat):
+    """`sturm_counts` as one plain-float loop per lane (no C kernel)."""
     lane_shifts = (shifts if flat else np.broadcast_to(shifts, shape)).ravel().tolist()
     if any(map(math.isnan, lane_shifts)):  # the list costs less to test than the array
         raise ValueError("shifts must not be NaN")
@@ -88,6 +142,7 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
         a, b = diag.tolist(), offsq.tolist()
         counts = [_float_sweep(a, b, s) for s in lane_shifts]
     else:
+        size, lanes = diag.shape[-1], len(lane_shifts)
         rows = np.broadcast_to(diag, shape + (size,)).reshape(lanes, size)
         offs = np.broadcast_to(offsq, shape + (size - 1,)).reshape(lanes, size - 1)
         counts = [
@@ -229,11 +284,11 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
     bracket width is below max(tol, 4 ulp); all brackets start equal so a
     fixed iteration count suffices.
 
-    The path follows from the target count n: up to `_FLOAT_LANES` targets
-    run one plain-float loop (`_float_bisect`); above, every sweep takes the
-    numpy path and resolves m levels (`_replay_levels`), m =
-    `_REPLAY_LEVELS` while (2^m - 1) n <= `_REPLAY_LANES` and m = 1 beyond.
-    All paths give the bits of one level per sweep.
+    The path follows from the target count n: up to `_FLOAT_TARGETS` targets
+    run one loop with plain-float bookkeeping (`_float_bisect`); above, every
+    sweep resolves m levels (`_replay_levels`), m = `_REPLAY_LEVELS` while
+    (2^m - 1) n <= `_REPLAY_LANES` and m = 1 beyond. All paths give the bits
+    of one level per sweep.
     """
     targets = np.asarray(targets, dtype=np.int64)
     lo, hi = float(lo), float(hi)
@@ -241,7 +296,7 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
     tol_eff = max(tol, 4.0 * np.spacing(scale))
     width = hi - lo if targets.size else 0.0
     iters = max(1, int(np.ceil(np.log2(max(width / tol_eff, 2.0)))) + 1)
-    if targets.size <= _FLOAT_LANES:
+    if targets.size <= _FLOAT_TARGETS:
         return _float_bisect(diag, offsq_offdiag, targets, lo, hi, tol, iters)
     levels = _REPLAY_LEVELS if (2**_REPLAY_LEVELS - 1) * targets.size <= _REPLAY_LANES else 1
     lo = np.full(targets.shape, lo)
@@ -250,31 +305,56 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
 
 
 def _float_bisect(diag, offdiag, targets, lo, hi, tol, iters):
-    """The bisection loop of `_bisect_indices` in plain floats.
+    """The bisection loop of `_bisect_indices` with plain-float bookkeeping.
 
-    Rows are converted to lists once (one shared row, or one per target when
-    diag or offdiag is 2-D) and every count is one `_float_sweep`. The
-    midpoints, updates and stop test are those of the numpy loop;
+    The lanes are the distinct (diag row, offdiag row, target) triples, so a
+    padded copy of a draw's last target is swept once; the rows of 2-D
+    inputs are gathered for these lanes only. A level sweeps the lanes with
+    `_float_sweep` when the C kernel is missing or lanes x L is at most
+    `_FLOAT_PIVOTS`, and with one `sturm_counts` call otherwise. The
+    midpoints, updates and stop test are those of `_replay_levels`;
     `math.ulp(x)` equals `np.spacing(x)` for every finite x >= 0 below the
     largest float.
     """
     diag = np.asarray(diag, dtype=np.float64)
-    offsq = np.square(np.asarray(offdiag, dtype=np.float64))
-    n = targets.size
-    if diag.ndim == 1 and offsq.ndim == 1:
-        rows = [(diag.tolist(), offsq.tolist())] * n
-    else:
-        size = diag.shape[-1]
-        a = np.broadcast_to(diag, targets.shape + (size,)).reshape(n, size)
-        b = np.broadcast_to(offsq, targets.shape + (size - 1,)).reshape(n, size - 1)
-        rows = list(zip(a.tolist(), b.tolist()))
-    jobs = list(zip(rows, targets.ravel().tolist()))
+    offdiag = np.asarray(offdiag, dtype=np.float64)
+    if diag.ndim == 1 and offdiag.ndim == 1:
+        goals, index = targets.ravel().tolist(), None
+    else:  # the lanes: distinct (diag row, offdiag row, target) triples
+        diag_rows = diag.reshape(math.prod(diag.shape[:-1]), diag.shape[-1])
+        off_rows = offdiag.reshape(math.prod(offdiag.shape[:-1]), offdiag.shape[-1])
+        keys = zip(*(np.broadcast_to(k, targets.shape).ravel().tolist() for k in (
+            np.arange(len(diag_rows)).reshape(diag.shape[:-1]),
+            np.arange(len(off_rows)).reshape(offdiag.shape[:-1]),
+            targets,
+        )))
+        lane_of = {}
+        index = [lane_of.setdefault(key, len(lane_of)) for key in keys]
+        lanes = np.array(list(lane_of), dtype=np.int64).reshape(-1, 3)
+        diag = diag_rows[lanes[:, 0]] if diag.ndim > 1 else diag
+        offdiag = off_rows[lanes[:, 1]] if offdiag.ndim > 1 else offdiag
+        goals = lanes[:, 2].tolist()
+    n = len(goals)
+    floats = _native.kernel() is None or n * diag.shape[-1] <= _FLOAT_PIVOTS
+    if floats:  # per-lane lists for `_float_sweep`
+        offsq = np.square(offdiag)
+        if diag.ndim == 1 and offsq.ndim == 1:
+            a_rows, b_rows = [diag.tolist()] * n, [offsq.tolist()] * n
+        else:
+            a_rows, b_rows = (np.broadcast_to(x, (n,) + x.shape[-1:]).tolist() for x in (diag, offsq))
     los, his = [lo] * n, [hi] * n
     for _ in range(iters):
+        if not floats:
+            mids = np.array([0.5 * (x + y) for x, y in zip(los, his)])
+            counts = sturm_counts(diag, offdiag, mids).tolist()
         converged = True
-        for j, ((a, b), target) in enumerate(jobs):
+        for j in range(n):
             mid = 0.5 * (los[j] + his[j])
-            if _float_sweep(a, b, mid) >= target:
+            if floats:
+                count = _float_sweep(a_rows[j], b_rows[j], mid)
+            else:
+                count = counts[j]
+            if count >= goals[j]:
                 his[j] = mid
             else:
                 los[j] = mid
@@ -282,7 +362,10 @@ def _float_bisect(diag, offdiag, targets, lo, hi, tol, iters):
                 converged = False
         if converged:
             break
-    return np.array([0.5 * (x + y) for x, y in zip(los, his)]).reshape(targets.shape)
+    values = [0.5 * (x + y) for x, y in zip(los, his)]
+    if index is not None:
+        values = [values[j] for j in index]
+    return np.array(values).reshape(targets.shape)
 
 
 def _replay_levels(diag, offdiag, targets, lo, hi, tol, iters, levels):
@@ -375,6 +458,8 @@ def batched_eigenvalues_in(
     neither the stop test nor any value, and no row is copied per target.
     """
     _check_inputs(tol, lo=lo, hi=hi)
+    if not lo <= hi:
+        raise ValueError("need lo <= hi")
     diag2d = np.asarray(diag2d, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
     lo_e, hi_e = np.nextafter([lo, hi], np.inf)

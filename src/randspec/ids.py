@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _blocks
 from .eigensolve import sturm_counts
-from .operators import EnsembleSpec, coefficients, draw_width, omega_block
+from .operators import EnsembleSpec, draw_block, draw_width
 
 
 class OutsideGridError(ValueError):
@@ -123,8 +123,7 @@ class IdsTable:
 def _ids_block(args, block: int):
     spec, size, seed, grid, total, stream = args
     rows = _blocks.block_rows(total, draw_width(spec, size), block)
-    omega = omega_block(spec, size, seed, block, rows=rows, stream=stream)
-    diag, off = coefficients(spec, size, omega)
+    diag, off = draw_block(spec, size, seed, block, rows, stream)
     counts = sturm_counts(diag, off, grid[:, None])  # (grid, rows)
     return counts.sum(axis=1), (counts * counts).sum(axis=1)
 

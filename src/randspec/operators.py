@@ -477,6 +477,24 @@ def omega_block(
     return spec.law.transform(u)
 
 
+def draw_block(
+    spec: EnsembleSpec,
+    size: int,
+    seed: int,
+    block: int,
+    rows: int,
+    stream: int = _blocks.STREAM_PRIMARY,
+    post_affine: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, offdiag) of one RNG block's first `rows` draws; diag -> a + b *
+    diag when post_affine = (a, b) is given."""
+    diag, off = coefficients(spec, size, omega_block(spec, size, seed, block, rows, stream))
+    if post_affine is not None:
+        a, b = post_affine
+        diag = a + b * diag
+    return diag, off
+
+
 def make_draw(
     spec: EnsembleSpec,
     size: int,

@@ -27,13 +27,7 @@ import numpy as np
 from . import _blocks
 from .eigensolve import batched_eigenvalues_in, sturm_counts
 from .ids import IdsTable, estimate_ids
-from .operators import (
-    EnsembleSpec,
-    IntervalGraphFamily,
-    coefficients,
-    draw_width,
-    omega_block,
-)
+from .operators import EnsembleSpec, IntervalGraphFamily, draw_block, draw_width
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
@@ -228,19 +222,7 @@ def log_slope(widths, values) -> tuple[float, float, int]:
 
 
 # ---------------------------------------------------------------------------
-# block engine: draws, window counts and eigenvalue extraction
-
-
-def _draw_block(spec, size, seed, block, rows, stream=_blocks.STREAM_PRIMARY,
-                post_affine=None):
-    """(diag, offdiag) of one RNG block's draws; diag -> a + b * diag when
-    post_affine = (a, b) is given."""
-    omega = omega_block(spec, size, seed, block, rows, stream)
-    diag, off = coefficients(spec, size, omega)
-    if post_affine is not None:
-        a, b = post_affine
-        diag = a + b * diag
-    return diag, off
+# block engine: window counts and eigenvalue extraction
 
 
 @dataclass(frozen=True)
@@ -269,7 +251,7 @@ def _window_block(job: _WindowJob, block: int):
     streams = ((_blocks.STREAM_PRIMARY, job.windows[:split]),
                (_blocks.STREAM_SECONDARY, job.windows[split:]))
     counts = np.concatenate([
-        _counts_for(windows, *_draw_block(
+        _counts_for(windows, *draw_block(
             job.spec, job.size, job.seed, block, rows, stream, job.post_affine))
         for stream, windows in streams if windows
     ])
@@ -314,7 +296,7 @@ def _extract_block(spec, size, seed, total, e_lo, e_hi, block):
     """Eigenvalues in (e_lo, e_hi] of one block's draws, as (global draw
     index, value) arrays sorted by draw then value."""
     width = draw_width(spec, size)
-    diag, off = _draw_block(
+    diag, off = draw_block(
         spec, size, seed, block, _blocks.block_rows(total, width, block)
     )
     draws, values = batched_eigenvalues_in(diag, off, e_lo, e_hi)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_operator
+from randspec import _native
 from randspec import eigensolve as es
 from randspec import (
     TridiagonalOperator,
@@ -213,6 +214,8 @@ def test_bisection_equals_one_level_loop(seed, n, size, two_d, shared_off, tol):
     got = es._bisect_indices(diag, off, targets, lo, hi, tol)
     want = _one_level_bisection(diag, off, targets, lo, hi, tol)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with mock.patch.object(_native, "_kernel", None):  # the numpy fallback
+        assert es._bisect_indices(diag, off, targets, lo, hi, tol).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, levels", [(1, 1), (20, 1), (21, 3), (146, 3), (147, 1)])
@@ -224,11 +227,40 @@ def test_bisection_levels_per_sweep(n, levels):
         sweep.reset_mock()
         with mock.patch.object(es, "_float_sweep", wraps=es._float_sweep) as lane:
             es._bisect_indices(diag, off, targets, lo, hi, 0.0)
-    if n <= es._FLOAT_LANES:  # the plain-float loop: one lane sweep per target and level
+    if n <= es._FLOAT_TARGETS and (_native.kernel() is None or n * 40 <= es._FLOAT_PIVOTS):
+        # plain-float lanes: one lane sweep per target and level
         assert sweep.call_count == 0
         assert lane.call_count == n * one_level
     else:
+        assert lane.call_count == 0
         assert sweep.call_count == math.ceil(one_level / levels)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+def test_padded_copies_are_swept_once(compiled):
+    """Draws holding 10 and 1 targets pad the second draw with 9 copies of its
+    target: each level sweeps the 11 distinct lanes, as `_float_sweep` calls
+    without the kernel or as one 11-lane `sturm_counts` call with it."""
+    diag, off = _window_rows(3, [10, 1], True, 0.0)
+    lo, hi = np.nextafter([-3.5, 3.5], np.inf)
+    with mock.patch.object(es, "sturm_counts", wraps=es.sturm_counts) as sweep:
+        draws, values = batched_eigenvalues_in(diag, off, -3.5, 3.5, 0.0)
+        c_lo = es.sturm_counts(diag, off, lo)
+        padded = c_lo + 1 + np.minimum(np.arange(10)[:, None], [9, 0])
+        sweep.reset_mock()
+        _one_level_bisection(diag, off, padded, lo, hi, 0.0)
+        levels = sweep.call_count
+        sweep.reset_mock()
+        with mock.patch.object(es, "_float_sweep", wraps=es._float_sweep) as lane, \
+                mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+            es._bisect_indices(diag, off, padded, lo, hi, 0.0)
+    assert draws.tolist() == [0] * 10 + [1]
+    if compiled and _native.kernel() is not None:
+        assert lane.call_count == 0
+        assert [c.args[2].shape for c in sweep.call_args_list] == [(11,)] * levels
+    else:
+        assert sweep.call_count == 0
+        assert lane.call_count == 11 * levels
 
 
 def _gathered_extraction(diag2d, offdiag, lo, hi, tol, chunk=4096):
@@ -296,6 +328,8 @@ def test_batched_extraction_equals_gathered_rows(seed, counts, shared_off, cente
     assert np.bincount(draws, minlength=len(counts)).tolist() == counts
     assert draws.dtype == want_draws.dtype and np.array_equal(draws, want_draws)
     assert values.dtype == want_values.dtype and values.tobytes() == want_values.tobytes()
+    with mock.patch.object(_native, "_kernel", None):  # the numpy fallback
+        assert batched_eigenvalues_in(diag, off, lo, hi, tol)[1].tobytes() == values.tobytes()
 
 
 def test_batched_extraction_memory_is_bounded():
@@ -333,9 +367,15 @@ def test_batched_extraction_memory_is_bounded():
     pytest.param(lambda op: sturm_count(op, math.inf), "energy", id="sturm_count-inf"),
     pytest.param(lambda op: count_in_interval(op, math.nan, 1.0), "lo", id="count_in_interval-lo"),
     pytest.param(lambda op: count_in_interval(op, 0.0, math.nan), "hi", id="count_in_interval-hi"),
+    pytest.param(lambda op: batched_eigenvalues_in(op.diag[None], op.offdiag, 1.0, -1.0),
+                 "^need lo <= hi$", id="batched_eigenvalues_in-lo-above-hi"),
+    pytest.param(lambda op: sturm_counts(np.zeros(0), np.zeros(0), 0.0),
+                 "^diag needs at least one site", id="sturm_counts-no-site"),
 ])
 def test_scalar_entry_points_name_bad_input(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    # `name` is the input a "must be finite" error names, or a whole pattern
+    match = name if name.startswith("^") else f"^{name} must be finite"
+    with pytest.raises(ValueError, match=match):
         call(_free(6))
 
 

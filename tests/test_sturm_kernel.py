@@ -1,5 +1,7 @@
-"""Property tests of the Sturm sweep: both lane paths against each other and
-against dense LAPACK counts, on operators built to stress the pivot clamp."""
+"""Property tests of the Sturm sweep: the C kernel, the plain-float lanes and
+the site-major numpy sweep against each other and against dense LAPACK
+counts, on operators built to stress the pivot clamp. The numpy paths run
+with the kernel's handle patched to None."""
 
 from unittest import mock
 
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from randspec import _native, sturm_counts
 from randspec import eigensolve as es
-from randspec import sturm_counts
 
 _SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -32,35 +34,51 @@ def _adversarial(rng, shape, max_exp):
 
 
 def _by_path(diag, offdiag, shifts):
-    """(automatic, float-lane, site-major) counts of one call."""
-    auto = sturm_counts(diag, offdiag, shifts)
-    with mock.patch.object(es, "_FLOAT_LANES", 1 << 30):
-        floats = sturm_counts(diag, offdiag, shifts)
-    with mock.patch.object(es, "_FLOAT_LANES", 0):
-        site_major = sturm_counts(diag, offdiag, shifts)
+    """(C kernel, float-lane, site-major) counts of one call. Without a C
+    compiler the first is the automatic numpy fallback."""
+    compiled = sturm_counts(diag, offdiag, shifts)
+    with mock.patch.object(_native, "_kernel", None):
+        with mock.patch.object(es, "_FLOAT_LANES", 1 << 30):
+            floats = sturm_counts(diag, offdiag, shifts)
+        with mock.patch.object(es, "_FLOAT_LANES", 0):
+            site_major = sturm_counts(diag, offdiag, shifts)
     for counts in (floats, site_major):
-        assert counts.dtype == auto.dtype and counts.shape == auto.shape
-    return auto, floats, site_major
+        assert counts.dtype == compiled.dtype and counts.shape == compiled.shape
+    return compiled, floats, site_major
 
 
-@_SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), zero_diag=st.booleans())
-def test_paths_match_dense_counts(seed, size, zero_diag):
-    rng = np.random.default_rng(seed)
-    diag = np.zeros(size) if zero_diag else _adversarial(rng, size, 300)
-    off = _adversarial(rng, size - 1, 150)
+def _dense_counts(diag, off, shifts):
+    """Dense LAPACK counts of one row, and where they can be trusted."""
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eigs = np.linalg.eigvalsh(dense)
-    mids = 0.5 * (eigs[:-1] + eigs[1:])
-    shifts = np.concatenate([_adversarial(rng, 8, 300), mids, eigs, [0.0, -0.0]])
-    auto, floats, site_major = _by_path(diag, off, shifts)
-    assert np.array_equal(floats, site_major)
-    assert np.array_equal(auto, floats)
     # dense eigenvalues carry errors ~ eps * norm; compare where that cannot matter
     margin = 1e-8 * np.max(np.abs(eigs)) + 1e-280
     clear = np.min(np.abs(shifts[:, None] - eigs[None, :]), axis=1) > margin
-    expected = np.sum(eigs[None, :] < shifts[:, None], axis=1)
-    assert np.array_equal(auto[clear], expected[clear])
+    return np.sum(eigs[None, :] < shifts[:, None], axis=1), clear
+
+
+@_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), zero_diag=st.booleans(),
+       hopping=st.booleans())
+def test_paths_match_dense_counts(seed, size, zero_diag, hopping):
+    """C == float lanes == site-major == dense, one row or two rows with
+    couplings of their own (2-D offdiag)."""
+    rng = np.random.default_rng(seed)
+    rows = 2 if hopping else 1
+    diag = np.zeros((rows, size)) if zero_diag else _adversarial(rng, (rows, size), 300)
+    off = _adversarial(rng, (rows, size - 1), 150)
+    eigs = np.linalg.eigvalsh(np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1))
+    mids = 0.5 * (eigs[:-1] + eigs[1:])
+    shifts = np.concatenate([_adversarial(rng, 8, 300), mids, eigs, [0.0, -0.0]])
+    if not hopping:
+        diag, off = diag[0], off[0]
+    compiled, floats, site_major = _by_path(diag, off, shifts[:, None] if hopping else shifts)
+    assert np.array_equal(floats, site_major)
+    assert np.array_equal(compiled, site_major)
+    for row in range(rows):
+        got = compiled[:, row] if hopping else compiled
+        expected, clear = _dense_counts(np.atleast_2d(diag)[row], np.atleast_2d(off)[row], shifts)
+        assert np.array_equal(got[clear], expected[clear])
 
 
 @_SETTINGS
@@ -73,28 +91,31 @@ def test_paths_match_dense_counts(seed, size, zero_diag):
     tile_sites=st.integers(1, 6),
 )
 def test_paths_agree_across_lanes_and_tiles(seed, rows, n_shifts, size, hopping, tile_sites):
-    """Lane counts 1..96 straddle the crossover; tiles of 1-6 sites split L."""
+    """Lane counts 1..96 are whole and partial groups of the kernel's 8
+    interleaved lanes and straddle the fallback's float/numpy crossover;
+    tiles of 1-6 sites split L."""
     rng = np.random.default_rng(seed)
     diag = _adversarial(rng, (rows, size), 300)
     off = _adversarial(rng, (rows, size - 1) if hopping else (size - 1,), 150)
     shifts = _adversarial(rng, (n_shifts, 1), 300)
     with mock.patch.object(es, "_TILE_BYTES", 8 * rows * n_shifts * tile_sites):
-        auto, floats, site_major = _by_path(diag, off, shifts)
-    assert auto.shape == (n_shifts, rows)
-    assert np.array_equal(floats, site_major) and np.array_equal(auto, floats)
+        compiled, floats, site_major = _by_path(diag, off, shifts)
+    assert compiled.shape == (n_shifts, rows)
+    assert np.array_equal(floats, site_major) and np.array_equal(compiled, floats)
 
 
-@pytest.mark.parametrize("lanes", [es._FLOAT_LANES, es._FLOAT_LANES + 1, 64])
+@pytest.mark.parametrize("lanes", [20, 21, 64])
 def test_paths_agree_across_a_real_tile_boundary(lanes):
-    """The shipped constants, with L one tile of the narrowest site-major call
-    plus 100 sites; the zero-diagonal rows put a clamped pivot in every tile."""
-    size = es._TILE_BYTES // (8 * (es._FLOAT_LANES + 1)) + 100
+    """The shipped tile size, with L one tile of a 21-lane site-major call
+    plus 100 sites; the zero-diagonal rows put a clamped pivot in every tile.
+    21 lanes are 2 groups of 8 interleaved lanes and a partial one."""
+    size = es._TILE_BYTES // (8 * 21) + 100
     rng = np.random.default_rng(lanes)
     diag = rng.uniform(-2, 2, (lanes, size))
     diag[::3] = 0.0
     off = np.ones(size - 1)
-    auto, floats, site_major = _by_path(diag, off, 0.0)
-    assert np.array_equal(floats, site_major) and np.array_equal(auto, floats)
+    compiled, floats, site_major = _by_path(diag, off, 0.0)
+    assert np.array_equal(floats, site_major) and np.array_equal(compiled, floats)
 
 
 @pytest.mark.parametrize(
@@ -113,6 +134,9 @@ def test_paths_agree_across_a_real_tile_boundary(lanes):
         ([-1e-310, 0.0, -1.0], [1.0, 1.0], 0.0, 2),
         # NaN passes through the clamp and poisons the rest of the sweep
         ([1.0, np.nan, -5.0], [1.0, 1.0], 0.0, 0),
+        # the clamped first pivot -tiny, not -5e-301, makes the next one
+        # -1.5 + 1 = -0.5 rather than -1.5 + 2 = 0.5
+        ([-5e-301, -1.5], [1e-150], 0.0, 2),
     ],
 )
 def test_pinned_pivot_clamp(diag, off, shift, expected):
@@ -127,9 +151,33 @@ def test_offdiag_length_is_checked():
 
 @pytest.mark.parametrize("shifts", [np.nan, [0.0, np.nan, 1.0], np.r_[np.zeros(40), np.nan]])
 def test_nan_shift_is_rejected(shifts):
-    # a NaN shift makes every pivot of its lane NaN, which counts as no eigenvalue
+    # a NaN shift makes every pivot of its lane NaN, which counts as no
+    # eigenvalue; the 41-lane call is a site-major numpy call without the kernel
     with pytest.raises(ValueError, match="^shifts must not be NaN"):
         sturm_counts(np.zeros(5), np.ones(4), shifts)
+    with mock.patch.object(_native, "_kernel", None):
+        with pytest.raises(ValueError, match="^shifts must not be NaN"):
+            sturm_counts(np.zeros(5), np.ones(4), shifts)
+
+
+def test_one_site_rows():
+    """L = 1: no couplings, shared or per row; the count is a - s < 0."""
+    diag = np.array([[-1.0], [0.0], [-0.0], [-1e-310], [2.0]])
+    for off in (np.zeros(0), np.zeros((5, 0))):
+        for counts in _by_path(diag, off, 0.0):
+            assert counts.tolist() == [1, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 9, 13])
+def test_partial_lane_groups(lanes):
+    """Lane counts that are not a multiple of the 8 interleaved lanes: each
+    lane has its own count, so a count stored in another lane's slot shows.
+    Shift k sits between eigenvalues k and k + 1 of the free Laplacian."""
+    size = 16
+    eigs = 2.0 * np.cos(np.pi * np.arange(size, 0, -1) / (size + 1))
+    shifts = np.r_[eigs[0] - 1.0, 0.5 * (eigs[:-1] + eigs[1:])][:lanes]
+    for counts in _by_path(np.zeros(size), np.ones(size - 1), shifts):
+        assert counts.tolist() == list(range(lanes))
 
 
 def test_nan_lane_beside_tiny_pivot_is_reswept():
@@ -149,5 +197,12 @@ def test_every_pivot_negative_across_full_tiles():
     # above the spectrum every pivot is negative: a full tile's per-lane
     # count is its site count, which must not wrap in the tile's uint8 count
     size = 3 * 255 + 10
-    counts = sturm_counts(np.zeros((es._FLOAT_LANES + 1, size)), np.ones(size - 1), 3.0)
-    assert counts.tolist() == [size] * (es._FLOAT_LANES + 1)
+    for counts in _by_path(np.zeros((21, size)), np.ones(size - 1), 3.0):
+        assert counts.tolist() == [size] * 21
+
+
+def test_every_pivot_negative_on_a_long_row():
+    # 10^5 negative pivots: a count narrower than 32 bits would wrap
+    size = 10**5
+    for counts in _by_path(np.zeros(size), np.ones(size - 1), [3.0]):
+        assert counts.dtype == np.int64 and counts.tolist() == [size]
