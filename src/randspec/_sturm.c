@@ -10,32 +10,63 @@
    numpy sweep in eigensolve.py, in the same order, so both give the same
    counts; build without -ffast-math and with -ffp-contract=off.
 
-   WIDTH lanes run interleaved, so the divides of different lanes overlap; a
-   last partial group repeats its final lane and stores only the real ones. */
+   Two bodies compute the counts:
+
+   - sturm_counts_scalar runs SCALAR_WIDTH lanes interleaved, so the divides
+     of different lanes overlap. It builds for any target.
+   - sturm_counts_avx2 (x86-64 only) runs VEC_GROUPS vectors of VEC_WIDTH
+     doubles, 16 lanes, with one packed divide per vector and site. A packed
+     divide gives 4 quotients in about twice the time of one scalar divide,
+     which bounds the scalar body, so on the kernel shapes of perfbench it
+     takes about half the time per pivot. It does the same operations in the
+     same order; its clamp selects bits by the same comparisons instead of
+     branching, so its counts are those of the scalar body, bit for bit.
+
+   The exported sturm_counts calls the AVX2 body when the CPU reports AVX2
+   (__builtin_cpu_supports) and the scalar body otherwise, as on any other
+   architecture; sturm_counts_body names the one it calls. The build flags
+   stay portable (no -march=native): only the AVX2 body is compiled for
+   AVX2, through its target attribute. There is no AVX-512 body: 2 vectors
+   of 8 doubles timed 5-10% faster than AVX2 on the perfbench kernel rows
+   (a 2-core Xeon VM), too little for a second path to build and test.
+
+   A last partial lane group repeats its final lane and stores only the real
+   ones; in the AVX2 body a last group of at most 4 or 8 lanes runs as 1 or
+   2 vectors, so few-lane calls keep the latency of one short chain. */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define TINY 1e-300
-#define WIDTH 8
+#define SCALAR_WIDTH 8
+
+typedef int64_t (*sturm_body)(const double *, const double *, ptrdiff_t, const int64_t *,
+                              const int64_t *, const double *, ptrdiff_t, int64_t *);
+
+static int64_t nan_shifts(const double *shifts, ptrdiff_t lanes)
+{
+    int64_t n = 0;
+    for (ptrdiff_t l = 0; l < lanes; l++)
+        n += shifts[l] != shifts[l];
+    return n;
+}
 
 /* Returns the number of NaN shifts; when it is not 0 nothing is swept.
    drow or orow may be NULL: every lane then reads row 0. */
-int64_t sturm_counts(const double *diag, const double *off, ptrdiff_t size,
-                     const int64_t *drow, const int64_t *orow,
-                     const double *shifts, ptrdiff_t lanes, int64_t *counts)
+int64_t sturm_counts_scalar(const double *diag, const double *off, ptrdiff_t size,
+                            const int64_t *drow, const int64_t *orow,
+                            const double *shifts, ptrdiff_t lanes, int64_t *counts)
 {
-    int64_t nan_shifts = 0;
-    for (ptrdiff_t l = 0; l < lanes; l++)
-        nan_shifts += shifts[l] != shifts[l];
-    if (nan_shifts)
-        return nan_shifts;
-    for (ptrdiff_t l0 = 0; l0 < lanes; l0 += WIDTH) {
-        const double *a[WIDTH], *o[WIDTH];
-        double s[WIDTH], d[WIDTH];
-        int64_t c[WIDTH];
-        for (int j = 0; j < WIDTH; j++) {
+    int64_t nans = nan_shifts(shifts, lanes);
+    if (nans)
+        return nans;
+    for (ptrdiff_t l0 = 0; l0 < lanes; l0 += SCALAR_WIDTH) {
+        const double *a[SCALAR_WIDTH], *o[SCALAR_WIDTH];
+        double s[SCALAR_WIDTH], d[SCALAR_WIDTH];
+        int64_t c[SCALAR_WIDTH];
+        for (int j = 0; j < SCALAR_WIDTH; j++) {
             ptrdiff_t l = l0 + j < lanes ? l0 + j : lanes - 1;
             a[j] = diag + (drow ? drow[l] : 0) * size;
             o[j] = off + (orow ? orow[l] : 0) * (size - 1);
@@ -47,7 +78,7 @@ int64_t sturm_counts(const double *diag, const double *off, ptrdiff_t size,
         }
         for (ptrdiff_t k = 1; k < size; k++) {
 #pragma GCC unroll 8
-            for (int j = 0; j < WIDTH; j++) {
+            for (int j = 0; j < SCALAR_WIDTH; j++) {
                 double b = o[j][k - 1] * o[j][k - 1];
                 d[j] = (a[j][k] - s[j]) - b / d[j];
                 c[j] += d[j] < 0.0;
@@ -55,8 +86,146 @@ int64_t sturm_counts(const double *diag, const double *off, ptrdiff_t size,
                     d[j] = d[j] < 0.0 ? -TINY : TINY;
             }
         }
-        for (int j = 0; j < WIDTH && l0 + j < lanes; j++)
+        for (int j = 0; j < SCALAR_WIDTH && l0 + j < lanes; j++)
             counts[l0 + j] = c[j];
     }
     return 0;
+}
+
+#if defined(__x86_64__)
+
+#define VEC_WIDTH 4
+#define VEC_GROUPS 4
+#define VEC_LANES (VEC_WIDTH * VEC_GROUPS)
+
+typedef double vdouble __attribute__((vector_size(8 * VEC_WIDTH)));
+typedef int64_t vint __attribute__((vector_size(8 * VEC_WIDTH)));
+
+/* d clamped as in the scalar body, counting it in *c when negative. The
+   comparisons give all-ones lanes where true; |d| is d without its sign bit,
+   compared as a double, and the clamp value is TINY with d's sign when d is
+   negative. So -0.0 (not < 0) goes to +TINY and NaN (no compare true) passes
+   through. */
+__attribute__((target("avx2"))) static inline vdouble clamp_count(vdouble d, vint *c)
+{
+    const vint sign = (vint){0} + INT64_MIN;
+    const vdouble tiny = (vdouble){0} + TINY;
+    vint neg = d < 0.0;
+    *c -= neg;
+    vint bits = (vint)d;
+    vint small = (vdouble)(bits & ~sign) < tiny;
+    vint clamped = (vint)tiny | (neg & sign);
+    return (vdouble)((small & clamped) | (~small & bits));
+}
+
+/* The arguments of one call. */
+struct call {
+    const double *diag, *off;
+    ptrdiff_t size;
+    const int64_t *drow, *orow;
+    const double *shifts;
+    ptrdiff_t lanes;
+    int64_t *counts;
+};
+
+/* Counts of the lanes l0 .. l0 + groups * VEC_WIDTH - 1 of call x, lanes past
+   the last repeating it; only real lanes are stored. With shared_off every
+   lane reads coupling row 0, so one square per site serves them all. */
+__attribute__((target("avx2"), always_inline)) static inline void
+sweep_groups(const struct call *x, ptrdiff_t l0, const int groups, const int shared_off)
+{
+    const double *a[VEC_LANES], *o[VEC_LANES];
+    vdouble s[VEC_GROUPS], d[VEC_GROUPS];
+    vint c[VEC_GROUPS];
+    for (int j = 0; j < groups * VEC_WIDTH; j++) {
+        ptrdiff_t l = l0 + j < x->lanes ? l0 + j : x->lanes - 1;
+        a[j] = x->diag + (x->drow ? x->drow[l] : 0) * x->size;
+        o[j] = x->off + (x->orow ? x->orow[l] : 0) * (x->size - 1);
+        s[j / VEC_WIDTH][j % VEC_WIDTH] = x->shifts[l];
+    }
+    for (int g = 0; g < groups; g++) {
+        vdouble a0;
+        for (int i = 0; i < VEC_WIDTH; i++)
+            a0[i] = a[g * VEC_WIDTH + i][0];
+        c[g] = (vint){0};
+        d[g] = clamp_count(a0 - s[g], &c[g]);
+    }
+    for (ptrdiff_t k = 1; k < x->size; k++) {
+        vdouble shared_b = (vdouble){0} + o[0][k - 1] * o[0][k - 1];
+#pragma GCC unroll 4
+        for (int g = 0; g < groups; g++) {
+            vdouble ak, ok;
+#pragma GCC unroll 4
+            for (int i = 0; i < VEC_WIDTH; i++) {
+                ak[i] = a[g * VEC_WIDTH + i][k];
+                if (!shared_off)
+                    ok[i] = o[g * VEC_WIDTH + i][k - 1];
+            }
+            vdouble b = shared_off ? shared_b : ok * ok;
+            d[g] = clamp_count((ak - s[g]) - b / d[g], &c[g]);
+        }
+    }
+    int64_t all[VEC_LANES];
+    memcpy(all, c, groups * sizeof c[0]);
+    for (int j = 0; j < groups * VEC_WIDTH && l0 + j < x->lanes; j++)
+        x->counts[l0 + j] = all[j];
+}
+
+__attribute__((target("avx2"), always_inline)) static inline void
+sweep_rows(const struct call *x, ptrdiff_t l0, const int groups)
+{
+    if (x->orow == NULL)
+        sweep_groups(x, l0, groups, 1);
+    else
+        sweep_groups(x, l0, groups, 0);
+}
+
+/* Groups of VEC_LANES lanes; a last group of at most 4 or 8 lanes runs as
+   1 or 2 vectors, which cuts the latency of few-lane calls. */
+__attribute__((target("avx2")))
+int64_t sturm_counts_avx2(const double *diag, const double *off, ptrdiff_t size,
+                          const int64_t *drow, const int64_t *orow,
+                          const double *shifts, ptrdiff_t lanes, int64_t *counts)
+{
+    int64_t nans = nan_shifts(shifts, lanes);
+    if (nans)
+        return nans;
+    const struct call x = {diag, off, size, drow, orow, shifts, lanes, counts};
+    for (ptrdiff_t l0 = 0; l0 < lanes; l0 += VEC_LANES) {
+        if (lanes - l0 <= VEC_WIDTH)
+            sweep_rows(&x, l0, 1);
+        else if (lanes - l0 <= 2 * VEC_WIDTH)
+            sweep_rows(&x, l0, 2);
+        else
+            sweep_rows(&x, l0, VEC_GROUPS);
+    }
+    return 0;
+}
+
+static sturm_body pick(void)
+{
+    return __builtin_cpu_supports("avx2") ? sturm_counts_avx2 : sturm_counts_scalar;
+}
+
+#else
+
+static sturm_body pick(void)
+{
+    return sturm_counts_scalar;
+}
+
+#endif
+
+/* The counts of sturm_counts_scalar, from the fastest body this CPU runs. */
+int64_t sturm_counts(const double *diag, const double *off, ptrdiff_t size,
+                     const int64_t *drow, const int64_t *orow,
+                     const double *shifts, ptrdiff_t lanes, int64_t *counts)
+{
+    return pick()(diag, off, size, drow, orow, shifts, lanes, counts);
+}
+
+/* "avx2" or "scalar": the body sturm_counts calls on this CPU. */
+const char *sturm_counts_body(void)
+{
+    return pick() == sturm_counts_scalar ? "scalar" : "avx2";
 }

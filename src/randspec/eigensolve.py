@@ -40,9 +40,10 @@ _TILE_BYTES = 1 << 18
 
 # Bisections with at most this many targets keep their brackets in plain
 # floats (`_float_bisect`), one level per sweep; numpy's per-level
-# bookkeeping costs more there. With the C kernel, the float loop is faster
-# than `_replay_levels` up to 32-48 targets at L = 30 and up to at least 64
-# at L >= 1000 (the VM above).
+# bookkeeping costs more there. With the C kernel `_replay_levels` also
+# sweeps one level at a time. On the VM above the float loop is then faster
+# up to at least 30 targets at L = 30 and 1.2-1.6x faster up to 20 targets
+# at L = 1000-10^4; from 32 targets on the two are within 5%.
 _FLOAT_TARGETS = 20
 
 # A bisection level of at most this many pivots (lanes x L) sweeps its lanes
@@ -50,12 +51,12 @@ _FLOAT_TARGETS = 20
 # above the loop is faster up to 48 pivots and the call from 64.
 _FLOAT_PIVOTS = 48
 
-# Bisection levels one sweep resolves when a call has more targets, and the
-# lane budget of such a sweep. The numpy sweep costs about the same per site
-# step at 21 lanes as at 1024, so evaluating all 2^m - 1 midpoints of the
-# next m levels at once cuts the sweep count by about m. The C sweep costs
-# in proportion to its lanes, so there it sweeps 7/3 of the pivots per level
-# that one level per sweep would.
+# Bisection levels one sweep resolves when a call has more targets and no C
+# kernel, and the lane budget of such a sweep. The numpy sweep costs about
+# the same per site step at 21 lanes as at 1024, so evaluating all 2^m - 1
+# midpoints of the next m levels at once cuts the sweep count by about m.
+# The C sweep costs in proportion to its lanes, so with it every sweep
+# resolves one level: m levels would sweep (2^m - 1)/m times the pivots.
 _REPLAY_LEVELS = 3
 _REPLAY_LANES = 1024
 
@@ -75,7 +76,8 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     no eigenvalue.
 
     The sweep is the C loop of `_sturm.c` when its library loads (see
-    `_native`). Otherwise up to `_FLOAT_LANES` lanes run as plain-float
+    `_native`): its AVX2 body on a CPU with AVX2, its scalar body on any
+    other. Otherwise up to `_FLOAT_LANES` lanes run as plain-float
     loops and wider batches as one site-major numpy sweep. All three do the
     same IEEE operations in the same order, so the counts do not depend on
     the path.
@@ -286,9 +288,9 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
 
     The path follows from the target count n: up to `_FLOAT_TARGETS` targets
     run one loop with plain-float bookkeeping (`_float_bisect`); above, every
-    sweep resolves m levels (`_replay_levels`), m = `_REPLAY_LEVELS` while
-    (2^m - 1) n <= `_REPLAY_LANES` and m = 1 beyond. All paths give the bits
-    of one level per sweep.
+    sweep resolves m levels (`_replay_levels`): m = 1 with the C kernel;
+    without it m = `_REPLAY_LEVELS` while (2^m - 1) n <= `_REPLAY_LANES` and
+    m = 1 beyond. All paths give the bits of one level per sweep.
     """
     targets = np.asarray(targets, dtype=np.int64)
     lo, hi = float(lo), float(hi)
@@ -298,7 +300,9 @@ def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
     iters = max(1, int(np.ceil(np.log2(max(width / tol_eff, 2.0)))) + 1)
     if targets.size <= _FLOAT_TARGETS:
         return _float_bisect(diag, offsq_offdiag, targets, lo, hi, tol, iters)
-    levels = _REPLAY_LEVELS if (2**_REPLAY_LEVELS - 1) * targets.size <= _REPLAY_LANES else 1
+    levels = 1
+    if _native.kernel() is None and (2**_REPLAY_LEVELS - 1) * targets.size <= _REPLAY_LANES:
+        levels = _REPLAY_LEVELS
     lo = np.full(targets.shape, lo)
     hi = np.full(targets.shape, hi)
     return _replay_levels(diag, offsq_offdiag, targets, lo, hi, tol, iters, levels)
@@ -400,6 +404,31 @@ def _replay_levels(diag, offdiag, targets, lo, hi, tol, iters, levels):
     return 0.5 * (lo + hi)
 
 
+def _bisection_bracket(diag, offdiag, lo, hi):
+    """The window (lo, hi] narrowed to a margin around these rows' spectra.
+
+    The rows' eigenvalues lie in [g_lo, g_hi] = [min diag - 2 max |offdiag|,
+    max diag + 2 max |offdiag|], which holds every row's Gershgorin
+    interval. A window end more than m = max(1, |g_lo|, |g_hi|) beyond it
+    moves to that distance: no eigenvalue lies outside, so the end counts
+    as before, and a huge window no longer sets the bisection's iteration
+    count and stop test. Tolerances are absolute, so the margin m >= 1
+    costs little, and windows within it (such as Gershgorin +- 1) keep
+    their bits. Raises ValueError when the bracket is not finite."""
+    lo, hi = float(lo), float(hi)
+    reach = 2.0 * float(np.max(np.abs(offdiag), initial=0.0))
+    g_lo, g_hi = float(np.min(diag)) - reach, float(np.max(diag)) + reach
+    margin = max(1.0, abs(g_lo), abs(g_hi))
+    lo = g_lo - margin if lo < g_lo - margin else lo  # False with NaN entries
+    hi = g_hi + margin if hi > g_hi + margin else hi
+    if not math.isfinite(hi - lo):
+        raise ValueError(
+            f"bisection bracket ({lo}, {hi}] is not finite: the window and the "
+            "Gershgorin bound of the operator's entries overflow"
+        )
+    return lo, hi
+
+
 def _check_inputs(tol=0.0, **values):
     """ValueError naming the first non-finite value, or a tol that is not >= 0."""
     for name, x in values.items():
@@ -420,7 +449,8 @@ def eigenvalues_in(
 
     Counting-indexed bisection: multiplicities are resolved exactly (a k-fold
     eigenvalue appears k times). Refuses windows holding more than
-    `max_window_eigs` eigenvalues.
+    `max_window_eigs` eigenvalues. Bisection runs in the window narrowed to
+    a margin around the operator's Gershgorin interval (`_bisection_bracket`).
     """
     _check_inputs(tol, lo=lo, hi=hi)
     if not lo <= hi:
@@ -436,7 +466,8 @@ def eigenvalues_in(
             f"{max_window_eigs}; shrink the window or raise the cap"
         )
     targets = np.arange(int(c[0]) + 1, int(c[1]) + 1)
-    vals = _bisect_indices(op.diag, op.offdiag, targets, lo_e, hi_e, tol)
+    lo_b, hi_b = _bisection_bracket(op.diag, op.offdiag, lo_e, hi_e)
+    vals = _bisect_indices(op.diag, op.offdiag, targets, lo_b, hi_b, tol)
     return np.sort(vals)
 
 
@@ -456,18 +487,24 @@ def batched_eigenvalues_in(
     array over the draws that hold any, each draw's slots padded with copies
     of its own last target. A copy is an identical lane, so it changes
     neither the stop test nor any value, and no row is copied per target.
+    The bracket is the window narrowed to a margin around the batch's
+    Gershgorin interval (`_bisection_bracket`).
     """
     _check_inputs(tol, lo=lo, hi=hi)
     if not lo <= hi:
         raise ValueError("need lo <= hi")
     diag2d = np.asarray(diag2d, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
+    if diag2d.ndim != 2:
+        raise ValueError(f"diag2d must be 2-D (batch, L), got shape {diag2d.shape}")
     lo_e, hi_e = np.nextafter([lo, hi], np.inf)
     c_lo = sturm_counts(diag2d, offdiag, lo_e)
     c_hi = sturm_counts(diag2d, offdiag, hi_e)
     per_draw = (c_hi - c_lo).astype(np.int64)
     draws = np.repeat(np.arange(diag2d.shape[0]), per_draw)
     held = per_draw > 0
+    if held.any():
+        lo_e, hi_e = _bisection_bracket(diag2d, offdiag, lo_e, hi_e)
     if not held.all():  # a row subset of the batch
         diag2d = diag2d[held]
         offdiag = offdiag if offdiag.ndim == 1 else offdiag[held]

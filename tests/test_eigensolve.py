@@ -220,6 +220,10 @@ def test_bisection_equals_one_level_loop(seed, n, size, two_d, shared_off, tol):
 
 @pytest.mark.parametrize("n, levels", [(1, 1), (20, 1), (21, 3), (146, 3), (147, 1)])
 def test_bisection_levels_per_sweep(n, levels):
+    """`levels` is the replay depth of the numpy fallback; the C kernel's
+    cost grows with its lanes, so with it every sweep resolves one level."""
+    if _native.kernel() is not None:
+        levels = 1
     diag, off, targets, lo, hi = _bisection_case(7, n, 40, False, True)
     with mock.patch.object(es, "sturm_counts", wraps=es.sturm_counts) as sweep:
         _one_level_bisection(diag, off, targets, lo, hi, 0.0)
@@ -265,11 +269,13 @@ def test_padded_copies_are_swept_once(compiled):
 
 def _gathered_extraction(diag2d, offdiag, lo, hi, tol, chunk=4096):
     """Reference: batched extraction on a per-target copy of each target's
-    row, bisected in chunks of `chunk` targets."""
+    row, bisected in chunks of `chunk` targets within the batch's bracket."""
     lo_e, hi_e = np.nextafter([lo, hi], np.inf)
     c_lo = sturm_counts(diag2d, offdiag, lo_e)
     c_hi = sturm_counts(diag2d, offdiag, hi_e)
     per_draw = (c_hi - c_lo).astype(np.int64)
+    if per_draw.any():
+        lo_e, hi_e = es._bisection_bracket(diag2d, offdiag, lo_e, hi_e)
     draws = np.repeat(np.arange(diag2d.shape[0]), per_draw)
     targets = np.concatenate(
         [np.arange(a + 1, b + 1) for a, b in zip(c_lo, c_hi) if b > a]
@@ -349,6 +355,44 @@ def test_batched_extraction_memory_is_bounded():
     assert peak < diag.nbytes + allowance
 
 
+_SKEWED = TridiagonalOperator(np.array([0.5, -0.2, 0.1]), np.ones(2))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-1e308, 0.0), (-1e308, 1e308), (0.0, 1e308), (-1e300, -1.0), (-2.5, 2.5),
+])
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+def test_extraction_windows_far_beyond_the_spectrum(lo, hi, compiled):
+    """Bisection runs within a margin of the rows' Gershgorin interval, so a
+    window end at +-1e308 neither sizes the stop test (which located -1.396
+    at -1.1e292) nor overflows the bracket width."""
+    dense = np.linalg.eigvalsh(_SKEWED.to_dense())
+    want = dense[(dense > lo) & (dense <= hi)]
+    with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+        got = eigenvalues_in(_SKEWED, lo, hi)
+        draws, values = batched_eigenvalues_in(np.stack([_SKEWED.diag] * 2), _SKEWED.offdiag, lo, hi)
+    assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    assert draws.tolist() == [0] * want.size + [1] * want.size
+    assert np.max(np.abs(values - np.tile(want, 2)), initial=0.0) <= 1e-10
+
+
+def test_windows_inside_the_spectrum_keep_their_bracket():
+    """The rows' eigenvalues lie in [min diag - 2 max |offdiag|, max diag +
+    2 max |offdiag|] = [-2.2, 2.5]; a window within 2.5 of it bisects from
+    its own ends, a wider one from 2.5 beyond it."""
+    lo, hi = np.nextafter([-4.7, 5.0], [np.inf, -np.inf])
+    assert es._bisection_bracket(_SKEWED.diag, _SKEWED.offdiag, lo, hi) == (lo, hi)
+    assert es._bisection_bracket(_SKEWED.diag, _SKEWED.offdiag, -1e308, 1e308) == (-4.7, 5.0)
+
+
+def test_bracket_that_overflows_is_named():
+    op = TridiagonalOperator(np.array([1e308, -1e308]), np.zeros(1))
+    with pytest.raises(ValueError, match="^bisection bracket .* is not finite"):
+        eigenvalues_in(op, -1e308, 1e308)
+    with pytest.raises(ValueError, match="^bisection bracket .* is not finite"):
+        batched_eigenvalues_in(op.diag[None], op.offdiag, -1e308, 1e308)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda op: nearest_eigenvalue_distance(op, math.nan), "energy"),
     (lambda op: nearest_eigenvalue_distance(op, math.inf), "energy"),
@@ -371,6 +415,9 @@ def test_batched_extraction_memory_is_bounded():
                  "^need lo <= hi$", id="batched_eigenvalues_in-lo-above-hi"),
     pytest.param(lambda op: sturm_counts(np.zeros(0), np.zeros(0), 0.0),
                  "^diag needs at least one site", id="sturm_counts-no-site"),
+    pytest.param(lambda op: batched_eigenvalues_in(op.diag, op.offdiag, -1.0, 1.0),
+                 r"^diag2d must be 2-D \(batch, L\), got shape \(6,\)",
+                 id="batched_eigenvalues_in-1d-diag2d"),
 ])
 def test_scalar_entry_points_name_bad_input(call, name):
     # `name` is the input a "must be finite" error names, or a whole pattern

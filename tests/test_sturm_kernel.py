@@ -1,8 +1,11 @@
-"""Property tests of the Sturm sweep: the C kernel, the plain-float lanes and
-the site-major numpy sweep against each other and against dense LAPACK
-counts, on operators built to stress the pivot clamp. The numpy paths run
-with the kernel's handle patched to None."""
+"""Property tests of the Sturm sweep: the C kernel (as dispatched, and each
+of its bodies this host runs), the plain-float lanes and the site-major numpy
+sweep against each other and against dense LAPACK counts, on operators built
+to stress the pivot clamp. The other paths run with the kernel's handle
+patched to a body, or to None for numpy."""
 
+import platform
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,18 +36,54 @@ def _adversarial(rng, shape, max_exp):
     return np.choose(pick, [special, integer, scaled])
 
 
+def _cpu_flags():
+    """The CPU flags /proc/cpuinfo lists; empty where there is no such file."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.partition(":")[2].split())
+    return set()
+
+
+def _host_bodies():
+    """The kernel bodies this host runs, by name: the scalar loop, and the
+    AVX2 loop on an x86-64 CPU that lists avx2. Empty without the library."""
+    names = ["scalar"]
+    if platform.machine().lower() in ("x86_64", "amd64") and "avx2" in _cpu_flags():
+        names.append("avx2")
+    bodies = {name: _native.export(f"sturm_counts_{name}") for name in names}
+    return {name: fn for name, fn in bodies.items() if fn is not None}
+
+
+_BODIES = _host_bodies()
+
+
 def _by_path(diag, offdiag, shifts):
-    """(C kernel, float-lane, site-major) counts of one call. Without a C
+    """Counts of one call by path: the dispatched C kernel, each body the
+    host runs, the float lanes and the site-major sweep. Without a C
     compiler the first is the automatic numpy fallback."""
-    compiled = sturm_counts(diag, offdiag, shifts)
+    paths = {"compiled": sturm_counts(diag, offdiag, shifts)}
+    for name, body in _BODIES.items():
+        with mock.patch.object(_native, "_kernel", body):
+            paths[name] = sturm_counts(diag, offdiag, shifts)
     with mock.patch.object(_native, "_kernel", None):
         with mock.patch.object(es, "_FLOAT_LANES", 1 << 30):
-            floats = sturm_counts(diag, offdiag, shifts)
+            paths["floats"] = sturm_counts(diag, offdiag, shifts)
         with mock.patch.object(es, "_FLOAT_LANES", 0):
-            site_major = sturm_counts(diag, offdiag, shifts)
-    for counts in (floats, site_major):
-        assert counts.dtype == compiled.dtype and counts.shape == compiled.shape
-    return compiled, floats, site_major
+            paths["site_major"] = sturm_counts(diag, offdiag, shifts)
+    return paths
+
+
+def _agreed(paths):
+    """The counts every path gave; fails naming a path that differs."""
+    counts = paths["site_major"]
+    for name, got in paths.items():
+        assert got.dtype == counts.dtype and got.shape == counts.shape, name
+        assert np.array_equal(got, counts), name
+    return counts
 
 
 def _dense_counts(diag, off, shifts):
@@ -61,8 +100,8 @@ def _dense_counts(diag, off, shifts):
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), zero_diag=st.booleans(),
        hopping=st.booleans())
 def test_paths_match_dense_counts(seed, size, zero_diag, hopping):
-    """C == float lanes == site-major == dense, one row or two rows with
-    couplings of their own (2-D offdiag)."""
+    """Every C body == float lanes == site-major == dense, one row or two
+    rows with couplings of their own (2-D offdiag)."""
     rng = np.random.default_rng(seed)
     rows = 2 if hopping else 1
     diag = np.zeros((rows, size)) if zero_diag else _adversarial(rng, (rows, size), 300)
@@ -72,9 +111,7 @@ def test_paths_match_dense_counts(seed, size, zero_diag, hopping):
     shifts = np.concatenate([_adversarial(rng, 8, 300), mids, eigs, [0.0, -0.0]])
     if not hopping:
         diag, off = diag[0], off[0]
-    compiled, floats, site_major = _by_path(diag, off, shifts[:, None] if hopping else shifts)
-    assert np.array_equal(floats, site_major)
-    assert np.array_equal(compiled, site_major)
+    compiled = _agreed(_by_path(diag, off, shifts[:, None] if hopping else shifts))
     for row in range(rows):
         got = compiled[:, row] if hopping else compiled
         expected, clear = _dense_counts(np.atleast_2d(diag)[row], np.atleast_2d(off)[row], shifts)
@@ -91,17 +128,17 @@ def test_paths_match_dense_counts(seed, size, zero_diag, hopping):
     tile_sites=st.integers(1, 6),
 )
 def test_paths_agree_across_lanes_and_tiles(seed, rows, n_shifts, size, hopping, tile_sites):
-    """Lane counts 1..96 are whole and partial groups of the kernel's 8
-    interleaved lanes and straddle the fallback's float/numpy crossover;
-    tiles of 1-6 sites split L."""
+    """Lane counts 1..96 are whole and partial groups of the scalar body's 8
+    interleaved lanes and of the AVX2 body's 16 (4 vectors of 4), and
+    straddle the fallback's float/numpy crossover; tiles of 1-6 sites
+    split L."""
     rng = np.random.default_rng(seed)
     diag = _adversarial(rng, (rows, size), 300)
     off = _adversarial(rng, (rows, size - 1) if hopping else (size - 1,), 150)
     shifts = _adversarial(rng, (n_shifts, 1), 300)
     with mock.patch.object(es, "_TILE_BYTES", 8 * rows * n_shifts * tile_sites):
-        compiled, floats, site_major = _by_path(diag, off, shifts)
-    assert compiled.shape == (n_shifts, rows)
-    assert np.array_equal(floats, site_major) and np.array_equal(compiled, floats)
+        counts = _agreed(_by_path(diag, off, shifts))
+    assert counts.shape == (n_shifts, rows)
 
 
 @pytest.mark.parametrize("lanes", [20, 21, 64])
@@ -114,8 +151,7 @@ def test_paths_agree_across_a_real_tile_boundary(lanes):
     diag = rng.uniform(-2, 2, (lanes, size))
     diag[::3] = 0.0
     off = np.ones(size - 1)
-    compiled, floats, site_major = _by_path(diag, off, 0.0)
-    assert np.array_equal(floats, site_major) and np.array_equal(compiled, floats)
+    _agreed(_by_path(diag, off, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -140,8 +176,8 @@ def test_paths_agree_across_a_real_tile_boundary(lanes):
     ],
 )
 def test_pinned_pivot_clamp(diag, off, shift, expected):
-    for counts in _by_path(np.array(diag), np.array(off), np.array([shift])):
-        assert counts.tolist() == [expected]
+    for name, counts in _by_path(np.array(diag), np.array(off), np.array([shift])).items():
+        assert counts.tolist() == [expected], name
 
 
 def test_offdiag_length_is_checked():
@@ -155,29 +191,33 @@ def test_nan_shift_is_rejected(shifts):
     # eigenvalue; the 41-lane call is a site-major numpy call without the kernel
     with pytest.raises(ValueError, match="^shifts must not be NaN"):
         sturm_counts(np.zeros(5), np.ones(4), shifts)
-    with mock.patch.object(_native, "_kernel", None):
-        with pytest.raises(ValueError, match="^shifts must not be NaN"):
-            sturm_counts(np.zeros(5), np.ones(4), shifts)
+    for body in [*_BODIES.values(), None]:
+        with mock.patch.object(_native, "_kernel", body):
+            with pytest.raises(ValueError, match="^shifts must not be NaN"):
+                sturm_counts(np.zeros(5), np.ones(4), shifts)
 
 
 def test_one_site_rows():
     """L = 1: no couplings, shared or per row; the count is a - s < 0."""
     diag = np.array([[-1.0], [0.0], [-0.0], [-1e-310], [2.0]])
     for off in (np.zeros(0), np.zeros((5, 0))):
-        for counts in _by_path(diag, off, 0.0):
-            assert counts.tolist() == [1, 0, 0, 1, 0]
+        assert _agreed(_by_path(diag, off, 0.0)).tolist() == [1, 0, 0, 1, 0]
 
 
-@pytest.mark.parametrize("lanes", [1, 7, 9, 13])
+@pytest.mark.parametrize("lanes", [1, 3, 5, 7, 9, 13, 15, 16, 17, 33])
 def test_partial_lane_groups(lanes):
-    """Lane counts that are not a multiple of the 8 interleaved lanes: each
+    """Lane counts that are not a multiple of the scalar body's 8 lanes or
+    of the AVX2 body's 16 (whose last group runs as 1, 2 or 4 vectors): each
     lane has its own count, so a count stored in another lane's slot shows.
-    Shift k sits between eigenvalues k and k + 1 of the free Laplacian."""
-    size = 16
+    Shift k sits between eigenvalues k and k + 1 of the free Laplacian,
+    shared by every lane or copied into a diagonal and coupling row per lane."""
+    size = 40
     eigs = 2.0 * np.cos(np.pi * np.arange(size, 0, -1) / (size + 1))
     shifts = np.r_[eigs[0] - 1.0, 0.5 * (eigs[:-1] + eigs[1:])][:lanes]
-    for counts in _by_path(np.zeros(size), np.ones(size - 1), shifts):
-        assert counts.tolist() == list(range(lanes))
+    for diag, off in [(np.zeros(size), np.ones(size - 1)),
+                      (np.zeros((lanes, size)), np.ones((lanes, size - 1)))]:
+        for name, counts in _by_path(diag, off, shifts).items():
+            assert counts.tolist() == list(range(lanes)), name
 
 
 def test_nan_lane_beside_tiny_pivot_is_reswept():
@@ -189,20 +229,26 @@ def test_nan_lane_beside_tiny_pivot_is_reswept():
     diag = np.tile([2.0, 3.0, 4.0], (lanes, 1))
     diag[0, 0] = np.nan
     diag[1] = [0.0, -1.0, -1.0]
-    for counts in _by_path(diag, np.zeros(2), 0.0):
-        assert counts.tolist() == [0, 2] + [0] * (lanes - 2)
+    assert _agreed(_by_path(diag, np.zeros(2), 0.0)).tolist() == [0, 2] + [0] * (lanes - 2)
 
 
 def test_every_pivot_negative_across_full_tiles():
     # above the spectrum every pivot is negative: a full tile's per-lane
     # count is its site count, which must not wrap in the tile's uint8 count
     size = 3 * 255 + 10
-    for counts in _by_path(np.zeros((21, size)), np.ones(size - 1), 3.0):
-        assert counts.tolist() == [size] * 21
+    assert _agreed(_by_path(np.zeros((21, size)), np.ones(size - 1), 3.0)).tolist() == [size] * 21
 
 
 def test_every_pivot_negative_on_a_long_row():
     # 10^5 negative pivots: a count narrower than 32 bits would wrap
     size = 10**5
-    for counts in _by_path(np.zeros(size), np.ones(size - 1), [3.0]):
-        assert counts.dtype == np.int64 and counts.tolist() == [size]
+    counts = _agreed(_by_path(np.zeros(size), np.ones(size - 1), [3.0]))
+    assert counts.dtype == np.int64 and counts.tolist() == [size]
+
+
+def test_dispatch_picks_avx2_where_the_cpu_lists_it():
+    """The library's sturm_counts runs the AVX2 body on an x86-64 CPU whose
+    /proc/cpuinfo lists avx2, and the scalar body elsewhere."""
+    if _native.kernel() is None:
+        pytest.skip("no compiled kernel")
+    assert _native.body() == ("avx2" if "avx2" in _BODIES else "scalar")
