@@ -15,7 +15,6 @@ from .eigensolve import (
     dense_spectrum,
     eigenvalues_in,
     eigenvector,
-    envelope_decay_rate,
     localization_center,
     nearest_eigenvalue_distance,
     sturm_count,
@@ -46,7 +45,6 @@ from .operators import (
     assemble,
     coefficients,
     draw_width,
-    energy_family_potential,
     make_draw,
     truncate_alloy,
 )
@@ -74,11 +72,8 @@ from .pruefer import (
     PrueferTrace,
     SplitResult,
     WronskianResult,
-    analytic_hessian,
-    angle_gap_amplification,
     consecutive_sine_floor,
     hellmann_feynman_check,
-    hessian_bound_probe,
     pruefer_trace,
     split_box_search,
     wronskian_sequence,

@@ -32,8 +32,17 @@
 
    A last partial lane group repeats its final lane and stores only the real
    ones; in the AVX2 body a last group of at most 4 or 8 lanes runs as 1 or
-   2 vectors, so few-lane calls keep the latency of one short chain. */
+   2 vectors, so few-lane calls keep the latency of one short chain.
 
+   A coupling above sqrt(DBL_MAX) squares to inf, which makes the counts
+   wrong; a call meeting one returns -1. The scalar body scans the coupling
+   rows the lanes read before it sweeps. The AVX2 body scans a shared row
+   the same way, but tests row couplings as it squares them: a scan reads
+   every row once more, which cost up to 2x at one shift per row, while the
+   test costs 4-6% there; in the sweep of a shared row it cost 9% (A/B runs
+   against the unchecked library on a 2-core Xeon VM). */
+
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -53,7 +62,21 @@ static int64_t nan_shifts(const double *shifts, ptrdiff_t lanes)
     return n;
 }
 
-/* Returns the number of NaN shifts; when it is not 0 nothing is swept.
+/* Whether a coupling of rows 0 .. max(orow) squares to inf. */
+static int coupling_overflow(const double *off, ptrdiff_t size, const int64_t *orow,
+                             ptrdiff_t lanes)
+{
+    int64_t rows = 1;
+    for (ptrdiff_t l = 0; orow && l < lanes; l++)
+        rows = orow[l] >= rows ? orow[l] + 1 : rows;
+    int over = 0;
+    for (ptrdiff_t i = 0; i < rows * (size - 1); i++)
+        over |= off[i] * off[i] > DBL_MAX;
+    return over;
+}
+
+/* Returns the number of NaN shifts, and then sweeps nothing; else -1 when a
+   coupling squares to inf, and then the counts are not to be used; else 0.
    drow or orow may be NULL: every lane then reads row 0. */
 int64_t sturm_counts_scalar(const double *diag, const double *off, ptrdiff_t size,
                             const int64_t *drow, const int64_t *orow,
@@ -62,6 +85,8 @@ int64_t sturm_counts_scalar(const double *diag, const double *off, ptrdiff_t siz
     int64_t nans = nan_shifts(shifts, lanes);
     if (nans)
         return nans;
+    if (coupling_overflow(off, size, orow, lanes))
+        return -1;
     for (ptrdiff_t l0 = 0; l0 < lanes; l0 += SCALAR_WIDTH) {
         const double *a[SCALAR_WIDTH], *o[SCALAR_WIDTH];
         double s[SCALAR_WIDTH], d[SCALAR_WIDTH];
@@ -130,10 +155,14 @@ struct call {
 
 /* Counts of the lanes l0 .. l0 + groups * VEC_WIDTH - 1 of call x, lanes past
    the last repeating it; only real lanes are stored. With shared_off every
-   lane reads coupling row 0, so one square per site serves them all. */
+   lane reads coupling row 0, so one square per site serves them all;
+   otherwise *overflow is set when a square is inf. */
 __attribute__((target("avx2"), always_inline)) static inline void
-sweep_groups(const struct call *x, ptrdiff_t l0, const int groups, const int shared_off)
+sweep_groups(const struct call *x, ptrdiff_t l0, const int groups, const int shared_off,
+             int *overflow)
 {
+    const vdouble big = (vdouble){0} + DBL_MAX;
+    vint over = (vint){0};
     const double *a[VEC_LANES], *o[VEC_LANES];
     vdouble s[VEC_GROUPS], d[VEC_GROUPS];
     vint c[VEC_GROUPS];
@@ -162,6 +191,8 @@ sweep_groups(const struct call *x, ptrdiff_t l0, const int groups, const int sha
                     ok[i] = o[g * VEC_WIDTH + i][k - 1];
             }
             vdouble b = shared_off ? shared_b : ok * ok;
+            if (!shared_off)
+                over |= b > big;
             d[g] = clamp_count((ak - s[g]) - b / d[g], &c[g]);
         }
     }
@@ -169,15 +200,17 @@ sweep_groups(const struct call *x, ptrdiff_t l0, const int groups, const int sha
     memcpy(all, c, groups * sizeof c[0]);
     for (int j = 0; j < groups * VEC_WIDTH && l0 + j < x->lanes; j++)
         x->counts[l0 + j] = all[j];
+    if (!shared_off)
+        *overflow |= (over[0] | over[1] | over[2] | over[3]) != 0;
 }
 
 __attribute__((target("avx2"), always_inline)) static inline void
-sweep_rows(const struct call *x, ptrdiff_t l0, const int groups)
+sweep_rows(const struct call *x, ptrdiff_t l0, const int groups, int *overflow)
 {
     if (x->orow == NULL)
-        sweep_groups(x, l0, groups, 1);
+        sweep_groups(x, l0, groups, 1, overflow);
     else
-        sweep_groups(x, l0, groups, 0);
+        sweep_groups(x, l0, groups, 0, overflow);
 }
 
 /* Groups of VEC_LANES lanes; a last group of at most 4 or 8 lanes runs as
@@ -190,16 +223,19 @@ int64_t sturm_counts_avx2(const double *diag, const double *off, ptrdiff_t size,
     int64_t nans = nan_shifts(shifts, lanes);
     if (nans)
         return nans;
+    if (orow == NULL && coupling_overflow(off, size, NULL, lanes))
+        return -1;
     const struct call x = {diag, off, size, drow, orow, shifts, lanes, counts};
+    int over = 0;
     for (ptrdiff_t l0 = 0; l0 < lanes; l0 += VEC_LANES) {
         if (lanes - l0 <= VEC_WIDTH)
-            sweep_rows(&x, l0, 1);
+            sweep_rows(&x, l0, 1, &over);
         else if (lanes - l0 <= 2 * VEC_WIDTH)
-            sweep_rows(&x, l0, 2);
+            sweep_rows(&x, l0, 2, &over);
         else
-            sweep_rows(&x, l0, VEC_GROUPS);
+            sweep_rows(&x, l0, VEC_GROUPS, &over);
     }
-    return 0;
+    return over ? -1 : 0;
 }
 
 static sturm_body pick(void)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,10 @@ from . import _native
 from .operators import TridiagonalOperator
 
 _TINY = 1e-300  # pivot clamp; preserves sign, zero maps to +tiny
+_MAX_COUPLING = math.sqrt(sys.float_info.max)  # larger couplings square to inf
+_COUPLING_OVERFLOW = (
+    f"offdiag entries must be at most {_MAX_COUPLING:.4g} in magnitude: their squares overflow"
+)
 
 # Without the C kernel, calls with at most this many lanes (broadcast batch
 # entries) sweep each lane as a plain-float loop and wider calls take the
@@ -73,7 +78,8 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     sign (zeros of either sign clamp to +tiny; NaN passes through), which
     preserves the count and makes the recurrence division-safe. A NaN shift
     raises ValueError: it would make every pivot of its lane NaN, counted as
-    no eigenvalue.
+    no eigenvalue. So does a coupling above sqrt(DBL_MAX) ~ 1.34e154 in
+    magnitude, whose square, which every sweep uses, is infinite.
 
     The sweep is the C loop of `_sturm.c` when its library loads (see
     `_native`): its AVX2 body on a CPU with AVX2, its scalar body on any
@@ -102,6 +108,7 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
             return _float_counts(diag, offdiag, shifts, shape, flat)
         if np.isnan(shifts).any():
             raise ValueError("shifts must not be NaN")
+        _check_couplings(offdiag)
         return _site_major_counts(diag, offdiag, shifts, shape)
     if flat:  # every lane reads row 0: no index arrays
         drow = orow = None
@@ -110,10 +117,19 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
         orow = _row_index(offdiag, shape)
         shifts = np.broadcast_to(shifts, shape)
     counts = (ctypes.c_int64 * lanes)()
-    if kernel(_pointer(diag), _pointer(offdiag), size, _pointer(drow), _pointer(orow),
-              _pointer(shifts), lanes, counts):
+    status = kernel(_pointer(diag), _pointer(offdiag), size, _pointer(drow), _pointer(orow),
+                    _pointer(shifts), lanes, counts)
+    if status > 0:
         raise ValueError("shifts must not be NaN")
+    if status < 0:
+        raise ValueError(_COUPLING_OVERFLOW)
     return np.frombuffer(counts, dtype=np.int64).reshape(shape)
+
+
+def _check_couplings(offdiag):
+    """The C kernel's check, after the NaN shifts: no coupling squares to inf."""
+    if np.abs(offdiag).max(initial=0.0) > _MAX_COUPLING:
+        raise ValueError(_COUPLING_OVERFLOW)
 
 
 def _pointer(x):
@@ -139,6 +155,7 @@ def _float_counts(diag, offdiag, shifts, shape, flat):
     lane_shifts = (shifts if flat else np.broadcast_to(shifts, shape)).ravel().tolist()
     if any(map(math.isnan, lane_shifts)):  # the list costs less to test than the array
         raise ValueError("shifts must not be NaN")
+    _check_couplings(offdiag)
     offsq = np.square(offdiag)
     if flat:
         a, b = diag.tolist(), offsq.tolist()
@@ -713,23 +730,6 @@ def localization_center(vector: np.ndarray) -> int:
     if v.ndim != 1 or v.size == 0:
         raise ValueError("need a nonempty vector")
     return int(np.argmax(np.abs(v))) + 1
-
-
-def envelope_decay_rate(vector: np.ndarray, center: int | None = None) -> float:
-    """Least-squares exponential decay rate of |v| away from its center.
-
-    Fits log|v(n)| ~ const - rate * |n - center| over entries above the
-    floor 1e-300; positive return means decay.
-    """
-    v = np.abs(np.asarray(vector, dtype=np.float64))
-    if center is None:
-        center = localization_center(v)
-    dist = np.abs(np.arange(1, v.size + 1) - center)
-    keep = v > 1e-300
-    if keep.sum() < 2:
-        return 0.0
-    slope = np.polyfit(dist[keep], np.log(v[keep]), 1)[0]
-    return float(-slope)
 
 
 # ---------------------------------------------------------------------------

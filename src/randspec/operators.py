@@ -544,12 +544,3 @@ def truncate_alloy(spec: EnsembleSpec, size: int, decay_factor: float = 3.0) -> 
         return dataclasses.replace(spec, margin=prof.radius)
     new_prof = prof.truncate(cutoff)
     return dataclasses.replace(spec, profile=new_prof, margin=cutoff)
-
-
-def energy_family_potential(
-    spec: EnsembleSpec, energy: float, draw: EnsembleDraw
-) -> TridiagonalOperator:
-    """Operator with diagonal (V - mu_E) / lambda_E, couplings unchanged."""
-    lam = spec.family.lambda_at(energy)
-    mu = spec.family.mu_at(energy)
-    return TridiagonalOperator((draw.diag - mu) / lam, draw.offdiag)

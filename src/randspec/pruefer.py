@@ -101,21 +101,6 @@ def consecutive_sine_floor(trace: PrueferTrace) -> float:
     return float(np.min(np.maximum(s[:-1], s[1:])))
 
 
-def angle_gap_amplification(tu: PrueferTrace, tv: PrueferTrace) -> float:
-    """Largest one-step amplification of the angle difference of two traces.
-
-    Differences are wrapped to (-pi, pi]; steps starting from a zero
-    difference are skipped.
-    """
-    d = np.mod(tu.angles - tv.angles + math.pi, 2.0 * math.pi) - math.pi
-    d = np.abs(d)
-    num, den = d[1:], d[:-1]
-    keep = den > 0.0
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(num[keep] / den[keep]))
-
-
 # ---------------------------------------------------------------------------
 # Wronskian of two eigenpairs
 
@@ -377,88 +362,3 @@ def hellmann_feynman_check(
         rel = abs(analytic - numeric) / denom
         used_rich = True
     return GradientCheck(float(analytic), float(numeric), float(rel), energy, gap, used_rich, float(radial))
-
-
-# ---------------------------------------------------------------------------
-# Hessian size probe
-
-
-@dataclass(frozen=True)
-class HessianProbe:
-    """l_inf -> l_1 norm estimate of the eigenvalue Hessian vs the gap."""
-
-    hess_norm: float
-    gap: float
-    ratio: float
-    pairs_used: int
-
-
-def analytic_hessian(op: TridiagonalOperator, j: int) -> np.ndarray:
-    """Exact Hessian of E_j in the diagonal directions, via perturbation
-    theory: Hess[m, n] = 2 sum_{i != j} phi_j(m) phi_i(m) phi_j(n) phi_i(n)
-    / (E_j - E_i)."""
-    vals, vecs, _ = _dense_pair(op, j)
-    phi_j = vecs[:, j - 1]
-    hess = np.zeros((op.size, op.size))
-    for i in range(op.size):
-        if i == j - 1:
-            continue
-        outer = np.outer(phi_j * vecs[:, i], phi_j * vecs[:, i])
-        hess += 2.0 * outer / (vals[j - 1] - vals[i])
-    return hess
-
-
-def hessian_bound_probe(
-    op: TridiagonalOperator,
-    j: int,
-    h: float = 1e-4,
-    max_exact: int = 24,
-    n_sampled: int = 64,
-    seed: int = 0,
-) -> HessianProbe:
-    """Estimate sum_{m,n} |d^2 E_j / dV(m) dV(n)| by second differences.
-
-    All pairs are evaluated exactly up to size `max_exact`; larger boxes use
-    a seeded sample of off-diagonal pairs, scaled up to the full pair count.
-    Returns the norm estimate, the spectral gap at E_j, and their product
-    (bounded for well-separated eigenvalues, growing like 1/gap otherwise).
-    """
-    size = op.size
-    vals, _, gap = _dense_pair(op, j)
-    base = float(vals[j - 1])
-    step = h * max(1.0, op.norm_bound())
-
-    def value(shift_sites, shift_signs):
-        diag = op.diag.copy()
-        for s, sg in zip(shift_sites, shift_signs):
-            diag[s] += sg * step
-        return float(
-            np.linalg.eigvalsh(TridiagonalOperator(diag, op.offdiag).to_dense())[j - 1]
-        )
-
-    diag_terms = np.empty(size)
-    for m in range(size):
-        diag_terms[m] = (value([m], [1]) - 2.0 * base + value([m], [-1])) / step**2
-    total = float(np.sum(np.abs(diag_terms)))
-    all_pairs = [(m, n) for m in range(size) for n in range(m + 1, size)]
-    if size <= max_exact or len(all_pairs) <= n_sampled:
-        pairs = all_pairs
-        scale_up = 1.0
-    else:
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 0xA5A5A5A5], dtype=np.uint64))
-        )
-        idx = rng.choice(len(all_pairs), size=n_sampled, replace=False)
-        pairs = [all_pairs[i] for i in idx]
-        scale_up = len(all_pairs) / len(pairs)
-    off_sum = 0.0
-    for m, n in pairs:
-        cross = (
-            value([m, n], [1, 1])
-            - value([m, n], [1, -1])
-            - value([m, n], [-1, 1])
-            + value([m, n], [-1, -1])
-        ) / (4.0 * step**2)
-        off_sum += abs(cross)
-    total += 2.0 * off_sum * scale_up
-    return HessianProbe(total, gap, total * gap, len(pairs) + size)

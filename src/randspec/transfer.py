@@ -183,6 +183,10 @@ def ellipticity_report(energy: float, delta: float = 0.5) -> EllipticityReport:
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
 
+# Uniform draws per chunk of the product: a chunk runs max(1, _CHUNK //
+# samples) steps, so its arrays stay near this size at any step count.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -198,37 +202,47 @@ class LyapunovEstimate:
 
 
 def lyapunov_stream(
-    step_fn,
+    step: tuple,
     steps: int,
     samples: int = 64,
     seed: int = 0,
-    sites_per_step: int = 1,
 ) -> LyapunovEstimate:
     """Lyapunov exponent of a product of random 2x2 matrices.
 
-    step_fn(rng, count) must return a (count, 2, 2) array holding one matrix
-    per replica for the current step. Replicas evolve independently with
-    per-step renormalization; gamma is averaged per lattice step
-    (steps * sites_per_step sites) and the replica mean is merged with
-    math.fsum. Requires steps >= 1000.
+    step = (sites_per_step, carry, entries). Uniforms are drawn a chunk of k
+    steps at a time as rng.random((k, samples)), after `carry` rows kept
+    from the previous chunk (the first carry is drawn replica-major, as
+    rng.random((samples, carry)).T). entries(u) maps that (carry + k,
+    samples) block to the entries m00, m01, m10, m11 of the k step
+    matrices, each a scalar or a (k, samples) array. Replicas evolve
+    independently with per-step renormalization; gamma is averaged per
+    lattice step (steps * sites_per_step sites) and the replica mean is
+    merged with math.fsum. Requires steps >= 1000.
     """
+    sites_per_step, carry, entries = step
     if steps < 1000:
         raise ValueError("need steps >= 1000 for a stable estimate")
     if samples < 2:
         raise ValueError("need samples >= 2 for a spread-based CI")
     rng = _blocks.block_rng(seed, 0, stream=_STREAM_LYAPUNOV)
-    v0 = np.ones(samples)
-    v1 = np.zeros(samples)
+    u = rng.random((samples, carry)).T
+    v = np.array([np.ones(samples), np.zeros(samples)])  # (u(n+1), u(n))
     acc = np.zeros(samples)
-    for _ in range(steps):
-        m = np.asarray(step_fn(rng, samples), dtype=np.float64)
-        w0 = m[:, 0, 0] * v0 + m[:, 0, 1] * v1
-        w1 = m[:, 1, 0] * v0 + m[:, 1, 1] * v1
-        nrm = np.hypot(w0, w1)
-        if np.any(nrm == 0.0):
-            raise ValueError("replica vanished; singular step matrix")
-        acc += np.log(nrm)
-        v0, v1 = w0 / nrm, w1 / nrm
+    chunk = max(1, _CHUNK // samples)
+    for start in range(0, steps, chunk):
+        k = min(chunk, steps - start)
+        u = np.concatenate([u[len(u) - carry:], rng.random((k, samples))])
+        m00, m01, m10, m11 = entries(u)
+        # cols[i, c] is column c of step i's matrix: M v = c0 * v0 + c1 * v1
+        cols = np.empty((k, 2, 2, samples))
+        cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1] = m00, m10, m01, m11
+        for col in cols:
+            w = col[0] * v[0] + col[1] * v[1]
+            nrm = np.hypot(w[0], w[1])
+            if not nrm.all():
+                raise ValueError("replica vanished; singular step matrix")
+            acc += np.log(nrm)
+            v = w / nrm
     per = acc / (steps * sites_per_step)
     gamma = math.fsum(per) / samples
     sd = float(np.std(per, ddof=1))
@@ -237,6 +251,39 @@ def lyapunov_stream(
         gamma, se, (gamma - _Z99 * se, gamma + _Z99 * se), steps, samples,
         sites_per_step, seed,
     )
+
+
+# Step-matrix entries from a block x of law samples, carry + k rows of them.
+
+
+def _dimer_entries(w, e, profile):
+    return 1.0 + w * w - e * e, w - e, w + e, 1.0
+
+
+def _anderson_entries(v, e, profile):
+    return v - e, -1.0, 1.0, 0.0
+
+
+def _hopping_entries(a, e, profile):
+    return e / a[1:], -a[:-1] / a[1:], 1.0, 0.0
+
+
+def _alloy_entries(x, e, profile):
+    # Step i sees rows i..i+width-1 and draws row i+width for the next step.
+    # Each window is copied to a C-ordered (samples, width) block, so its
+    # matmul is that of a (samples, width) buffer shifted once per step.
+    windows = np.lib.stride_tricks.sliding_window_view(x[:-1], profile.size, axis=0)
+    return _anderson_entries(np.ascontiguousarray(windows) @ profile, e, profile)
+
+
+# kind: (lattice sites per step, draw rows carried between chunks, entries);
+# alloy carries its profile's width.
+_STEP_TABLE = {
+    "dimer_sign": (2, 0, _dimer_entries),
+    "anderson": (1, 0, _anderson_entries),
+    "hopping": (1, 1, _hopping_entries),
+    "alloy": (1, None, _alloy_entries),
+}
 
 
 def lyapunov(
@@ -252,69 +299,17 @@ def lyapunov(
     anderson, hopping, and truncated alloy (one-step matrices).
     """
     e = float(energy)
-    law = spec.law
-
-    if spec.kind == "dimer_sign":
-
-        def step(rng, n):
-            w = law.transform(rng.random(n))
-            m = np.zeros((n, 2, 2))
-            m[:, 0, 0] = 1.0 + w * w - e * e
-            m[:, 0, 1] = w - e
-            m[:, 1, 0] = w + e
-            m[:, 1, 1] = 1.0
-            return m
-
-        return lyapunov_stream(step, steps, samples, seed, sites_per_step=2)
-
-    if spec.kind == "anderson":
-
-        def step(rng, n):
-            v = law.transform(rng.random(n))
-            m = np.zeros((n, 2, 2))
-            m[:, 0, 0] = v - e
-            m[:, 0, 1] = -1.0
-            m[:, 1, 0] = 1.0
-            return m
-
-        return lyapunov_stream(step, steps, samples, seed)
-
-    if spec.kind == "hopping":
-        state = {"prev": None}
-
-        def step(rng, n):
-            if state["prev"] is None:
-                state["prev"] = law.transform(rng.random(n))
-            a_next = law.transform(rng.random(n))
-            m = np.zeros((n, 2, 2))
-            m[:, 0, 0] = e / a_next
-            m[:, 0, 1] = -state["prev"] / a_next
-            m[:, 1, 0] = 1.0
-            state["prev"] = a_next
-            return m
-
-        return lyapunov_stream(step, steps, samples, seed)
-
+    if not math.isfinite(e):
+        raise ValueError(f"energy = {energy!r}: must be finite")
+    if spec.kind not in _STEP_TABLE:
+        raise NotImplementedError(f"lyapunov not implemented for kind {spec.kind!r}")
+    sites, carry, entries = _STEP_TABLE[spec.kind]
+    profile = None
     if spec.kind == "alloy":
         if not isinstance(spec.profile, FiniteProfile):
             raise ValueError("alloy profile has unbounded support; truncate it first")
-        d = spec.profile.materialize(spec.margin)
-        width = d.size
-        state = {"buf": None}
-
-        def step(rng, n):
-            if state["buf"] is None:
-                state["buf"] = law.transform(rng.random((n, width)))
-            buf = state["buf"]
-            v = buf @ d
-            m = np.zeros((n, 2, 2))
-            m[:, 0, 0] = v - e
-            m[:, 0, 1] = -1.0
-            m[:, 1, 0] = 1.0
-            buf[:, :-1] = buf[:, 1:]
-            buf[:, -1] = law.transform(rng.random(n))
-            return m
-
-        return lyapunov_stream(step, steps, samples, seed)
-
-    raise NotImplementedError(f"lyapunov not implemented for kind {spec.kind!r}")
+        profile = spec.profile.materialize(spec.margin)
+        carry = profile.size
+    law = spec.law
+    step = (sites, carry, lambda u: entries(law.transform(u), e, profile))
+    return lyapunov_stream(step, steps, samples, seed)

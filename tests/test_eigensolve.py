@@ -20,7 +20,6 @@ from randspec import (
     dense_spectrum,
     eigenvalues_in,
     eigenvector,
-    envelope_decay_rate,
     localization_center,
     nearest_eigenvalue_distance,
     sturm_count,
@@ -393,6 +392,9 @@ def test_bracket_that_overflows_is_named():
         batched_eigenvalues_in(op.diag[None], op.offdiag, -1e308, 1e308)
 
 
+_HUGE_COUPLINGS = TridiagonalOperator(np.array([0.5, -0.2, 0.1]), np.array([1e200, 1e200]))
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda op: nearest_eigenvalue_distance(op, math.nan), "energy"),
     (lambda op: nearest_eigenvalue_distance(op, math.inf), "energy"),
@@ -418,6 +420,14 @@ def test_bracket_that_overflows_is_named():
     pytest.param(lambda op: batched_eigenvalues_in(op.diag, op.offdiag, -1.0, 1.0),
                  r"^diag2d must be 2-D \(batch, L\), got shape \(6,\)",
                  id="batched_eigenvalues_in-1d-diag2d"),
+    # couplings whose squares overflow: the count at 1e201 read 1 instead of 3
+    # and the window (-1, 1] around the middle eigenvalue 0.3 read empty
+    pytest.param(lambda op: sturm_count(_HUGE_COUPLINGS, 1e201), "^offdiag entries must be",
+                 id="sturm_count-coupling-overflow"),
+    pytest.param(lambda op: eigenvalues_in(_HUGE_COUPLINGS, -1.0, 1.0),
+                 "^offdiag entries must be", id="eigenvalues_in-coupling-overflow"),
+    pytest.param(lambda op: sturm_counts(op.diag, [1.0, 1.0, -1.4e154, 1.0, 1.0], 0.0),
+                 "^offdiag entries must be", id="sturm_counts-negative-coupling-overflow"),
 ])
 def test_scalar_entry_points_name_bad_input(call, name):
     # `name` is the input a "must be finite" error names, or a whole pattern
@@ -600,5 +610,6 @@ def test_localization_center_and_decay():
     v = np.exp(-0.8 * np.abs(n - 17))
     v /= np.linalg.norm(v)
     assert localization_center(v) == 18  # sites are 1-based
-    rate = envelope_decay_rate(v)
-    assert rate == pytest.approx(0.8, rel=1e-6)
+    assert localization_center(-v) == 18
+    with pytest.raises(ValueError):
+        localization_center(np.empty(0))

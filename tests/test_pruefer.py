@@ -10,14 +10,11 @@ from randspec import (
     AffineFamily,
     EnsembleSpec,
     TridiagonalOperator,
-    analytic_hessian,
-    angle_gap_amplification,
     assemble,
     consecutive_sine_floor,
     count_in_interval,
     dense_spectrum,
     hellmann_feynman_check,
-    hessian_bound_probe,
     make_draw,
     nearest_eigenvalue_distance,
     pruefer_trace,
@@ -72,20 +69,6 @@ def test_sine_magnitudes_and_floor():
     assert np.allclose(s, np.abs(pad) / trace.radii, atol=0.0)
     assert s[-1] == 0.0  # u(L+1) = 0
     assert consecutive_sine_floor(trace) > 0.0
-
-
-def test_angle_gap_amplification_brute_force():
-    rng = np.random.default_rng(4)
-    op = random_operator(rng, size=9)
-    vals, vecs = _eigenpairs(op)
-    tu = pruefer_trace(op, vals[2], vecs[:, 2])
-    tv = pruefer_trace(op, vals[5], vecs[:, 5])
-    d = np.mod(tu.angles - tv.angles + math.pi, 2.0 * math.pi) - math.pi
-    d = np.abs(d)
-    want = max(
-        d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 0
-    )
-    assert angle_gap_amplification(tu, tv) == pytest.approx(want, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -196,46 +179,6 @@ def test_hellmann_feynman_validation():
         hellmann_feynman_check(spec, good, 1, ("diagonal", 4))
     with pytest.raises(ValueError):
         hellmann_feynman_check(spec, good, 1, ("coupling", 1))
-
-
-def test_analytic_hessian_matches_second_differences():
-    rng = np.random.default_rng(77)
-    op = TridiagonalOperator(rng.uniform(0, 1, 6), np.ones(5))
-    j = 3
-    hess = analytic_hessian(op, j)
-    assert np.allclose(hess, hess.T, atol=1e-14)
-    step = 1e-4
-
-    def value(shift):
-        diag = op.diag.copy()
-        for site, sg in shift:
-            diag[site] += sg * step
-        return np.linalg.eigvalsh(
-            TridiagonalOperator(diag, op.offdiag).to_dense()
-        )[j - 1]
-
-    base = value([])
-    for m in range(6):
-        fd = (value([(m, 1)]) - 2 * base + value([(m, -1)])) / step**2
-        assert hess[m, m] == pytest.approx(fd, abs=1e-5)
-    for m, n in ((0, 3), (2, 5)):
-        fd = (
-            value([(m, 1), (n, 1)])
-            - value([(m, 1), (n, -1)])
-            - value([(m, -1), (n, 1)])
-            + value([(m, -1), (n, -1)])
-        ) / (4 * step**2)
-        assert hess[m, n] == pytest.approx(fd, abs=1e-5)
-
-
-def test_hessian_bound_probe_exact_small():
-    rng = np.random.default_rng(78)
-    op = TridiagonalOperator(rng.uniform(0, 1, 6), np.ones(5))
-    probe = hessian_bound_probe(op, 3)
-    assert probe.pairs_used == 15 + 6  # all pairs evaluated exactly
-    want = float(np.sum(np.abs(analytic_hessian(op, 3))))
-    assert probe.hess_norm == pytest.approx(want, rel=0.05)
-    assert probe.ratio == pytest.approx(probe.hess_norm * probe.gap, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,28 @@ def test_nan_shift_is_rejected(shifts):
                 sturm_counts(np.zeros(5), np.ones(4), shifts)
 
 
+@pytest.mark.parametrize("n_shifts", [1, 6, 40])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-couplings", "row-couplings"])
+def test_coupling_whose_square_overflows_is_rejected(n_shifts, shared):
+    # A coupling above sqrt(DBL_MAX) squares to inf, which made the counts
+    # wrong (1 instead of 3 below 1e201 for couplings 1e200); the largest
+    # coupling whose square is finite still counts. Without the kernel, 3
+    # lanes run as float loops and 18 or 120 as the site-major sweep.
+    limit = es._MAX_COUPLING
+    diag = np.tile([0.5, -0.2, 0.1], (3, 1))  # eigenvalues near -1.9e154, 0.3, 1.9e154
+    good = np.array([limit, -limit])
+    bad = np.array([limit, -np.nextafter(limit, np.inf)])
+    if not shared:
+        good, bad = np.tile(good, (3, 1)), np.stack([good, bad, good])
+    shifts = np.linspace(-1e160, 1e160, n_shifts)[:, None]
+    want = np.where(shifts < 0.0, 0, 3) + np.zeros((1, 3), dtype=np.int64)
+    assert np.array_equal(_agreed(_by_path(diag, good, shifts)), want)
+    for body in [*_BODIES.values(), None]:
+        with mock.patch.object(_native, "_kernel", body):
+            with pytest.raises(ValueError, match="^offdiag entries must be at most 1.341e"):
+                sturm_counts(diag, bad, shifts)
+
+
 def test_one_site_rows():
     """L = 1: no couplings, shared or per row; the count is a - s < 0."""
     diag = np.array([[-1.0], [0.0], [-0.0], [-1e-310], [2.0]])
