@@ -2,11 +2,12 @@
 
 `kernel()` returns the library's `sturm_counts` function, or None when the
 library cannot be had: no C compiler, a cache directory that cannot be
-written, a failed build or a failed dlopen. `eigensolve.sturm_counts` then
-runs its numpy sweep, which computes the same counts. The library also
-exports its two bodies, `sturm_counts_scalar` and (on x86-64)
-`sturm_counts_avx2`, which `export` returns typed like `kernel()`, and
-`sturm_counts_body`, which names the one `sturm_counts` calls (`body()`).
+written, a failed build or a failed dlopen. `eigensolve` then runs its numpy
+paths, which compute the same counts and eigenvalues. The library also
+exports `sturm_bisect`, the bisection loop of `eigensolve._bisect_indices`,
+its two sweep bodies `sturm_counts_scalar` and (on x86-64)
+`sturm_counts_avx2`, all of which `export` returns typed, and
+`sturm_counts_body`, which names the body the others call (`body()`).
 
 The library is cached in the `__pycache__` directory beside this file, under
 a name keyed by the sha256 of the source and the compiler flags, so an edited
@@ -40,14 +41,20 @@ def kernel():
     return _kernel
 
 
+_PTR, _SIZE = ctypes.c_void_p, ctypes.c_ssize_t
+# diag, offdiag, L, diag rows, offdiag rows, shifts, lanes, counts
+_SWEEP = [_PTR, _PTR, _SIZE, _PTR, _PTR, _PTR, _SIZE, _PTR]
+# diag, offdiag, L, diag rows, offdiag rows, targets, lanes, lo, hi, tol, iters, values
+_BISECT = _SWEEP[:7] + [ctypes.c_double] * 3 + [ctypes.c_int64, _PTR]
+
+
 def export(name):
-    """The library's function `name` with the argument types of
-    `sturm_counts`; None without the library or without that export."""
+    """The library's function `name`, typed: `sturm_bisect`, or a sweep
+    with the argument types of `sturm_counts`; None without the library or
+    without that export."""
     fn = getattr(_loaded(), name, None)
-    if fn is not None:
-        ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-        # diag, offdiag, L, diag rows, offdiag rows, shifts, lanes, counts
-        fn.argtypes = [ptr, ptr, size, ptr, ptr, ptr, size, ptr]
+    if fn is not None and fn.argtypes is None:
+        fn.argtypes = _BISECT if name == "sturm_bisect" else _SWEEP
         fn.restype = ctypes.c_int64
     return fn
 

@@ -24,7 +24,12 @@
 
    The exported sturm_counts calls the AVX2 body when the CPU reports AVX2
    (__builtin_cpu_supports) and the scalar body otherwise, as on any other
-   architecture; sturm_counts_body names the one it calls. The build flags
+   architecture; sturm_counts_body names the one it calls. sturm_bisect
+   runs the bisection of eigensolve.py through the same body: every target
+   is a lane, and each level is one sweep of all lanes, so a bisection is
+   one call from Python however many levels it takes. On small boxes a
+   level costs less in C than one call of sturm_counts from Python, so the
+   loop lives here, as LAPACK's dstebz keeps its own. The build flags
    stay portable (no -march=native): only the AVX2 body is compiled for
    AVX2, through its target attribute. There is no AVX-512 body: 2 vectors
    of 8 doubles timed 5-10% faster than AVX2 on the perfbench kernel rows
@@ -46,6 +51,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define TINY 1e-300
@@ -62,11 +68,12 @@ static int64_t nan_shifts(const double *shifts, ptrdiff_t lanes)
     return n;
 }
 
-/* Whether a coupling of rows 0 .. max(orow) squares to inf. */
+/* Whether a coupling of rows 0 .. max(orow), or of row 0 when orow is NULL,
+   squares to inf. */
 static int coupling_overflow(const double *off, ptrdiff_t size, const int64_t *orow,
                              ptrdiff_t lanes)
 {
-    int64_t rows = 1;
+    int64_t rows = orow ? 0 : 1;
     for (ptrdiff_t l = 0; orow && l < lanes; l++)
         rows = orow[l] >= rows ? orow[l] + 1 : rows;
     int over = 0;
@@ -258,6 +265,62 @@ int64_t sturm_counts(const double *diag, const double *off, ptrdiff_t size,
                      const double *shifts, ptrdiff_t lanes, int64_t *counts)
 {
     return pick()(diag, off, size, drow, orow, shifts, lanes, counts);
+}
+
+/* Bisection for eigenvalue targets[l] (1-based) of the rows of lane l, all
+   lanes from the bracket (lo, hi] and in lockstep: each level sweeps the
+   midpoints 0.5 * (lo + hi) of every lane in one call of the body pick()
+   chose, then moves hi to the midpoint where count >= target and lo
+   elsewhere. It stops after iters levels, or after the first level at which
+   every bracket is at most max(tol, 4 ulp(|mid|)) wide, where ulp(m) =
+   nextafter(m, inf) - m: numpy's spacing, NaN at inf and NaN, which then
+   never stop, as numpy's maximum propagates NaN. These are the operations
+   of the numpy loop in eigensolve.py in its order, so both give the same
+   bits. values[l] is 0.5 * (lo + hi) of the last bracket of lane l.
+
+   Returns the status of the first sweep that is not 0 (see
+   sturm_counts_scalar), and then the values are not to be used; -2 when
+   the brackets cannot be allocated; else 0. */
+int64_t sturm_bisect(const double *diag, const double *off, ptrdiff_t size,
+                     const int64_t *drow, const int64_t *orow, const int64_t *targets,
+                     ptrdiff_t lanes, double lo, double hi, double tol, int64_t iters,
+                     double *values)
+{
+    if (lanes == 0)
+        return 0;
+    const sturm_body sweep = pick();
+    double *los = malloc(lanes * (2 * sizeof(double) + sizeof(int64_t)));
+    if (los == NULL)
+        return -2;
+    double *his = los + lanes;
+    int64_t *counts = (int64_t *)(his + lanes), status = 0;
+    for (ptrdiff_t l = 0; l < lanes; l++) {
+        los[l] = lo;
+        his[l] = hi;
+    }
+    for (int64_t level = 0; level < iters; level++) {
+        for (ptrdiff_t l = 0; l < lanes; l++)
+            values[l] = 0.5 * (los[l] + his[l]);
+        status = sweep(diag, off, size, drow, orow, values, lanes, counts);
+        if (status)
+            break;
+        int done = 1;
+        for (ptrdiff_t l = 0; l < lanes; l++) {
+            double mid = values[l], m = fabs(mid);
+            if (counts[l] >= targets[l])
+                his[l] = mid;
+            else
+                los[l] = mid;
+            double ulps = 4.0 * (nextafter(m, INFINITY) - m);
+            done &= his[l] - los[l] <= (ulps > tol || ulps != ulps ? ulps : tol);
+        }
+        if (done)
+            break;
+    }
+    for (ptrdiff_t l = 0; l < lanes; l++)
+        values[l] = 0.5 * (los[l] + his[l]);
+    free(los);
+    return status;
 }
 
 /* "avx2" or "scalar": the body sturm_counts calls on this CPU. */

@@ -28,42 +28,13 @@ _COUPLING_OVERFLOW = (
     f"offdiag entries must be at most {_MAX_COUPLING:.4g} in magnitude: their squares overflow"
 )
 
-# Without the C kernel, calls with at most this many lanes (broadcast batch
-# entries) sweep each lane as a plain-float loop and wider calls take the
-# site-major numpy sweep, which costs about 2 us per site step at any lane
-# count below a few hundred. Measured on a 2-core Xeon VM (Python 3.11, numpy
-# 2.4), the two cost the same at 16-20 lanes sharing one diagonal (L = 30-60;
-# 16 at L = 5000) and at about 12 lanes with rows of their own (L = 30-5000).
-_FLOAT_LANES = 12
-
 # Bytes of pivots one site tile of the numpy sweep holds (tiles also stop at
 # 255 sites). The tile's buffers are the only site-major copies of the input,
-# so memory stays O(lanes) above the input. On the VM above, 256 KB to 4 MB
-# tiles timed within noise of each other (1048 lanes x L = 1000: 5.1-5.8
-# ns/pivot; 1040 lanes x L = 10^4: 5.9-7.0) and 64 KB tiles 25-45% slower.
+# so memory stays O(lanes) above the input. On a 2-core Xeon VM (Python 3.11,
+# numpy 2.4), 256 KB to 4 MB tiles timed within noise of each other (1048
+# lanes x L = 1000: 5.1-5.8 ns/pivot; 1040 lanes x L = 10^4: 5.9-7.0) and
+# 64 KB tiles 25-45% slower.
 _TILE_BYTES = 1 << 18
-
-# Bisections with at most this many targets keep their brackets in plain
-# floats (`_float_bisect`), one level per sweep; numpy's per-level
-# bookkeeping costs more there. With the C kernel `_replay_levels` also
-# sweeps one level at a time. On the VM above the float loop is then faster
-# up to at least 30 targets at L = 30 and 1.2-1.6x faster up to 20 targets
-# at L = 1000-10^4; from 32 targets on the two are within 5%.
-_FLOAT_TARGETS = 20
-
-# A bisection level of at most this many pivots (lanes x L) sweeps its lanes
-# with `_float_sweep`, a larger one with one call of the C kernel: on the VM
-# above the loop is faster up to 48 pivots and the call from 64.
-_FLOAT_PIVOTS = 48
-
-# Bisection levels one sweep resolves when a call has more targets and no C
-# kernel, and the lane budget of such a sweep. The numpy sweep costs about
-# the same per site step at 21 lanes as at 1024, so evaluating all 2^m - 1
-# midpoints of the next m levels at once cuts the sweep count by about m.
-# The C sweep costs in proportion to its lanes, so with it every sweep
-# resolves one level: m levels would sweep (2^m - 1)/m times the pivots.
-_REPLAY_LEVELS = 3
-_REPLAY_LANES = 1024
 
 DEFAULT_MAX_WINDOW_EIGS = 512
 DEFAULT_ORACLE_MAX = 64
@@ -81,55 +52,39 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     no eigenvalue. So does a coupling above sqrt(DBL_MAX) ~ 1.34e154 in
     magnitude, whose square, which every sweep uses, is infinite.
 
-    The sweep is the C loop of `_sturm.c` when its library loads (see
-    `_native`): its AVX2 body on a CPU with AVX2, its scalar body on any
-    other. Otherwise up to `_FLOAT_LANES` lanes run as plain-float
-    loops and wider batches as one site-major numpy sweep. All three do the
-    same IEEE operations in the same order, so the counts do not depend on
-    the path.
+    There are two paths, picked by `_native.kernel()`: the C loop of
+    `_sturm.c` when its library loads (its AVX2 body on a CPU with AVX2, its
+    scalar body on any other), else the site-major numpy sweep
+    `_site_major_counts`. Both do the same IEEE operations in the same
+    order, so the counts do not depend on the path.
     """
-    diag = np.asarray(diag, dtype=np.float64)
-    offdiag = np.asarray(offdiag, dtype=np.float64)
-    shifts = np.asarray(shifts, dtype=np.float64)
-    size = diag.shape[-1]
-    if size == 0:
-        raise ValueError(f"diag needs at least one site per row, got shape {diag.shape}")
-    if offdiag.shape[-1:] != (size - 1,):
-        raise ValueError(f"offdiag needs {size - 1} entries per row, got shape {offdiag.shape}")
-    flat = diag.ndim == 1 and offdiag.ndim == 1
-    if flat:
-        shape = shifts.shape
-    else:
-        shape = np.broadcast_shapes(diag.shape[:-1], offdiag.shape[:-1], shifts.shape)
-    lanes = math.prod(shape)
+    diag, offdiag, shifts, drow, orow = _lanes(diag, offdiag, np.asarray(shifts, dtype=np.float64))
     kernel = _native.kernel()
     if kernel is None:
-        if lanes <= _FLOAT_LANES:
-            return _float_counts(diag, offdiag, shifts, shape, flat)
         if np.isnan(shifts).any():
             raise ValueError("shifts must not be NaN")
         _check_couplings(offdiag)
-        return _site_major_counts(diag, offdiag, shifts, shape)
-    if flat:  # every lane reads row 0: no index arrays
-        drow = orow = None
-    else:
-        drow = _row_index(diag, shape)
-        orow = _row_index(offdiag, shape)
-        shifts = np.broadcast_to(shifts, shape)
-    counts = (ctypes.c_int64 * lanes)()
-    status = kernel(_pointer(diag), _pointer(offdiag), size, _pointer(drow), _pointer(orow),
-                    _pointer(shifts), lanes, counts)
-    if status > 0:
-        raise ValueError("shifts must not be NaN")
-    if status < 0:
-        raise ValueError(_COUPLING_OVERFLOW)
-    return np.frombuffer(counts, dtype=np.int64).reshape(shape)
+        return _site_major_counts(diag, offdiag, shifts)
+    counts = (ctypes.c_int64 * shifts.size)()
+    _check_status(kernel(_pointer(diag), _pointer(offdiag), diag.shape[-1], _pointer(drow),
+                         _pointer(orow), _pointer(shifts), shifts.size, counts))
+    return np.frombuffer(counts, dtype=np.int64).reshape(shifts.shape)
 
 
 def _check_couplings(offdiag):
     """The C kernel's check, after the NaN shifts: no coupling squares to inf."""
     if np.abs(offdiag).max(initial=0.0) > _MAX_COUPLING:
         raise ValueError(_COUPLING_OVERFLOW)
+
+
+def _check_status(status):
+    """Raise the error a nonzero status of the C library stands for."""
+    if status > 0:
+        raise ValueError("shifts must not be NaN")
+    if status == -1:
+        raise ValueError(_COUPLING_OVERFLOW)
+    if status < 0:
+        raise MemoryError("sturm_bisect could not allocate its brackets")
 
 
 def _pointer(x):
@@ -150,53 +105,34 @@ def _row_index(x, shape):
     return np.broadcast_to(rows, shape)
 
 
-def _float_counts(diag, offdiag, shifts, shape, flat):
-    """`sturm_counts` as one plain-float loop per lane (no C kernel)."""
-    lane_shifts = (shifts if flat else np.broadcast_to(shifts, shape)).ravel().tolist()
-    if any(map(math.isnan, lane_shifts)):  # the list costs less to test than the array
-        raise ValueError("shifts must not be NaN")
-    _check_couplings(offdiag)
-    offsq = np.square(offdiag)
-    if flat:
-        a, b = diag.tolist(), offsq.tolist()
-        counts = [_float_sweep(a, b, s) for s in lane_shifts]
-    else:
-        size, lanes = diag.shape[-1], len(lane_shifts)
-        rows = np.broadcast_to(diag, shape + (size,)).reshape(lanes, size)
-        offs = np.broadcast_to(offsq, shape + (size - 1,)).reshape(lanes, size - 1)
-        counts = [
-            _float_sweep(a.tolist(), b.tolist(), s) for a, b, s in zip(rows, offs, lane_shifts)
-        ]
-    return np.array(counts, dtype=np.int64).reshape(shape)
+def _lanes(diag, offdiag, per_lane):
+    """The arrays of a call on rows diag, offdiag with one value per lane
+    (a shift or a target): diag and offdiag as float64, checked to hold L
+    and L - 1 sites per row; per_lane broadcast to the lanes; and the int64
+    row of diag and of offdiag that each lane reads, None when both are
+    one row, which every lane then reads."""
+    diag = np.asarray(diag, dtype=np.float64)
+    offdiag = np.asarray(offdiag, dtype=np.float64)
+    size = diag.shape[-1]
+    if size == 0:
+        raise ValueError(f"diag needs at least one site per row, got shape {diag.shape}")
+    if offdiag.shape[-1:] != (size - 1,):
+        raise ValueError(f"offdiag needs {size - 1} entries per row, got shape {offdiag.shape}")
+    if diag.ndim == 1 and offdiag.ndim == 1:
+        return diag, offdiag, per_lane, None, None
+    shape = np.broadcast_shapes(diag.shape[:-1], offdiag.shape[:-1], per_lane.shape)
+    return (diag, offdiag, np.broadcast_to(per_lane, shape),
+            _row_index(diag, shape), _row_index(offdiag, shape))
 
 
-def _float_sweep(a, b, s, tiny=_TINY):
-    """Negative pivots of one lane: diag list a, squared couplings b, shift s."""
-    d = a[0] - s
-    c = 0
-    if d < 0.0:
-        c = 1
-        if d > -tiny:
-            d = -tiny
-    elif d < tiny:  # also -0.0, which is not < 0.0
-        d = tiny
-    for ak, bk in zip(a[1:], b):
-        d = (ak - s) - bk / d
-        if d < 0.0:
-            c += 1
-            if d > -tiny:
-                d = -tiny
-        elif d < tiny:
-            d = tiny
-    return c
-
-
-def _site_major_counts(diag, offdiag, shifts, shape):
+def _site_major_counts(diag, offdiag, shifts):
     """The sweep over a (sites, *lanes) layout, one tile of sites at a time.
 
-    The lanes are the batch axes of `shape`, reordered so that the longer of
-    two groups runs innermost in every ufunc: the row axes, along which diag
-    or offdiag varies, or the shift-only axes; the counts are transposed back.
+    The lanes are the axes of `shifts`, which holds one shift per lane (a
+    0-d array is one lane; a call with no lanes sweeps nothing), reordered so
+    that the longer of two groups runs innermost in every ufunc: the row
+    axes, along which diag or offdiag varies, or the shift-only axes; the
+    counts are transposed back.
     Each tile copies its diagonal slice once into a contiguous buffer, adding
     0.0 there: a - s is the only term that can be -0.0, and (a + 0.0) - s is
     (a - s) + 0.0 bit for bit, so no pivot is -0.0 and copysign(max(|d|,
@@ -208,13 +144,18 @@ def _site_major_counts(diag, offdiag, shifts, shape):
     from the pivot before it. Tiles hold at most 255 sites, so a tile's
     negative pivots per lane fit in a uint8.
     """
+    shape = shifts.shape
+    if not shape:
+        return _site_major_counts(diag, offdiag, shifts.reshape(1)).reshape(())
+    if shifts.size == 0:
+        return np.zeros(shape, dtype=np.int64)
     size = diag.shape[-1]
     ndim = len(shape)
 
-    def aligned(x, trailing):  # a view with leading 1s: batch axes aligned with shape
-        return x.reshape((1,) * (ndim + trailing - x.ndim) + x.shape)
+    def aligned(x):  # a view with leading 1s: batch axes aligned with shape
+        return x.reshape((1,) * (ndim + 1 - x.ndim) + x.shape)
 
-    dal, oal, sal = aligned(diag, 1), aligned(offdiag, 1), aligned(shifts, 0)
+    dal, oal = aligned(diag), aligned(offdiag)
     rows = [i for i in range(ndim) if dal.shape[i] != 1 or oal.shape[i] != 1]
     only = [i for i in range(ndim) if i not in rows]
     if math.prod(shape[i] for i in rows) >= math.prod(shape[i] for i in only):
@@ -223,8 +164,8 @@ def _site_major_counts(diag, offdiag, shifts, shape):
         order = rows + only
     lanes = tuple(shape[i] for i in order)
     dsite = dal.transpose([ndim] + order)  # views: sites first, then lanes
-    shifts = np.ascontiguousarray(sal.transpose(order))
-    tile = max(1, min(size, 255, _TILE_BYTES // (8 * math.prod(shape))))
+    shifts = np.ascontiguousarray(shifts.transpose(order))
+    tile = max(1, min(size, 255, _TILE_BYTES // (8 * shifts.size)))
     if offdiag.size == size - 1:  # shared couplings: Python floats per site
         offsq, osite = np.square(offdiag).ravel().tolist(), None
     else:
@@ -296,129 +237,42 @@ def count_in_interval(op: TridiagonalOperator, lo: float, hi: float) -> int:
     return int(c[1] - c[0])
 
 
-def _bisect_indices(diag, offsq_offdiag, targets, lo, hi, tol):
+def _bisect_indices(diag, offdiag, targets, lo, hi, tol):
     """Bisection for eigenvalues with 1-based indices `targets` (vectorized).
 
     Invariant per target j: count(lo) < j <= count(hi). Terminates when the
     bracket width is below max(tol, 4 ulp); all brackets start equal so a
-    fixed iteration count suffices.
+    fixed iteration count suffices. The lanes are those of `sturm_counts`
+    with the targets in place of the shifts, so a padded copy of a target is
+    swept like any other lane.
 
-    The path follows from the target count n: up to `_FLOAT_TARGETS` targets
-    run one loop with plain-float bookkeeping (`_float_bisect`); above, every
-    sweep resolves m levels (`_replay_levels`): m = 1 with the C kernel;
-    without it m = `_REPLAY_LEVELS` while (2^m - 1) n <= `_REPLAY_LANES` and
-    m = 1 beyond. All paths give the bits of one level per sweep.
+    There are two paths, picked by `_native.kernel()`: one call of the C
+    library's `sturm_bisect`, which runs every level in lockstep, or a numpy
+    loop making one `sturm_counts` call per level. Both take the midpoints
+    0.5 * (lo + hi), move hi to the midpoint where count >= target, and stop
+    on the same test, so they give the same bits.
     """
-    targets = np.asarray(targets, dtype=np.int64)
+    diag, offdiag, targets, drow, orow = _lanes(diag, offdiag, np.asarray(targets, dtype=np.int64))
     lo, hi = float(lo), float(hi)
     scale = max(abs(lo), abs(hi)) if targets.size else 1.0
     tol_eff = max(tol, 4.0 * np.spacing(scale))
     width = hi - lo if targets.size else 0.0
     iters = max(1, int(np.ceil(np.log2(max(width / tol_eff, 2.0)))) + 1)
-    if targets.size <= _FLOAT_TARGETS:
-        return _float_bisect(diag, offsq_offdiag, targets, lo, hi, tol, iters)
-    levels = 1
-    if _native.kernel() is None and (2**_REPLAY_LEVELS - 1) * targets.size <= _REPLAY_LANES:
-        levels = _REPLAY_LEVELS
-    lo = np.full(targets.shape, lo)
-    hi = np.full(targets.shape, hi)
-    return _replay_levels(diag, offsq_offdiag, targets, lo, hi, tol, iters, levels)
-
-
-def _float_bisect(diag, offdiag, targets, lo, hi, tol, iters):
-    """The bisection loop of `_bisect_indices` with plain-float bookkeeping.
-
-    The lanes are the distinct (diag row, offdiag row, target) triples, so a
-    padded copy of a draw's last target is swept once; the rows of 2-D
-    inputs are gathered for these lanes only. A level sweeps the lanes with
-    `_float_sweep` when the C kernel is missing or lanes x L is at most
-    `_FLOAT_PIVOTS`, and with one `sturm_counts` call otherwise. The
-    midpoints, updates and stop test are those of `_replay_levels`;
-    `math.ulp(x)` equals `np.spacing(x)` for every finite x >= 0 below the
-    largest float.
-    """
-    diag = np.asarray(diag, dtype=np.float64)
-    offdiag = np.asarray(offdiag, dtype=np.float64)
-    if diag.ndim == 1 and offdiag.ndim == 1:
-        goals, index = targets.ravel().tolist(), None
-    else:  # the lanes: distinct (diag row, offdiag row, target) triples
-        diag_rows = diag.reshape(math.prod(diag.shape[:-1]), diag.shape[-1])
-        off_rows = offdiag.reshape(math.prod(offdiag.shape[:-1]), offdiag.shape[-1])
-        keys = zip(*(np.broadcast_to(k, targets.shape).ravel().tolist() for k in (
-            np.arange(len(diag_rows)).reshape(diag.shape[:-1]),
-            np.arange(len(off_rows)).reshape(offdiag.shape[:-1]),
-            targets,
-        )))
-        lane_of = {}
-        index = [lane_of.setdefault(key, len(lane_of)) for key in keys]
-        lanes = np.array(list(lane_of), dtype=np.int64).reshape(-1, 3)
-        diag = diag_rows[lanes[:, 0]] if diag.ndim > 1 else diag
-        offdiag = off_rows[lanes[:, 1]] if offdiag.ndim > 1 else offdiag
-        goals = lanes[:, 2].tolist()
-    n = len(goals)
-    floats = _native.kernel() is None or n * diag.shape[-1] <= _FLOAT_PIVOTS
-    if floats:  # per-lane lists for `_float_sweep`
-        offsq = np.square(offdiag)
-        if diag.ndim == 1 and offsq.ndim == 1:
-            a_rows, b_rows = [diag.tolist()] * n, [offsq.tolist()] * n
-        else:
-            a_rows, b_rows = (np.broadcast_to(x, (n,) + x.shape[-1:]).tolist() for x in (diag, offsq))
-    los, his = [lo] * n, [hi] * n
-    for _ in range(iters):
-        if not floats:
-            mids = np.array([0.5 * (x + y) for x, y in zip(los, his)])
-            counts = sturm_counts(diag, offdiag, mids).tolist()
-        converged = True
-        for j in range(n):
-            mid = 0.5 * (los[j] + his[j])
-            if floats:
-                count = _float_sweep(a_rows[j], b_rows[j], mid)
-            else:
-                count = counts[j]
-            if count >= goals[j]:
-                his[j] = mid
-            else:
-                los[j] = mid
-            if his[j] - los[j] > max(tol, 4.0 * math.ulp(abs(mid))):
-                converged = False
-        if converged:
-            break
-    values = [0.5 * (x + y) for x, y in zip(los, his)]
-    if index is not None:
-        values = [values[j] for j in index]
-    return np.array(values).reshape(targets.shape)
-
-
-def _replay_levels(diag, offdiag, targets, lo, hi, tol, iters, levels):
-    """The bisection loop of `_bisect_indices`, `levels` levels per sweep.
-
-    Each sweep counts, in one `sturm_counts` call, every midpoint the next
-    levels could visit (2^levels - 1 per target, in heap order: node i has
-    children 2i + 1 and 2i + 2), then replays those levels with the same
-    midpoints, updates and stop test as one level per sweep would.
-    """
-    done = 0
-    while done < iters:
-        step = min(levels, iters - done)
-        los, his, mids = lo[None], hi[None], []
-        for level in range(step):
-            mid = 0.5 * (los + his)
-            mids.append(mid)
-            if level + 1 < step:  # children (lo, mid) and (mid, hi), interleaved
-                los = np.stack([los, mid], axis=1).reshape((-1,) + lo.shape)
-                his = np.stack([mid, his], axis=1).reshape((-1,) + lo.shape)
-        counts = sturm_counts(diag, offdiag, np.concatenate(mids))
-        node = np.zeros((1,) + targets.shape, dtype=np.intp)
-        for _ in range(step):
+    if _native.kernel() is None:
+        lo, hi = np.full(targets.shape, lo), np.full(targets.shape, hi)
+        for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            above = np.take_along_axis(counts, node, axis=0)[0] >= targets
+            above = sturm_counts(diag, offdiag, mid) >= targets
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
-            done += 1
             if np.all(hi - lo <= np.maximum(tol, 4.0 * np.spacing(np.abs(mid)))):
-                return 0.5 * (lo + hi)
-            node = 2 * node + np.where(above, 1, 2)
-    return 0.5 * (lo + hi)
+                break
+        return 0.5 * (lo + hi)
+    values = (ctypes.c_double * targets.size)()
+    _check_status(_native.export("sturm_bisect")(
+        _pointer(diag), _pointer(offdiag), diag.shape[-1], _pointer(drow), _pointer(orow),
+        _pointer(targets), targets.size, lo, hi, tol, iters, values))
+    return np.frombuffer(values).reshape(targets.shape)
 
 
 def _bisection_bracket(diag, offdiag, lo, hi):

@@ -433,14 +433,15 @@ def coefficients(
     """Map law-transformed draws (batch, width) to (diag, offdiag) arrays.
 
     diag has shape (batch, size). offdiag is (size - 1,) when the couplings
-    are deterministic and (batch, size - 1) for the hopping ensemble.
+    are deterministic and (batch, size - 1) for the hopping ensemble. Both
+    are C-contiguous arrays of their own, never views of omega.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[1] != draw_width(spec, size):
         raise ValueError("omega must have shape (batch, draw_width)")
     batch = omega.shape[0]
     if spec.kind == "hopping":
-        return np.zeros((batch, size)), omega[:, 1:]
+        return np.zeros((batch, size)), omega[:, 1:].copy()
     if spec.kind == "anderson":
         return omega.copy(), np.ones(size - 1)
     if spec.kind == "qgraph":
@@ -448,7 +449,7 @@ def coefficients(
     if spec.kind == "dimer_sign":
         n = np.arange(1, size + 1)
         sign = np.where(n % 2 == 0, 1.0, -1.0)
-        return sign * omega[:, n // 2], np.ones(size - 1)
+        return sign * omega.take(n // 2, axis=1), np.ones(size - 1)
     # alloy
     if not isinstance(spec.profile, FiniteProfile):
         raise ValueError("alloy profile has unbounded support; truncate it first")

@@ -191,7 +191,7 @@ def _bisection_case(seed, n, size, two_d, shared_off):
     off_rows = rows if two_d and not shared_off else ()
     off = rng.choice([0.0, 0.0, 1.0, 0.3, -0.7], off_rows + (size - 1,))
     targets = rng.integers(1, size + 1, n)
-    bound = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0)) + 1.0
+    bound = float(np.max(np.abs(diag), initial=0.0)) + 2.0 * float(np.max(np.abs(off), initial=0.0)) + 1.0
     return diag, off, targets, -bound, bound
 
 
@@ -204,6 +204,10 @@ def _bisection_case(seed, n, size, two_d, shared_off):
 @example(seed=3, n=146, size=30, two_d=False, shared_off=True, tol=1e-10)
 @example(seed=4, n=147, size=30, two_d=True, shared_off=True, tol=0.0)
 @example(seed=5, n=300, size=5, two_d=True, shared_off=False, tol=0.0)
+@example(seed=9, n=0, size=7, two_d=False, shared_off=True, tol=0.0)  # no targets
+@example(seed=10, n=0, size=7, two_d=True, shared_off=False, tol=1e-10)  # no rows either
+@example(seed=11, n=1, size=8, two_d=True, shared_off=True, tol=0.0)  # one row, 2-D
+@example(seed=12, n=1, size=8, two_d=True, shared_off=False, tol=1e-10)
 @given(
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), size=st.integers(1, 30),
     two_d=st.booleans(), shared_off=st.booleans(), tol=st.sampled_from([0.0, 1e-10]),
@@ -217,53 +221,49 @@ def test_bisection_equals_one_level_loop(seed, n, size, two_d, shared_off, tol):
         assert es._bisect_indices(diag, off, targets, lo, hi, tol).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n, levels", [(1, 1), (20, 1), (21, 3), (146, 3), (147, 1)])
-def test_bisection_levels_per_sweep(n, levels):
-    """`levels` is the replay depth of the numpy fallback; the C kernel's
-    cost grows with its lanes, so with it every sweep resolves one level."""
-    if _native.kernel() is not None:
-        levels = 1
+@pytest.mark.parametrize("n", [1, 20, 21, 146, 147])
+def test_bisection_levels_per_sweep(n):
+    """Without the kernel every level is one `sturm_counts` call; with it the
+    whole loop runs in C and Python sweeps nothing."""
     diag, off, targets, lo, hi = _bisection_case(7, n, 40, False, True)
     with mock.patch.object(es, "sturm_counts", wraps=es.sturm_counts) as sweep:
         _one_level_bisection(diag, off, targets, lo, hi, 0.0)
-        one_level = sweep.call_count
+        levels = sweep.call_count
         sweep.reset_mock()
-        with mock.patch.object(es, "_float_sweep", wraps=es._float_sweep) as lane:
+        with mock.patch.object(_native, "_kernel", None):
             es._bisect_indices(diag, off, targets, lo, hi, 0.0)
-    if n <= es._FLOAT_TARGETS and (_native.kernel() is None or n * 40 <= es._FLOAT_PIVOTS):
-        # plain-float lanes: one lane sweep per target and level
-        assert sweep.call_count == 0
-        assert lane.call_count == n * one_level
-    else:
-        assert lane.call_count == 0
-        assert sweep.call_count == math.ceil(one_level / levels)
+        assert sweep.call_count == levels
+        sweep.reset_mock()
+        if _native.kernel() is not None:
+            es._bisect_indices(diag, off, targets, lo, hi, 0.0)
+            assert sweep.call_count == 0
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
-def test_padded_copies_are_swept_once(compiled):
-    """Draws holding 10 and 1 targets pad the second draw with 9 copies of its
-    target: each level sweeps the 11 distinct lanes, as `_float_sweep` calls
-    without the kernel or as one 11-lane `sturm_counts` call with it."""
+def test_padded_copies_are_swept_as_lanes(compiled):
+    """Draws holding 10 and 1 targets pad the second draw with 9 copies of
+    its target, which are swept like any other lane: without the kernel each
+    level is one `sturm_counts` call over all 20 (slot, row) lanes."""
+    if compiled and _native.kernel() is None:
+        pytest.skip("no compiled kernel")
     diag, off = _window_rows(3, [10, 1], True, 0.0)
     lo, hi = np.nextafter([-3.5, 3.5], np.inf)
+    c_lo = es.sturm_counts(diag, off, lo)
+    padded = c_lo + 1 + np.minimum(np.arange(10)[:, None], [9, 0])
     with mock.patch.object(es, "sturm_counts", wraps=es.sturm_counts) as sweep:
-        draws, values = batched_eigenvalues_in(diag, off, -3.5, 3.5, 0.0)
-        c_lo = es.sturm_counts(diag, off, lo)
-        padded = c_lo + 1 + np.minimum(np.arange(10)[:, None], [9, 0])
-        sweep.reset_mock()
-        _one_level_bisection(diag, off, padded, lo, hi, 0.0)
+        want = _one_level_bisection(diag, off, padded, lo, hi, 0.0)
         levels = sweep.call_count
         sweep.reset_mock()
-        with mock.patch.object(es, "_float_sweep", wraps=es._float_sweep) as lane, \
-                mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
-            es._bisect_indices(diag, off, padded, lo, hi, 0.0)
+        with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+            got = es._bisect_indices(diag, off, padded, lo, hi, 0.0)
+            draws, values = batched_eigenvalues_in(diag, off, -3.5, 3.5, 0.0)
+    assert got.tobytes() == want.tobytes()
     assert draws.tolist() == [0] * 10 + [1]
-    if compiled and _native.kernel() is not None:
-        assert lane.call_count == 0
-        assert [c.args[2].shape for c in sweep.call_args_list] == [(11,)] * levels
-    else:
-        assert sweep.call_count == 0
-        assert lane.call_count == 11 * levels
+    assert values.tobytes() == np.r_[got[:, 0], got[0, 1]].tobytes()
+    assert np.unique(got[:, 1]).tolist() == [got[0, 1]]  # the copies' values are equal
+    # the bisection's sweeps, then the extraction's two window counts and its own
+    sweeps = [] if compiled else [(10, 2)] * levels
+    assert [c.args[2].shape for c in sweep.call_args_list] == sweeps + [(), ()] + sweeps
 
 
 def _gathered_extraction(diag2d, offdiag, lo, hi, tol, chunk=4096):
@@ -434,6 +434,21 @@ def test_scalar_entry_points_name_bad_input(call, name):
     match = name if name.startswith("^") else f"^{name} must be finite"
     with pytest.raises(ValueError, match=match):
         call(_free(6))
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+@pytest.mark.parametrize("two_d", [False, True], ids=["one-row", "rows"])
+def test_bisection_rejects_couplings_whose_squares_overflow(compiled, two_d):
+    """The public entry points count the window before they bisect, so only
+    a direct call meets the C bisection's overflow status."""
+    if compiled and _native.kernel() is None:
+        pytest.skip("no compiled kernel")
+    diag, off = _HUGE_COUPLINGS.diag, _HUGE_COUPLINGS.offdiag
+    if two_d:
+        diag, off = np.stack([diag] * 4), np.stack([off] * 4)
+    with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+        with pytest.raises(ValueError, match="^offdiag entries must be at most 1.341e"):
+            es._bisect_indices(diag, off, np.array([1, 2, 3, 2]), -3e200, 3e200, 0.0)
 
 
 # ---------------------------------------------------------------------------

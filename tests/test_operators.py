@@ -183,6 +183,19 @@ def test_alloy_delta_profile_equals_anderson():
     assert np.array_equal(diag, w[:, 1:6])
 
 
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("hopping"), EnsembleSpec("anderson"), EnsembleSpec("qgraph"),
+    EnsembleSpec("dimer_sign"), EnsembleSpec("alloy", profile=FiniteProfile((0.5, 1.0, 0.25)), margin=1),
+], ids=lambda spec: spec.kind)
+def test_coefficients_are_c_contiguous(spec):
+    """Every kind returns C-contiguous arrays of its own: the compiled sweep
+    copies a strided input of more than 4 KB on every call, as it did
+    hopping's couplings while they were the view omega[:, 1:]."""
+    omega = np.random.default_rng(0).random((3, draw_width(spec, 6)))
+    for x in coefficients(spec, 6, omega):
+        assert x.flags.c_contiguous and not np.shares_memory(x, omega)
+
+
 def test_coefficients_shape_validation():
     with pytest.raises(ValueError):
         coefficients(EnsembleSpec("anderson"), 3, np.zeros((2, 4)))

@@ -1,8 +1,8 @@
 """Property tests of the Sturm sweep: the C kernel (as dispatched, and each
-of its bodies this host runs), the plain-float lanes and the site-major numpy
-sweep against each other and against dense LAPACK counts, on operators built
-to stress the pivot clamp. The other paths run with the kernel's handle
-patched to a body, or to None for numpy."""
+of its bodies this host runs) and the site-major numpy sweep against each
+other and against dense LAPACK counts, on operators built to stress the
+pivot clamp. The other paths run with the kernel's handle patched to a
+body, or to None for numpy."""
 
 import platform
 from pathlib import Path
@@ -63,17 +63,21 @@ _BODIES = _host_bodies()
 
 def _by_path(diag, offdiag, shifts):
     """Counts of one call by path: the dispatched C kernel, each body the
-    host runs, the float lanes and the site-major sweep. Without a C
-    compiler the first is the automatic numpy fallback."""
-    paths = {"compiled": sturm_counts(diag, offdiag, shifts)}
-    for name, body in _BODIES.items():
+    host runs and the site-major numpy sweep. Without a C compiler the first
+    is the numpy sweep too. Each path also counts the call's first lane
+    alone, as a scalar shift on one row, and a batch of no lanes; these must
+    give that lane's count and an empty batch."""
+    diag, offdiag, shifts = (np.asarray(x, dtype=float) for x in (diag, offdiag, shifts))
+    row = diag[(0,) * (diag.ndim - 1)], offdiag[(0,) * (offdiag.ndim - 1)]
+    paths = {}
+    for name, body in [("compiled", _native.kernel()), *_BODIES.items(), ("site_major", None)]:
         with mock.patch.object(_native, "_kernel", body):
-            paths[name] = sturm_counts(diag, offdiag, shifts)
-    with mock.patch.object(_native, "_kernel", None):
-        with mock.patch.object(es, "_FLOAT_LANES", 1 << 30):
-            paths["floats"] = sturm_counts(diag, offdiag, shifts)
-        with mock.patch.object(es, "_FLOAT_LANES", 0):
-            paths["site_major"] = sturm_counts(diag, offdiag, shifts)
+            counts = paths[name] = sturm_counts(diag, offdiag, shifts)
+            if counts.size:
+                one = sturm_counts(*row, float(shifts.flat[0]))
+                assert one.shape == () and one.dtype == np.int64 and one == counts.flat[0], name
+            none = sturm_counts(diag, offdiag, np.empty((0,) + counts.shape))
+            assert none.shape == (0,) + counts.shape and none.dtype == np.int64, name
     return paths
 
 
@@ -129,9 +133,8 @@ def test_paths_match_dense_counts(seed, size, zero_diag, hopping):
 )
 def test_paths_agree_across_lanes_and_tiles(seed, rows, n_shifts, size, hopping, tile_sites):
     """Lane counts 1..96 are whole and partial groups of the scalar body's 8
-    interleaved lanes and of the AVX2 body's 16 (4 vectors of 4), and
-    straddle the fallback's float/numpy crossover; tiles of 1-6 sites
-    split L."""
+    interleaved lanes and of the AVX2 body's 16 (4 vectors of 4); tiles of
+    1-6 sites split L."""
     rng = np.random.default_rng(seed)
     diag = _adversarial(rng, (rows, size), 300)
     off = _adversarial(rng, (rows, size - 1) if hopping else (size - 1,), 150)
@@ -188,7 +191,7 @@ def test_offdiag_length_is_checked():
 @pytest.mark.parametrize("shifts", [np.nan, [0.0, np.nan, 1.0], np.r_[np.zeros(40), np.nan]])
 def test_nan_shift_is_rejected(shifts):
     # a NaN shift makes every pivot of its lane NaN, which counts as no
-    # eigenvalue; the 41-lane call is a site-major numpy call without the kernel
+    # eigenvalue
     with pytest.raises(ValueError, match="^shifts must not be NaN"):
         sturm_counts(np.zeros(5), np.ones(4), shifts)
     for body in [*_BODIES.values(), None]:
@@ -202,8 +205,7 @@ def test_nan_shift_is_rejected(shifts):
 def test_coupling_whose_square_overflows_is_rejected(n_shifts, shared):
     # A coupling above sqrt(DBL_MAX) squares to inf, which made the counts
     # wrong (1 instead of 3 below 1e201 for couplings 1e200); the largest
-    # coupling whose square is finite still counts. Without the kernel, 3
-    # lanes run as float loops and 18 or 120 as the site-major sweep.
+    # coupling whose square is finite still counts.
     limit = es._MAX_COUPLING
     diag = np.tile([0.5, -0.2, 0.1], (3, 1))  # eigenvalues near -1.9e154, 0.3, 1.9e154
     good = np.array([limit, -limit])
@@ -247,7 +249,7 @@ def test_nan_lane_beside_tiny_pivot_is_reswept():
     must still be swept again with the clamp. Unclamped, 0/0 makes lane 1 NaN
     from site 1 on and it counts 0; a minimum over the tile that propagates
     NaN would skip the re-sweep."""
-    lanes = es._FLOAT_LANES + 4
+    lanes = 16
     diag = np.tile([2.0, 3.0, 4.0], (lanes, 1))
     diag[0, 0] = np.nan
     diag[1] = [0.0, -1.0, -1.0]
