@@ -36,7 +36,6 @@ from .operators import (
     DomainError,
     EnsembleSpec,
     FiniteProfile,
-    GeometricProfile,
     IdentityFamily,
     IntervalGraphFamily,
     PiecewiseLinearLaw,
@@ -46,7 +45,6 @@ from .operators import (
     coefficients,
     draw_width,
     make_draw,
-    truncate_alloy,
 )
 from .probes import (
     Estimate,

@@ -10,6 +10,11 @@ by (seed, stream, b) alone, so
 * results are independent of how blocks are partitioned over workers, because
   workers always own whole blocks and per-block results are merged in block
   index order.
+
+A block's uniforms are those of numpy's `Generator(Philox(key))` stream. The
+C library's `philox_uniform` (see `_native`) computes them, with a uniform
+law's affine map fused in, when it loads; numpy draws them otherwise, the
+same bits either way.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import concurrent.futures
 import os
 
 import numpy as np
+
+from . import _native
 
 MASK64 = (1 << 64) - 1
 
@@ -39,23 +46,36 @@ def block_size(width: int) -> int:
     return int(max(1, min(_BLOCK_CAP, rows)))
 
 
-def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
-    """Independently keyed generator for one block of one stream."""
+def _block_key(seed: int, block: int, stream: int) -> tuple[int, int]:
+    """The two Philox key words of one block of one stream."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if not 0 <= block < (1 << 48):
         raise ValueError("block index out of range")
-    key = np.array(
-        [seed & MASK64, ((stream << 48) ^ block) & MASK64], dtype=np.uint64
-    )
+    return seed & MASK64, ((stream << 48) ^ block) & MASK64
+
+
+def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
+    """Independently keyed generator for one block of one stream."""
+    key = np.array(_block_key(seed, block, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def uniform_block(
-    seed: int, block: int, rows: int, width: int, stream: int = 0
+    seed: int, block: int, rows: int, width: int, stream: int = 0,
+    *, lo: float = 0.0, hi: float = 1.0,
 ) -> np.ndarray:
-    """(rows, width) array of uniforms in [0, 1) for the given block."""
-    return block_rng(seed, block, stream).random((rows, width))
+    """(rows, width) array lo + (hi - lo) * u of the block's uniforms u in
+    [0, 1): `block_rng(seed, block, stream).random((rows, width))`, mapped
+    as `UniformLaw(lo, hi).transform` maps it, bit for bit. The defaults
+    give u itself, since 0.0 + 1.0 * u == u."""
+    lo, hi = float(lo), float(hi)
+    draw = _native.export("philox_uniform")
+    if draw is None:
+        return lo + (hi - lo) * block_rng(seed, block, stream).random((rows, width))
+    out = np.empty((rows, width))
+    draw(*_block_key(seed, block, stream), lo, hi, out.ctypes.data, out.size)
+    return out
 
 
 def n_blocks(total: int, width: int) -> int:

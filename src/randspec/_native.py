@@ -1,4 +1,5 @@
-"""The compiled Sturm sweep of `_sturm.c`, built on first use, loaded by ctypes.
+"""The compiled Sturm sweep and draws of `_sturm.c`, built on first use, loaded
+by ctypes.
 
 `kernel()` returns the library's `sturm_counts` function, or None when the
 library cannot be had: no C compiler, a cache directory that cannot be
@@ -6,8 +7,11 @@ written, a failed build or a failed dlopen. `eigensolve` then runs its numpy
 paths, which compute the same counts and eigenvalues. The library also
 exports `sturm_bisect`, the bisection loop of `eigensolve._bisect_indices`,
 its two sweep bodies `sturm_counts_scalar` and (on x86-64)
-`sturm_counts_avx2`, all of which `export` returns typed, and
-`sturm_counts_body`, which names the body the others call (`body()`).
+`sturm_counts_avx2`, `philox_uniform`, the uniform draws of
+`_blocks.uniform_block` (missing where the compiler has no 128-bit integer;
+`_blocks` then draws with numpy, the same bits), all of which `export`
+returns typed, and `sturm_counts_body`, which names the body the sweeps call
+(`body()`).
 
 The library is cached in the `__pycache__` directory beside this file, under
 a name keyed by the sha256 of the source and the compiler flags, so an edited
@@ -46,16 +50,18 @@ _PTR, _SIZE = ctypes.c_void_p, ctypes.c_ssize_t
 _SWEEP = [_PTR, _PTR, _SIZE, _PTR, _PTR, _PTR, _SIZE, _PTR]
 # diag, offdiag, L, diag rows, offdiag rows, targets, lanes, lo, hi, tol, iters, values
 _BISECT = _SWEEP[:7] + [ctypes.c_double] * 3 + [ctypes.c_int64, _PTR]
+# key0, key1, lo, hi, out, n
+_PHILOX = [ctypes.c_uint64] * 2 + [ctypes.c_double] * 2 + [_PTR, _SIZE]
+_TYPES = {"sturm_bisect": (_BISECT, ctypes.c_int64), "philox_uniform": (_PHILOX, None)}
 
 
 def export(name):
-    """The library's function `name`, typed: `sturm_bisect`, or a sweep
-    with the argument types of `sturm_counts`; None without the library or
-    without that export."""
+    """The library's function `name`, typed: `sturm_bisect`,
+    `philox_uniform`, or a sweep with the argument types of `sturm_counts`;
+    None without the library or without that export."""
     fn = getattr(_loaded(), name, None)
     if fn is not None and fn.argtypes is None:
-        fn.argtypes = _BISECT if name == "sturm_bisect" else _SWEEP
-        fn.restype = ctypes.c_int64
+        fn.argtypes, fn.restype = _TYPES.get(name, (_SWEEP, ctypes.c_int64))
     return fn
 
 

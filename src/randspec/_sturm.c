@@ -1,4 +1,5 @@
-/* Sturm negative-pivot counts of shifted symmetric tridiagonal matrices.
+/* Sturm negative-pivot counts of shifted symmetric tridiagonal matrices, and
+   the uniform draws of the boxes they are counted on.
 
    Lane l sweeps the diagonal row drow[l] and the coupling row orow[l] at the
    shift shifts[l] and stores #{pivots < 0} in counts[l]. The pivots are
@@ -45,7 +46,20 @@
    the same way, but tests row couplings as it squares them: a scan reads
    every row once more, which cost up to 2x at one shift per row, while the
    test costs 4-6% there; in the sweep of a shared row it cost 9% (A/B runs
-   against the unchecked library on a 2-core Xeon VM). */
+   against the unchecked library on a 2-core Xeon VM).
+
+   philox_uniform writes lo + (hi - lo) * u for the first n uniforms u of
+   numpy's Generator(Philox(key=[key0, key1])).random: Philox4x64-10 of
+   Salmon, Moraes, Dror and Shaw (Random123, SC 2011) as numpy's
+   random/src/philox/philox.h computes it, with u = (x >> 11) * 2^-53 per
+   64-bit output word and the counter incremented before each 4-word block,
+   so the first block is counter 1. The law's affine map is the operations
+   of UniformLaw.transform in its order, so the draws are numpy's bits. One
+   block is a chain of 10 dependent multiplies; two counters run
+   interleaved, which took about 4 ns per double against 5.7 with one
+   counter and 6-8 for numpy's (8 MB blocks on a 2-core Xeon VM). It needs
+   a 128-bit product, so it is built only where the compiler has __int128;
+   without it the numpy draws run. */
 
 #include <float.h>
 #include <math.h>
@@ -267,16 +281,25 @@ int64_t sturm_counts(const double *diag, const double *off, ptrdiff_t size,
     return pick()(diag, off, size, drow, orow, shifts, lanes, counts);
 }
 
+/* 0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where lo + hi overflows: the bits
+   of the first wherever lo + hi is finite, and no inf from a finite
+   bracket. */
+static inline double midpoint(double lo, double hi)
+{
+    double mid = 0.5 * (lo + hi);
+    return isinf(mid) ? 0.5 * lo + 0.5 * hi : mid;
+}
+
 /* Bisection for eigenvalue targets[l] (1-based) of the rows of lane l, all
    lanes from the bracket (lo, hi] and in lockstep: each level sweeps the
-   midpoints 0.5 * (lo + hi) of every lane in one call of the body pick()
+   midpoints of every lane (see midpoint) in one call of the body pick()
    chose, then moves hi to the midpoint where count >= target and lo
    elsewhere. It stops after iters levels, or after the first level at which
    every bracket is at most max(tol, 4 ulp(|mid|)) wide, where ulp(m) =
    nextafter(m, inf) - m: numpy's spacing, NaN at inf and NaN, which then
    never stop, as numpy's maximum propagates NaN. These are the operations
    of the numpy loop in eigensolve.py in its order, so both give the same
-   bits. values[l] is 0.5 * (lo + hi) of the last bracket of lane l.
+   bits. values[l] is the midpoint of the last bracket of lane l.
 
    Returns the status of the first sweep that is not 0 (see
    sturm_counts_scalar), and then the values are not to be used; -2 when
@@ -300,7 +323,7 @@ int64_t sturm_bisect(const double *diag, const double *off, ptrdiff_t size,
     }
     for (int64_t level = 0; level < iters; level++) {
         for (ptrdiff_t l = 0; l < lanes; l++)
-            values[l] = 0.5 * (los[l] + his[l]);
+            values[l] = midpoint(los[l], his[l]);
         status = sweep(diag, off, size, drow, orow, values, lanes, counts);
         if (status)
             break;
@@ -318,10 +341,82 @@ int64_t sturm_bisect(const double *diag, const double *off, ptrdiff_t size,
             break;
     }
     for (ptrdiff_t l = 0; l < lanes; l++)
-        values[l] = 0.5 * (los[l] + his[l]);
+        values[l] = midpoint(los[l], his[l]);
     free(los);
     return status;
 }
+
+#ifdef __SIZEOF_INT128__
+
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL /* Weyl key bumps */
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+#define PHILOX_ROUNDS 10
+
+struct philox_words {
+    uint64_t v[4];
+};
+
+static inline struct philox_words philox_round(struct philox_words x, uint64_t k0, uint64_t k1)
+{
+    unsigned __int128 p0 = (unsigned __int128)PHILOX_M0 * x.v[0];
+    unsigned __int128 p1 = (unsigned __int128)PHILOX_M1 * x.v[2];
+    struct philox_words y = {{(uint64_t)(p1 >> 64) ^ x.v[1] ^ k0, (uint64_t)p1,
+                              (uint64_t)(p0 >> 64) ^ x.v[3] ^ k1, (uint64_t)p0}};
+    return y;
+}
+
+static inline struct philox_words philox_bump(struct philox_words c)
+{
+    if (++c.v[0] == 0 && ++c.v[1] == 0 && ++c.v[2] == 0)
+        ++c.v[3];
+    return c;
+}
+
+/* lo + (hi - lo) * u for the output word x; x >> 11 < 2^53 converts exactly
+   as a signed integer, which is cheaper than an unsigned conversion. */
+static inline double philox_unit(uint64_t x, double lo, double scale)
+{
+    return lo + scale * ((double)(int64_t)(x >> 11) * 0x1.0p-53);
+}
+
+void philox_uniform(uint64_t key0, uint64_t key1, double lo, double hi, double *out,
+                    ptrdiff_t n)
+{
+    const double scale = hi - lo;
+    struct philox_words ctr = {{0, 0, 0, 0}};
+    ptrdiff_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        struct philox_words a = ctr = philox_bump(ctr);
+        struct philox_words b = ctr = philox_bump(ctr);
+        uint64_t k0 = key0, k1 = key1;
+#pragma GCC unroll 10
+        for (int r = 0; r < PHILOX_ROUNDS; r++) {
+            a = philox_round(a, k0, k1);
+            b = philox_round(b, k0, k1);
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        for (int w = 0; w < 4; w++) {
+            out[i + w] = philox_unit(a.v[w], lo, scale);
+            out[i + 4 + w] = philox_unit(b.v[w], lo, scale);
+        }
+    }
+    while (i < n) {
+        struct philox_words a = ctr = philox_bump(ctr);
+        uint64_t k0 = key0, k1 = key1;
+        for (int r = 0; r < PHILOX_ROUNDS; r++) {
+            a = philox_round(a, k0, k1);
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        for (int w = 0; w < 4 && i < n; w++, i++)
+            out[i] = philox_unit(a.v[w], lo, scale);
+    }
+}
+
+#endif
 
 /* "avx2" or "scalar": the body sturm_counts calls on this CPU. */
 const char *sturm_counts_body(void)

@@ -50,7 +50,7 @@ import numpy as np
 from . import probes, transfer
 from .ids import estimate_ids
 from .operators import (
-    KINDS, EnsembleSpec, FiniteProfile, GeometricProfile, PiecewiseLinearLaw, UniformLaw,
+    KINDS, EnsembleSpec, FiniteProfile, PiecewiseLinearLaw, UniformLaw,
 )
 
 ENV_WORKERS = "RANDSPEC_WORKERS"
@@ -132,13 +132,10 @@ def _parse_law(text: str):
 
 
 def _parse_profile(text: str):
-    """finite:v-r,...,vr or geometric:amp,rate"""
+    """finite:v-r,...,vr"""
     head, _, rest = text.partition(":")
     if head == "finite":
         return FiniteProfile(tuple(float(t) for t in rest.split(",")))
-    if head == "geometric":
-        amp, rate = (float(t) for t in rest.split(","))
-        return GeometricProfile(rate, amp)
     raise ConfigError(f"unknown profile {text!r}")
 
 
@@ -564,8 +561,8 @@ def _flag(p, name: str, field: Field):
                    default=None if required else field.default, help=field.describe())
 
 
-def _add_spec_args(p, samples: Field):
-    p.add_argument("--kind", required=True, choices=KINDS)
+def _add_spec_args(p, samples: Field, kinds=KINDS):
+    p.add_argument("--kind", required=True, choices=kinds)
     for key in ("law", "profile", "margin"):
         _flag(p, key, _ENSEMBLE[key])
     _flag(p, "samples", samples)
@@ -605,7 +602,8 @@ def main(argv=None) -> int:
     p_ids.set_defaults(fn=cmd_ids)
 
     p_ly = sub.add_parser("lyapunov", help="estimate a Lyapunov exponent")
-    _add_spec_args(p_ly, Field(_int, "64", ge=2))
+    lyapunov_kinds = [k for k in KINDS if k in transfer._STEP_TABLE]
+    _add_spec_args(p_ly, Field(_int, "64", ge=2), lyapunov_kinds)
     _flag(p_ly, "energy", _ENERGY)
     _flag(p_ly, "steps", Field(_int, "2000", ge=1000))  # transfer.lyapunov's minimum
     p_ly.set_defaults(fn=cmd_lyapunov)

@@ -249,7 +249,7 @@ def _bisect_indices(diag, offdiag, targets, lo, hi, tol):
     There are two paths, picked by `_native.kernel()`: one call of the C
     library's `sturm_bisect`, which runs every level in lockstep, or a numpy
     loop making one `sturm_counts` call per level. Both take the midpoints
-    0.5 * (lo + hi), move hi to the midpoint where count >= target, and stop
+    of `_midpoint`, move hi to the midpoint where count >= target, and stop
     on the same test, so they give the same bits.
     """
     diag, offdiag, targets, drow, orow = _lanes(diag, offdiag, np.asarray(targets, dtype=np.int64))
@@ -261,18 +261,27 @@ def _bisect_indices(diag, offdiag, targets, lo, hi, tol):
     if _native.kernel() is None:
         lo, hi = np.full(targets.shape, lo), np.full(targets.shape, hi)
         for _ in range(iters):
-            mid = 0.5 * (lo + hi)
+            mid = _midpoint(lo, hi)
             above = sturm_counts(diag, offdiag, mid) >= targets
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
             if np.all(hi - lo <= np.maximum(tol, 4.0 * np.spacing(np.abs(mid)))):
                 break
-        return 0.5 * (lo + hi)
+        return _midpoint(lo, hi)
     values = (ctypes.c_double * targets.size)()
     _check_status(_native.export("sturm_bisect")(
         _pointer(diag), _pointer(offdiag), diag.shape[-1], _pointer(drow), _pointer(orow),
         _pointer(targets), targets.size, lo, hi, tol, iters, values))
     return np.frombuffer(values).reshape(targets.shape)
+
+
+def _midpoint(lo, hi):
+    """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where lo + hi overflows: the
+    bits of the first wherever lo + hi is finite, and no inf from a finite
+    bracket (the `midpoint` of `_sturm.c`)."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
 
 
 def _bisection_bracket(diag, offdiag, lo, hi):

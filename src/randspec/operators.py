@@ -22,7 +22,6 @@ counter RNG; see _blocks.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -167,64 +166,13 @@ class FiniteProfile:
         if radius is None or radius == self.radius:
             return np.asarray(self.values, dtype=np.float64)
         if radius < self.radius:
-            raise ValueError("radius smaller than support; truncate first")
+            raise ValueError("radius smaller than the profile support")
         pad = radius - self.radius
         return np.pad(np.asarray(self.values, dtype=np.float64), pad)
-
-    def truncate(self, radius: int) -> "FiniteProfile":
-        if radius >= self.radius:
-            return self
-        r = self.radius
-        return FiniteProfile(self.values[r - radius : r + radius + 1])
-
-    def tail_abs_sum(self, cutoff: int) -> float:
-        """sum of |d(n)| over |n| > cutoff."""
-        r = self.radius
-        if cutoff >= r:
-            return 0.0
-        vals = np.abs(np.asarray(self.values, dtype=np.float64))
-        keep = np.abs(np.arange(-r, r + 1)) > cutoff
-        return float(vals[keep].sum())
 
     def single_signed(self) -> bool:
         nz = [v for v in self.values if v != 0.0]
         return bool(nz) and (all(v > 0 for v in nz) or all(v < 0 for v in nz))
-
-
-@dataclass(frozen=True)
-class GeometricProfile:
-    """Infinite-support profile d(n) = amplitude * exp(-rate * |n|)."""
-
-    rate: float
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if not (self.rate > 0):
-            raise ValueError("profile must decay: need rate > 0")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
-
-    @property
-    def radius(self) -> float:
-        return math.inf
-
-    def value(self, n: int) -> float:
-        return self.amplitude * math.exp(-self.rate * abs(n))
-
-    def materialize(self, radius: int) -> np.ndarray:
-        n = np.arange(-radius, radius + 1)
-        return self.amplitude * np.exp(-self.rate * np.abs(n))
-
-    def truncate(self, radius: int) -> FiniteProfile:
-        return FiniteProfile(tuple(self.materialize(radius)))
-
-    def tail_abs_sum(self, cutoff: int) -> float:
-        """sum of |d(n)| over |n| > cutoff (geometric series, exact)."""
-        q = math.exp(-self.rate)
-        return 2.0 * abs(self.amplitude) * q ** (cutoff + 1) / (1.0 - q)
-
-    def single_signed(self) -> bool:
-        return self.amplitude != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +322,7 @@ class EnsembleSpec:
 
     kind: str
     law: UniformLaw | PiecewiseLinearLaw | None = None
-    profile: FiniteProfile | GeometricProfile | None = None
+    profile: FiniteProfile | None = None
     margin: int = 0
     family: object | None = None
 
@@ -392,14 +340,11 @@ class EnsembleSpec:
         if self.kind == "qgraph" and lo < 0.0:
             raise ValueError("qgraph coupling law must be supported on [0, inf)")
         if self.kind == "alloy":
-            if self.profile is None:
-                raise ValueError("alloy ensemble requires a profile")
+            if not isinstance(self.profile, FiniteProfile):
+                raise ValueError("alloy ensemble requires a FiniteProfile")
             if self.margin < 1:
                 raise ValueError("alloy ensemble requires margin >= 1")
-            if (
-                isinstance(self.profile, FiniteProfile)
-                and self.profile.radius > self.margin
-            ):
+            if self.profile.radius > self.margin:
                 raise ValueError("margin must cover the profile support radius")
         elif self.profile is not None:
             raise ValueError("profile is only meaningful for the alloy ensemble")
@@ -436,6 +381,13 @@ def coefficients(
     are deterministic and (batch, size - 1) for the hopping ensemble. Both
     are C-contiguous arrays of their own, never views of omega.
     """
+    diag, off = _coefficients(spec, size, omega)
+    return (diag.copy() if diag is omega else diag), off
+
+
+def _coefficients(spec, size, omega):
+    """`coefficients`, but diag may be omega itself (anderson and qgraph), so
+    a fresh omega is not copied."""
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[1] != draw_width(spec, size):
         raise ValueError("omega must have shape (batch, draw_width)")
@@ -443,16 +395,14 @@ def coefficients(
     if spec.kind == "hopping":
         return np.zeros((batch, size)), omega[:, 1:].copy()
     if spec.kind == "anderson":
-        return omega.copy(), np.ones(size - 1)
+        return omega, np.ones(size - 1)
     if spec.kind == "qgraph":
-        return omega.copy(), -np.ones(size - 1)
+        return omega, -np.ones(size - 1)
     if spec.kind == "dimer_sign":
         n = np.arange(1, size + 1)
         sign = np.where(n % 2 == 0, 1.0, -1.0)
         return sign * omega.take(n // 2, axis=1), np.ones(size - 1)
     # alloy
-    if not isinstance(spec.profile, FiniteProfile):
-        raise ValueError("alloy profile has unbounded support; truncate it first")
     s = spec.margin
     d = spec.profile.materialize(s)
     diag = np.zeros((batch, size))
@@ -470,12 +420,15 @@ def omega_block(
     rows: int | None = None,
     stream: int = _blocks.STREAM_PRIMARY,
 ) -> np.ndarray:
-    """Law-transformed draw rows for one RNG block."""
+    """Law-transformed draw rows for one RNG block. A uniform law's map is
+    drawn with the uniforms, the bits of its `transform`."""
     width = draw_width(spec, size)
     if rows is None:
         rows = _blocks.block_size(width)
-    u = _blocks.uniform_block(seed, block, rows, width, stream)
-    return spec.law.transform(u)
+    law = spec.law
+    if isinstance(law, UniformLaw):
+        return _blocks.uniform_block(seed, block, rows, width, stream, lo=law.lo, hi=law.hi)
+    return law.transform(_blocks.uniform_block(seed, block, rows, width, stream))
 
 
 def draw_block(
@@ -489,7 +442,7 @@ def draw_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(diag, offdiag) of one RNG block's first `rows` draws; diag -> a + b *
     diag when post_affine = (a, b) is given."""
-    diag, off = coefficients(spec, size, omega_block(spec, size, seed, block, rows, stream))
+    diag, off = _coefficients(spec, size, omega_block(spec, size, seed, block, rows, stream))
     if post_affine is not None:
         a, b = post_affine
         diag = a + b * diag
@@ -522,26 +475,3 @@ def assemble(spec: EnsembleSpec, size: int, draw: EnsembleDraw) -> TridiagonalOp
     if draw.diag.shape != (size,):
         raise ValueError("draw was made for a different box size")
     return TridiagonalOperator(draw.diag, draw.offdiag)
-
-
-def truncate_alloy(spec: EnsembleSpec, size: int, decay_factor: float = 3.0) -> EnsembleSpec:
-    """Truncate the alloy profile to radius S = ceil(decay_factor * log size).
-
-    For an exponentially decaying profile the discarded operator differs from
-    the full one by at most 2 * sum_{|n|>S} |d(n)| in operator norm (the
-    sup-norm of the dropped potential); `profile.tail_abs_sum(S)` computes
-    half of that bound's series. A compactly supported profile with radius
-    <= S is returned unchanged.
-    """
-    if spec.kind != "alloy":
-        raise ValueError("truncate_alloy applies to the alloy ensemble")
-    if size < 2:
-        raise ValueError("need size >= 2")
-    cutoff = math.ceil(decay_factor * math.log(size))
-    prof = spec.profile
-    if isinstance(prof, FiniteProfile) and prof.radius <= cutoff:
-        if spec.margin >= prof.radius:
-            return spec
-        return dataclasses.replace(spec, margin=prof.radius)
-    new_prof = prof.truncate(cutoff)
-    return dataclasses.replace(spec, profile=new_prof, margin=cutoff)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blocks
-from .operators import EnsembleSpec, FiniteProfile, TridiagonalOperator
+from .operators import EnsembleSpec, TridiagonalOperator
 
 _STREAM_LYAPUNOV = 5
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -296,7 +296,7 @@ def lyapunov(
     """Lyapunov exponent of the given ensemble at one energy.
 
     Supported kinds: dimer_sign (two-step matrices, 2 sites per step),
-    anderson, hopping, and truncated alloy (one-step matrices).
+    anderson, hopping, and alloy (one-step matrices).
     """
     e = float(energy)
     if not math.isfinite(e):
@@ -306,8 +306,6 @@ def lyapunov(
     sites, carry, entries = _STEP_TABLE[spec.kind]
     profile = None
     if spec.kind == "alloy":
-        if not isinstance(spec.profile, FiniteProfile):
-            raise ValueError("alloy profile has unbounded support; truncate it first")
         profile = spec.profile.materialize(spec.margin)
         carry = profile.size
     law = spec.law

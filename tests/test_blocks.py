@@ -1,9 +1,14 @@
-"""Block partitioning, per-block RNG keying, and worker invariance."""
+"""Block partitioning, per-block RNG keying, draws, and worker invariance."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from randspec import _blocks
+from randspec import EnsembleSpec, FiniteProfile, PiecewiseLinearLaw, UniformLaw, _blocks, _native
+from randspec.operators import KINDS, draw_block, draw_width, make_draw
 
 
 def _square_block(b):
@@ -59,3 +64,68 @@ def test_map_blocks_worker_invariance():
     parallel = _blocks.map_blocks(_square_block, 7, workers=3)
     assert serial == parallel == [b * b for b in range(7)]
     assert _blocks.map_blocks(_square_block, 0, workers=3) == []
+
+
+def _paths():
+    """`_native._library` for each draw path this host runs: the loaded
+    library when it exports philox_uniform, and None, which forces the
+    numpy fallback."""
+    if _native.export("philox_uniform") is None:
+        return [None]
+    return [_native._library, None]
+
+
+_BITS48 = st.integers(0, (1 << 48) - 1)
+_BOUNDS = st.one_of(
+    st.just((0.0, 1.0)),
+    st.floats(-1e3, 1e3).map(lambda x: (x, x)),
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).map(sorted).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1), stream=st.integers(0, (1 << 16) - 1),
+       block=_BITS48, rows=st.integers(0, 5), width=st.integers(1, 11), bounds=_BOUNDS)
+@example(seed=0, stream=0, block=0, rows=1, width=1, bounds=(0.0, 1.0))
+@example(seed=(1 << 48) - 1, stream=(1 << 16) - 1, block=(1 << 48) - 1, rows=3, width=7,
+         bounds=(-2.5, -0.5))
+@example(seed=7, stream=2, block=3, rows=1, width=6, bounds=(1.5, 1.5))
+def test_uniform_block_bits_equal_numpy_philox(seed, stream, block, rows, width, bounds):
+    """Every path gives lo + (hi - lo) * u for numpy's Philox uniforms u, bit
+    for bit, on shapes whose size is no multiple of 4 as on others; (0, 1)
+    are the defaults, which give u itself."""
+    lo, hi = bounds
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, ((stream << 48) ^ block)], dtype=np.uint64)))
+    u = rng.random((rows, width))
+    want = u if bounds == (0.0, 1.0) else lo + (hi - lo) * u
+    law = {} if bounds == (0.0, 1.0) else {"lo": lo, "hi": hi}
+    for library in _paths():
+        with mock.patch.object(_native, "_library", library):
+            got = _blocks.uniform_block(seed, block, rows, width, stream, **law)
+        assert got.shape == (rows, width) and got.tobytes() == want.tobytes()
+
+
+_LAWS = {
+    "uniform": lambda kind: UniformLaw(-0.5, 2.0) if kind in ("anderson", "alloy", "dimer_sign")
+    else UniformLaw(1.25, 1.75),  # hopping and qgraph need positive laws
+    "default": lambda kind: None,
+    "piecewise": lambda kind: PiecewiseLinearLaw((1.0, 1.5, 2.0), (1.0, 2.0, 1.0)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), law=st.sampled_from(sorted(_LAWS)),
+       size=st.integers(1, 9), seed=st.integers(0, (1 << 64) - 1), block=_BITS48,
+       stream=st.integers(0, 3), rows=st.integers(1, 5), data=st.data())
+def test_make_draw_rows_equal_draw_block_rows(kind, law, size, seed, block, stream, rows, data):
+    profile = FiniteProfile((0.25, 1.0, 0.5)) if kind == "alloy" else None
+    spec = EnsembleSpec(kind, law=_LAWS[law](kind), profile=profile, margin=int(kind == "alloy"))
+    row = data.draw(st.integers(0, rows - 1))
+    index = block * _blocks.block_size(draw_width(spec, size)) + row
+    for library in _paths():
+        with mock.patch.object(_native, "_library", library):
+            diag, off = draw_block(spec, size, seed, block, rows, stream)
+            draw = make_draw(spec, size, seed, index, stream)
+        assert draw.diag.tobytes() == diag[row].tobytes()
+        assert draw.offdiag.tobytes() == (off[row] if off.ndim == 2 else off).tobytes()

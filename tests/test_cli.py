@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import randspec
-from randspec import FiniteProfile, GeometricProfile, IdsTable, UniformLaw, probes
+from randspec import FiniteProfile, IdsTable, UniformLaw, probes
 from randspec.cli import (
     PROBES,
     ConfigError,
@@ -94,10 +94,9 @@ def test_parse_law_piecewise(tmp_path):
 
 def test_parse_profile():
     assert _parse_profile("finite:0.5,1,0.5") == FiniteProfile((0.5, 1.0, 0.5))
-    prof = _parse_profile("geometric:2.0,0.7")  # amplitude, rate
-    assert prof == GeometricProfile(rate=0.7, amplitude=2.0)
-    with pytest.raises(ConfigError):
-        _parse_profile("cauchy:1")
+    for text in ("cauchy:1", "geometric:2.0,0.7"):
+        with pytest.raises(ConfigError):
+            _parse_profile(text)
 
 
 def test_evaluate_checks():
@@ -403,6 +402,7 @@ _VALID = {
         ("w", "law", "gaussian:0,1", "[probe:w] law"),
         ("w", "law", "piecewise:no-such-file.csv", "[probe:w] law"),
         ("w", "profile", "finite:1", "[probe:w] kind/law/profile/margin"),
+        ("w", "profile", "geometric:1.0,0.5", "[probe:w] profile"),
         ("w", "margin", "-1", "[probe:w] margin"),
         ("w", "check_slope_min", "nan", "[probe:w] check_slope_min"),
         ("d", "disjoint", "maybe", "[probe:d] disjoint"),
@@ -549,6 +549,9 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
         (_IDS_ARGV, "--min", "inf", "--min"),
         (_IDS_ARGV, "--max", "-2", "--min = -2, --max = -2"),
         (_IDS_ARGV, "--out", "no_such_dir/ids.csv", "--out = 'no_such_dir/ids.csv'"),
+        (_LYAPUNOV_ARGV, "--kind", "qgraph", "--kind"),  # no transfer step table
+        (_LYAPUNOV_ARGV, "--profile", "geometric:1,0.5", "--profile"),
+        (_IDS_ARGV, "--profile", "geometric:1,0.5", "--profile"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):

@@ -392,6 +392,19 @@ def test_bracket_that_overflows_is_named():
         batched_eigenvalues_in(op.diag[None], op.offdiag, -1e308, 1e308)
 
 
+@pytest.mark.parametrize("diag, lo, hi", [(1e308, 0.9e308, 1.6e308), (-1.7e308, -1.79e308, -1e308)])
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+def test_midpoints_whose_sum_overflows(diag, lo, hi, compiled):
+    """A finite bracket whose ends sum past DBL_MAX bisects at 0.5 * lo +
+    0.5 * hi, not at inf, down to the stop test's 4 ulp."""
+    if compiled and _native.kernel() is None:
+        pytest.skip("no compiled kernel")
+    op = TridiagonalOperator(np.array([diag]), np.zeros(0))
+    with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+        [got] = eigenvalues_in(op, lo, hi)
+    assert abs(got - diag) <= 4.0 * np.spacing(abs(diag))
+
+
 _HUGE_COUPLINGS = TridiagonalOperator(np.array([0.5, -0.2, 0.1]), np.array([1e200, 1e200]))
 
 

@@ -10,7 +10,6 @@ from randspec import (
     DomainError,
     EnsembleSpec,
     FiniteProfile,
-    GeometricProfile,
     IdentityFamily,
     IntervalGraphFamily,
     PiecewiseLinearLaw,
@@ -20,7 +19,6 @@ from randspec import (
     coefficients,
     draw_width,
     make_draw,
-    truncate_alloy,
 )
 from randspec import _blocks
 from randspec.operators import omega_block
@@ -108,6 +106,8 @@ def test_spec_validation():
         EnsembleSpec("qgraph", law=UniformLaw(-0.5, 1.0))  # negative couplings
     with pytest.raises(ValueError):
         EnsembleSpec("alloy")  # profile required
+    with pytest.raises(ValueError, match="FiniteProfile"):
+        EnsembleSpec("alloy", profile=(0.5, 1.0, 0.5), margin=1)
     with pytest.raises(ValueError):
         EnsembleSpec("alloy", profile=FiniteProfile((1.0,)), margin=0)
     with pytest.raises(ValueError):
@@ -209,46 +209,10 @@ def test_finite_profile_helpers():
     prof = FiniteProfile((0.1, 0.4, 1.0, 0.4, 0.1))
     assert prof.radius == 2
     assert np.array_equal(prof.materialize(3), [0, 0.1, 0.4, 1.0, 0.4, 0.1, 0])
-    assert prof.truncate(1).values == (0.4, 1.0, 0.4)
-    assert prof.tail_abs_sum(1) == pytest.approx(0.2)
-    assert prof.tail_abs_sum(2) == 0.0
     assert prof.single_signed()
     assert not FiniteProfile((-0.5, 1.0, 0.0)).single_signed()
     with pytest.raises(ValueError):
         FiniteProfile((1.0, 2.0))  # even length
-
-
-def test_geometric_profile_tail_exact():
-    g = GeometricProfile(rate=0.7, amplitude=2.0)
-    q = math.exp(-0.7)
-    for cutoff in (0, 3, 10):
-        brute = sum(
-            2.0 * q ** abs(n)
-            for n in range(-400, 401)
-            if abs(n) > cutoff
-        )
-        assert g.tail_abs_sum(cutoff) == pytest.approx(brute, rel=1e-12)
-    assert np.array_equal(g.truncate(3).values, g.materialize(3))
-    with pytest.raises(ValueError):
-        GeometricProfile(rate=0.0)
-
-
-def test_truncate_alloy_geometric():
-    spec = EnsembleSpec("alloy", profile=GeometricProfile(1.0, 1.5), margin=1)
-    out = truncate_alloy(spec, 100)
-    cutoff = math.ceil(3.0 * math.log(100))
-    assert isinstance(out.profile, FiniteProfile)
-    assert out.profile.radius == cutoff
-    assert out.margin == cutoff
-    assert np.array_equal(out.profile.values, spec.profile.materialize(cutoff))
-    # dropped part of the potential is uniformly small
-    assert 2.0 * spec.profile.tail_abs_sum(cutoff) < 1e-5
-
-
-def test_truncate_alloy_compact_passthrough():
-    prof = FiniteProfile((0.5, 1.0, 0.5))
-    spec = EnsembleSpec("alloy", profile=prof, margin=1)
-    assert truncate_alloy(spec, 50) is spec
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from conftest import random_operator
 from randspec import (
     EnsembleSpec,
     FiniteProfile,
-    GeometricProfile,
     PiecewiseLinearLaw,
     TridiagonalOperator,
     classify_trace,
@@ -197,9 +196,6 @@ def test_lyapunov_alloy_profiles():
     )
     est = lyapunov(fin, 0.5, steps=1500, samples=4, seed=6)
     assert math.isfinite(est.gamma)
-    geo = EnsembleSpec("alloy", profile=GeometricProfile(1.0, 1.0), margin=2)
-    with pytest.raises(ValueError):
-        lyapunov(geo, 0.5, steps=1500, samples=4)
 
 
 def test_lyapunov_qgraph_unsupported():
