@@ -15,7 +15,6 @@ from .eigensolve import (
     dense_spectrum,
     eigenvalues_in,
     eigenvector,
-    localization_center,
     nearest_eigenvalue_distance,
     sturm_count,
     sturm_counts,
@@ -32,11 +31,9 @@ from .ids import (
 )
 from .operators import (
     KINDS,
-    AffineFamily,
     DomainError,
     EnsembleSpec,
     FiniteProfile,
-    IdentityFamily,
     IntervalGraphFamily,
     PiecewiseLinearLaw,
     TridiagonalOperator,
@@ -98,8 +95,6 @@ from .transfer import (
     lyapunov,
     lyapunov_stream,
     one_step,
-    operator_steps,
-    propagate,
 )
 
 __version__ = "0.1.0"

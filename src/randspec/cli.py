@@ -127,8 +127,11 @@ def _parse_law(text: str):
         lo, hi = (float(t) for t in rest.split(","))
         return UniformLaw(lo, hi)
     if head == "piecewise":
-        return PiecewiseLinearLaw.from_csv(rest)
-    raise ConfigError(f"unknown law {text!r}")
+        try:
+            return PiecewiseLinearLaw.from_csv(rest)
+        except ValueError as exc:  # a malformed file: the message names its line
+            raise ConfigError(exc) from None
+    raise ConfigError(f"unknown law {head!r}; expected {_parse_law.__doc__}")
 
 
 def _parse_profile(text: str):
@@ -136,7 +139,7 @@ def _parse_profile(text: str):
     head, _, rest = text.partition(":")
     if head == "finite":
         return FiniteProfile(tuple(float(t) for t in rest.split(",")))
-    raise ConfigError(f"unknown profile {text!r}")
+    raise ConfigError(f"unknown profile {head!r}; expected {_parse_profile.__doc__}")
 
 
 REQUIRED = object()  # default of a field that must be given
@@ -171,7 +174,7 @@ def _value(label: str, field: Field, text: str, error=ConfigError):
     """Parsed and range-checked value of one input; errors name `label`."""
     try:
         value = field.parse(text)
-    except OSError as exc:
+    except (OSError, ConfigError) as exc:  # a file's error, or a parser's own message
         raise error(f"{label} = {text!r}: {exc}") from None
     except ValueError:
         raise error(f"{label} = {text!r}: expected {field.parse.__doc__}") from None
@@ -413,7 +416,10 @@ def parse_probe(sec: Section, scale: float = 1.0):
     kwargs = _parse_fields(where, options, probe.fields)
     for key, field in probe.fields.items():
         if field.scaled:
-            kwargs[key] = max(field.ge, round(kwargs[key] * scale))
+            try:
+                kwargs[key] = max(field.ge, round(kwargs[key] * scale))
+            except OverflowError:  # the count times --scale is no finite float
+                raise ConfigError(f"{where} {key}: too large") from None
     if "kind" in kwargs:
         kwargs["spec"] = _ensemble(
             where, *(kwargs.pop(k) for k in ("kind", "law", "profile", "margin"))
@@ -569,7 +575,8 @@ def _add_spec_args(p, samples: Field, kinds=KINDS):
     _flag(p, "seed", Field(_int, "0", ge=0))
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The command line: run, list-probes, ids and lyapunov."""
     parser = argparse.ArgumentParser(
         prog="randspec",
         description="Monte Carlo laboratory for random tridiagonal operators",
@@ -607,8 +614,11 @@ def main(argv=None) -> int:
     _flag(p_ly, "energy", _ENERGY)
     _flag(p_ly, "steps", Field(_int, "2000", ge=1000))  # transfer.lyapunov's minimum
     p_ly.set_defaults(fn=cmd_lyapunov)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

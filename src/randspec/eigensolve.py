@@ -401,26 +401,39 @@ def _nearest_index_value(op, j, lo, hi, tol):
     return float(_bisect_indices(op.diag, op.offdiag, np.array([j]), lo, hi, tol)[0])
 
 
+def nearest_eigenvalues(
+    op: TridiagonalOperator, energy: float, tol: float = 0.0
+) -> tuple[float, float]:
+    """(E_j, E_{j+1}) with j = #{eigenvalues < energy}: the eigenvalues of op
+    nearest `energy` from below and from above, -inf or inf where there is
+    none, each bisected to width tol.
+
+    The bisection brackets are the Gershgorin interval widened by 1 on each
+    side, and further to reach `energy` when it lies outside.
+    """
+    _check_inputs(tol, energy=energy)
+    energy = float(energy)
+    glo, ghi = op.gershgorin()
+    glo, ghi = glo - 1.0, ghi + 1.0
+    if energy <= glo:
+        glo = energy - 1.0
+    if energy >= ghi:
+        ghi = energy + 1.0
+    j = int(sturm_counts(op.diag, op.offdiag, energy))
+    below, above = -math.inf, math.inf
+    if j >= 1:
+        below = _nearest_index_value(op, j, glo, energy, tol)
+    if j < op.size:
+        above = _nearest_index_value(op, j + 1, np.nextafter(energy, -np.inf), ghi, tol)
+    return below, above
+
+
 def nearest_eigenvalue_distance(
     op: TridiagonalOperator, energy: float, tol: float = 0.0
 ) -> float:
     """Distance from `energy` to the spectrum of op."""
-    _check_inputs(tol, energy=energy)
-    glo, ghi = op.gershgorin()
-    glo, ghi = glo - 1.0, ghi + 1.0
-    if energy <= glo:
-        glo = float(energy) - 1.0
-    if energy >= ghi:
-        ghi = float(energy) + 1.0
-    j = int(sturm_counts(op.diag, op.offdiag, float(energy)))
-    best = np.inf
-    if j >= 1:
-        below = _nearest_index_value(op, j, glo, float(energy), tol)
-        best = min(best, abs(energy - below))
-    if j < op.size:
-        above = _nearest_index_value(op, j + 1, np.nextafter(energy, -np.inf), ghi, tol)
-        best = min(best, abs(above - energy))
-    return float(best)
+    below, above = nearest_eigenvalues(op, energy, tol)
+    return float(min(abs(energy - below), abs(above - energy)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +598,6 @@ def eigenvector(
                 vecs.append(_canonical_sign(w / nw))
         cluster = tuple(vecs)
     return EigenvectorResult(ray, v, resid, float(gap), bool(flagged), cluster)
-
-
-def localization_center(vector: np.ndarray) -> int:
-    """1-based site of the largest |entry|; ties resolve to the first."""
-    v = np.asarray(vector)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need a nonempty vector")
-    return int(np.argmax(np.abs(v))) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -169,11 +169,11 @@ def estimate_ids(
     return IdsTable(grid, values, stderr, meta)
 
 
-def unfold(energies, table, e0: float, size: int):
-    """xi = size * (N(E) - N(E_0)); table is an IdsTable or a callable N."""
-    fn = table.evaluate if hasattr(table, "evaluate") else table
-    base = fn(e0)
-    return size * (np.asarray(fn(energies)) - base)
+def unfold(energies, table: IdsTable, e0: float, size: int):
+    """xi = size * N(E) - size * N(E_0), with N the table's interpolant;
+    errors outside its grid. Where N(E) is within a factor 2 of N(E_0) the
+    subtraction is exact, so spacings of xi are those of size * N(E)."""
+    return size * table.evaluate(energies) - size * table.evaluate(e0)
 
 
 def holder_modulus(table: IdsTable, scale: float, eta: float) -> float:

@@ -94,14 +94,26 @@ class PiecewiseLinearLaw:
 
     @classmethod
     def from_csv(cls, path) -> "PiecewiseLinearLaw":
-        """Read (x, density) rows from a two-column CSV file."""
+        """Read (x, density) rows from a two-column CSV file; blank lines and
+        lines starting with # are skipped. A short row, a field that is not
+        a number or an unreadable line raises ValueError naming the line."""
         xs, ws = [], []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                xs.append(float(row[0]))
-                ws.append(float(row[1]))
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    if not row or row[0].lstrip().startswith("#"):
+                        continue
+                    where = f"{path}: line {reader.line_num}"
+                    if len(row) < 2:
+                        raise ValueError(f"{where} has one field; expected x,density")
+                    try:
+                        xs.append(float(row[0]))
+                        ws.append(float(row[1]))
+                    except ValueError:
+                        raise ValueError(f"{where} holds a field that is not a number") from None
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         return cls(tuple(xs), tuple(ws))
 
     def _tables(self):
@@ -177,38 +189,6 @@ class FiniteProfile:
 
 # ---------------------------------------------------------------------------
 # spectral families V_omega(E) = (V_omega - mu_E) / lambda_E
-
-
-@dataclass(frozen=True)
-class IdentityFamily:
-    """lambda == 1, mu(E) = E: the plain energy shift V - E."""
-
-    name = "identity"
-
-    def lambda_at(self, energy: float) -> float:
-        return 1.0
-
-    def mu_at(self, energy: float) -> float:
-        return float(energy)
-
-
-@dataclass(frozen=True)
-class AffineFamily:
-    """Constant lambda and mu, independent of the energy."""
-
-    lam: float
-    mu: float
-    name = "affine"
-
-    def __post_init__(self):
-        if self.lam == 0:
-            raise ValueError("lambda must be nonzero")
-
-    def lambda_at(self, energy: float) -> float:
-        return self.lam
-
-    def mu_at(self, energy: float) -> float:
-        return self.mu
 
 
 @dataclass(frozen=True)
@@ -318,22 +298,18 @@ def _default_law(kind: str) -> UniformLaw:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which ensemble to draw from, plus its law/profile/spectral family."""
+    """Which ensemble to draw from, plus its law and alloy profile."""
 
     kind: str
     law: UniformLaw | PiecewiseLinearLaw | None = None
     profile: FiniteProfile | None = None
     margin: int = 0
-    family: object | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.law is None:
             object.__setattr__(self, "law", _default_law(self.kind))
-        if self.family is None:
-            fam = IntervalGraphFamily() if self.kind == "qgraph" else IdentityFamily()
-            object.__setattr__(self, "family", fam)
         lo, hi = self.law.support
         if self.kind == "hopping" and not (1.0 <= lo and hi <= 2.0):
             raise ValueError("hopping law must have support within [1, 2]")

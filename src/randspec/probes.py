@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _blocks
 from .eigensolve import batched_eigenvalues_in, sturm_counts
-from .ids import IdsTable, estimate_ids
+from .ids import IdsTable, estimate_ids, unfold
 from .operators import EnsembleSpec, IntervalGraphFamily, draw_block, draw_width
 
 SCHEMA_VERSION = 1
@@ -647,8 +647,7 @@ def level_statistics_probe(
         lo = min(w[0] for w in windows)
         hi = max(w[1] for w in windows)
         draws, values = _extract(spec, size, seed, collect, lo, hi, workers)
-        n0 = float(table.evaluate(np.array([energy]))[0])
-        xi = (table.evaluate(values) - n0) * size
+        xi = unfold(values, table, energy, size)
         configs = [
             PointProcessSample(r, energy, (lo, hi), np.sort(xi[draws == r]))
             for r in range(collect)
@@ -767,7 +766,7 @@ def spacing_probe(
     )
     lo, hi = _unfolded_window_edges(table, size, energy, (-half_width, half_width))
     draws, values = _extract(spec, size, seed, samples, float(lo), float(hi), workers)
-    unfolded = np.interp(values, table.energies, table.values) * size
+    unfolded = unfold(values, table, energy, size)
     spacings = np.diff(unfolded)[draws[1:] == draws[:-1]]
     m = spacings.size
     if m == 0:
@@ -817,11 +816,11 @@ def qgraph_minami_probe(
     """
     t0 = time.perf_counter()
     family = IntervalGraphFamily()
+    lam = family.lambda_at(energy)  # -c(E0); DomainError for E0 <= 0 or at a pole
+    mu = family.mu_at(energy)
     if width_scale is None:
         root = math.sqrt(energy)
         width_scale = math.sin(root) / root
-    lam = family.lambda_at(energy)  # -c(E0)
-    mu = family.mu_at(energy)
     # diag of R(E0) is (omega - mu)/lam on top of the -1 couplings
     widths, stats = _width_scan(
         EnsembleSpec("qgraph", law=law), 0.0, widths, size, samples, seed,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolve
-from .operators import EnsembleSpec, TridiagonalOperator
+from .operators import EnsembleSpec, IntervalGraphFamily, TridiagonalOperator
 
 RESIDUAL_TOL = 1e-8  # relative eigenpair certification threshold
 
@@ -308,8 +308,9 @@ def hellmann_feynman_check(
     """First-order eigenvalue response along one matrix direction.
 
     perturbation = ("diagonal", n): the physical variable omega_n moves the
-    diagonal entry V(n) with slope lambda (the spectral family's lambda at
-    E_j), so the analytic derivative is lambda * phi_j(n)^2.
+    diagonal entry V(n) with slope lambda, so the analytic derivative is
+    lambda * phi_j(n)^2. lambda is the interval-graph family's lambda at E_j
+    for qgraph (DomainError where E_j <= 0 or at a pole) and 1 otherwise.
     perturbation = ("coupling", k): direction a(k), k in 2..L; analytic
     derivative 2 phi_j(k) phi_j(k-1). The radial combination
     a(k+1) dE/da(k+1) + a(k) dE/da(k) - 2 (E_j - V(k)) phi_j(k)^2 is reported
@@ -336,7 +337,7 @@ def hellmann_feynman_check(
     energy = float(vals[j - 1])
     phi = vecs[:, j - 1]
     if what == "diagonal":
-        lam = spec.family.lambda_at(energy)
+        lam = IntervalGraphFamily().lambda_at(energy) if spec.kind == "qgraph" else 1.0
         analytic = lam * phi[site - 1] ** 2
         pert = ("diagonal", site, lam)
         radial = _radial_residual(op, energy, phi, site)

@@ -88,18 +88,7 @@ def m_matrix(inst: QGraphInstance, energy: float) -> np.ndarray:
 
 def secular_value(inst: QGraphInstance, energy: float) -> float:
     """g(E): the eigenvalue of R(E) nearest zero (signed)."""
-    op = reduced_operator(inst, energy)
-    n_neg = eigensolve.sturm_count(op, 0.0)
-    glo, ghi = op.gershgorin()
-    glo, ghi = glo - 1.0, ghi + 1.0
-    below = -math.inf
-    above = math.inf
-    if n_neg >= 1:
-        below = eigensolve._nearest_index_value(op, n_neg, glo, 0.0, 0.0)
-    if n_neg < op.size:
-        above = eigensolve._nearest_index_value(
-            op, n_neg + 1, np.nextafter(0.0, -np.inf), ghi, 0.0
-        )
+    below, above = eigensolve.nearest_eigenvalues(reduced_operator(inst, energy), 0.0)
     return below if -below < above else above
 
 

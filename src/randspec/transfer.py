@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blocks
-from .operators import EnsembleSpec, TridiagonalOperator
+from .operators import EnsembleSpec
 
 _STREAM_LYAPUNOV = 5
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -59,50 +59,6 @@ def one_step(
     return TransferStep(
         [[(potential - energy) / a_right, -a_left / a_right], [1.0, 0.0]]
     )
-
-
-def operator_steps(op: TridiagonalOperator, energy: float) -> np.ndarray:
-    """(L, 2, 2) steps reproducing the eigenvector recursion of `op`.
-
-    The assembled box operator acts as a(n+1)u(n+1) + a(n)u(n-1) + V(n)u(n),
-    so step n is one_step(-V(n), -energy, a(n), a(n+1)) with the out-of-box
-    couplings a(1) = a(L+1) = 1 by convention (they only multiply zeros in
-    the Dirichlet recursion).
-    """
-    size = op.size
-    a = np.ones(size + 1)
-    a[1:size] = op.offdiag
-    mats = np.zeros((size, 2, 2))
-    mats[:, 0, 0] = (energy - op.diag) / a[1:]
-    mats[:, 0, 1] = -a[:-1] / a[1:]
-    mats[:, 1, 0] = 1.0
-    return mats
-
-
-def propagate(
-    op: TridiagonalOperator, energy: float, u1: float = 1.0, renormalize: bool = True
-) -> tuple[np.ndarray, float]:
-    """Run the recursion from (u(1), u(0)) = (u1, 0) through all L steps.
-
-    Returns (states, log_norm): states[n] is the direction of
-    (u(n+1), u(n)) after step n (unit vectors when renormalizing), and
-    log_norm accumulates the stripped growth so the true state is
-    exp(log_norm) * states[-1].
-    """
-    mats = operator_steps(op, energy)
-    v = np.array([u1, 0.0])
-    log_norm = 0.0
-    states = np.zeros((op.size, 2))
-    for n in range(op.size):
-        v = mats[n] @ v
-        if renormalize:
-            nrm = float(np.hypot(v[0], v[1]))
-            if nrm == 0.0:
-                raise ValueError("trajectory vanished; not an eigen-recursion")
-            v = v / nrm
-            log_norm += math.log(nrm)
-        states[n] = v
-    return states, log_norm
 
 
 def dimer_two_step(omega: float, energy: float) -> TransferStep:

@@ -1,6 +1,8 @@
 """Config parsing, the experiment runner, and the utility subcommands."""
 
+import argparse
 import csv
+import functools
 import hashlib
 import inspect
 import json
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randspec
-from randspec import FiniteProfile, IdsTable, UniformLaw, probes
+from randspec import FiniteProfile, IdsTable, UniformLaw, cli, probes
 from randspec.cli import (
     PROBES,
     ConfigError,
@@ -368,6 +372,27 @@ def test_run_env_workers(tmp_path, monkeypatch):
     assert rep["samples"] == 300
 
 
+# law files that PiecewiseLinearLaw.from_csv must refuse with a named error
+_MALFORMED_LAWS = {
+    "short_row.csv": "0,1\n1\n",
+    "word.csv": "0,1\n1,dense\n",
+    "empty.csv": "",
+    "one_knot.csv": "0,1\n",
+    "decreasing.csv": "1,1\n0,1\n",
+    "negative.csv": "0,1\n1,-1\n",
+    "nan.csv": "0,nan\n1,1\n",
+    "binary.csv": "0,1\n\udcff\n",
+    "huge_field.csv": "0,1\n1," + "1" * 200_000 + "\n",
+}
+
+
+def _with_law_files(tmp_path, text):
+    """Write the malformed law files to tmp_path; text with {tmp} filled in."""
+    for name, body in _MALFORMED_LAWS.items():
+        (tmp_path / name).write_text(body, errors="surrogateescape")
+    return text.format(tmp=tmp_path)
+
+
 # one valid section per probe type; each bad-input row breaks one field
 _VALID = {
     "w": {"type": "wegner", "kind": "anderson", "size": "20", "samples": "5",
@@ -393,6 +418,7 @@ _VALID = {
         ("w", "type", "nope", "[probe:w] type"),
         ("w", "samples", "0", "[probe:w] samples"),
         ("w", "samples", "2.5", "[probe:w] samples"),
+        ("w", "samples", "1" + "0" * 400, "[probe:w] samples"),  # overflows a float
         ("w", "size", "0", "[probe:w] size"),
         ("w", "energy", "inf", "[probe:w] energy"),
         ("w", "widths", "nan,0.1", "[probe:w] widths"),
@@ -401,6 +427,7 @@ _VALID = {
         ("w", "kind", "gaussian", "[probe:w] kind"),
         ("w", "law", "gaussian:0,1", "[probe:w] law"),
         ("w", "law", "piecewise:no-such-file.csv", "[probe:w] law"),
+        ("w", "law", "piecewise:{tmp}/short_row.csv", "[probe:w] law"),
         ("w", "profile", "finite:1", "[probe:w] kind/law/profile/margin"),
         ("w", "profile", "geometric:1.0,0.5", "[probe:w] profile"),
         ("w", "margin", "-1", "[probe:w] margin"),
@@ -427,6 +454,7 @@ _VALID = {
     ],
 )
 def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, where, field, text, label):
+    text = _with_law_files(tmp_path, text)
     experiment = {"seed": "1"}
     sections = {"w": dict(_VALID["w"])}
     argv = []
@@ -552,9 +580,12 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
         (_LYAPUNOV_ARGV, "--kind", "qgraph", "--kind"),  # no transfer step table
         (_LYAPUNOV_ARGV, "--profile", "geometric:1,0.5", "--profile"),
         (_IDS_ARGV, "--profile", "geometric:1,0.5", "--profile"),
+        (_IDS_ARGV, "--law", "piecewise:{tmp}/short_row.csv", "--law"),
+        (_LYAPUNOV_ARGV, "--law", "piecewise:{tmp}/word.csv", "--law"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
+    text = _with_law_files(tmp_path, text)
     # the last occurrence of a flag wins, so each row overrides one valid value
     try:
         code = main([*base, "--out", str(tmp_path / "ids.csv"), flag, text]
@@ -563,3 +594,67 @@ def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
         code = exc.code
     assert code == 2
     assert label in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the parse layer: any text gives a value or the error that names its input
+
+
+def _parse_targets():
+    """(label, parse, error) for every config field and every command-line flag
+    typed by a Field: `_value` on the field, or the flag's argparse type."""
+    targets = [(f"[experiment] {key}", field) for key, field in cli._EXPERIMENT.items()]
+    targets += [(f"[probe:{ptype}] {key}", field)
+                for ptype, probe in PROBES.items() for key, field in probe.fields.items()]
+    out = [(label, functools.partial(cli._value, label, field), ConfigError)
+           for label, field in targets]
+    commands = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("run", "ids", "lyapunov"):
+        for action in commands[command]._actions:
+            if isinstance(action.type, functools.partial):
+                out.append((f"{command} {action.option_strings[0]}", action.type,
+                            argparse.ArgumentTypeError))
+    return out
+
+
+_EXTREMES = ["nan", "inf", "-inf", "-1", "0", "-0", "", " ", "1e400", "1" + "0" * 400,
+             "9" * 5000, "0x10", "1_000", "2.5", "uniform:", "uniform:nan,1",
+             "uniform:1,0", "uniform:0,1e400", "uniform:1", "finite:", "finite:1,2",
+             "finite:inf", "piecewise:"]
+_NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.integers().map(str),
+                     st.floats().map(repr), st.text(max_size=8))
+
+
+def _parses_or_names(target, text):
+    label, parse, error = target
+    try:
+        parse(text)
+    except error as exc:  # any other exception fails the test
+        assert error is not ConfigError or str(exc).startswith(f"{label} = ")
+
+
+def test_parse_layer_raises_only_named_errors(tmp_path):
+    _with_law_files(tmp_path, "")
+    laws = [f"piecewise:{tmp_path / name}" for name in [*_MALFORMED_LAWS, "missing.csv", ""]]
+    targets = _parse_targets()
+    assert {label for label, _, _ in targets} >= {
+        "[experiment] workers", "[probe:spacing] law", "ids --law", "ids --points",
+        "lyapunov --steps", "run --scale",
+    }
+    for target in targets:  # every field meets every extreme and malformed law file
+        for text in _EXTREMES + laws:
+            _parses_or_names(target, text)
+    texts = st.one_of(
+        st.text().filter(lambda t: t.partition(":")[0] != "piecewise"),  # no arbitrary files
+        _NUMBERS,
+        st.tuples(st.sampled_from(["uniform:", "finite:"]),
+                  st.lists(_NUMBERS, max_size=4).map(",".join)).map("".join),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(targets), texts)
+    def parse_one(target, text):
+        _parses_or_names(target, text)
+
+    parse_one()

@@ -20,7 +20,6 @@ from randspec import (
     dense_spectrum,
     eigenvalues_in,
     eigenvector,
-    localization_center,
     nearest_eigenvalue_distance,
     sturm_count,
     sturm_counts,
@@ -150,6 +149,10 @@ def test_nearest_eigenvalue_distance():
         assert nearest_eigenvalue_distance(op, e) == pytest.approx(
             np.min(np.abs(vals - e)), abs=1e-10
         )
+        # the neighbours on either side, +-inf past the spectrum's ends
+        below, above = es.nearest_eigenvalues(op, e)
+        assert below == pytest.approx(vals[vals < e].max(initial=-np.inf), abs=1e-10)
+        assert above == pytest.approx(vals[vals >= e].min(initial=np.inf), abs=1e-10)
 
 
 def test_spectral_window_report():
@@ -627,17 +630,3 @@ def test_eigenvector_flags_unconverged_vector():
     assert pair.residual > 1e-10 * op.norm_bound()
     assert pair.gap > 1e-3  # an isolated eigenvalue: only the residual flags it
     assert pair.flagged
-
-
-# ---------------------------------------------------------------------------
-# localization helpers
-
-
-def test_localization_center_and_decay():
-    n = np.arange(40)
-    v = np.exp(-0.8 * np.abs(n - 17))
-    v /= np.linalg.norm(v)
-    assert localization_center(v) == 18  # sites are 1-based
-    assert localization_center(-v) == 18
-    with pytest.raises(ValueError):
-        localization_center(np.empty(0))

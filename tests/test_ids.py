@@ -95,14 +95,16 @@ def test_evaluate_and_inverse():
         t.inverse(1.1)
 
 
-def test_unfold_linear_and_callable():
+def test_unfold_linear_and_grid_checked():
     t = IdsTable(
         np.array([0.0, 4.0]), np.array([0.0, 1.0]), np.zeros(2)
     )  # N(E) = E/4
     xi = unfold(np.array([1.0, 2.0]), t, 0.5, size=100)
     assert np.allclose(xi, [100 * (0.25 - 0.125), 100 * (0.5 - 0.125)])
-    xi2 = unfold(np.array([0.0]), free_laplacian_ids, -2.0, size=10)
-    assert xi2[0] == pytest.approx(5.0, abs=1e-12)
+    with pytest.raises(OutsideGridError):
+        unfold(np.array([1.0, 4.5]), t, 0.5, size=100)
+    with pytest.raises(OutsideGridError):
+        unfold(np.array([1.0]), t, -0.5, size=100)
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -1,16 +1,15 @@
 """Ensemble construction: laws, profiles, coefficient maps, reproducibility."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from randspec import (
-    AffineFamily,
     DomainError,
     EnsembleSpec,
     FiniteProfile,
-    IdentityFamily,
     IntervalGraphFamily,
     PiecewiseLinearLaw,
     TridiagonalOperator,
@@ -93,6 +92,18 @@ def test_piecewise_linear_csv_roundtrip(tmp_path):
     assert law.weights == (1.0, 3.0, 0.0)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0.0,1.0\n1.0\n", "line 2 has one field"),
+    ("# knots\n0.0,1.0\n1.0,dense\n", "line 3 holds a field that is not a number"),
+    ("0.0,1.0\n1.0," + "1" * 200_000 + "\n", "line 2: field larger than field limit"),
+])
+def test_piecewise_linear_csv_names_bad_line(tmp_path, text, message):
+    path = tmp_path / "law.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        PiecewiseLinearLaw.from_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # ensembles and coefficient maps
 
@@ -117,11 +128,9 @@ def test_spec_validation():
         EnsembleSpec("alloy", profile=FiniteProfile((0.5, 1.0, 0.5)), margin=0)
 
 
-def test_default_laws_and_families():
+def test_default_laws():
     assert EnsembleSpec("hopping").law == UniformLaw(1.0, 2.0)
     assert EnsembleSpec("anderson").law == UniformLaw(0.0, 1.0)
-    assert isinstance(EnsembleSpec("anderson").family, IdentityFamily)
-    assert isinstance(EnsembleSpec("qgraph").family, IntervalGraphFamily)
 
 
 def test_draw_width_per_kind():
@@ -217,20 +226,6 @@ def test_finite_profile_helpers():
 
 # ---------------------------------------------------------------------------
 # spectral families
-
-
-def test_affine_family_potential():
-    fam = AffineFamily(3.0, 5.0)
-    assert fam.lambda_at(0.7) == 3.0  # the potential maps to (V - 5) / 3
-    assert fam.mu_at(0.7) == 5.0
-    with pytest.raises(ValueError):
-        AffineFamily(0.0, 1.0)
-
-
-def test_identity_family_is_energy_shift():
-    fam = IdentityFamily()
-    assert fam.lambda_at(2.5) == 1.0
-    assert fam.mu_at(2.5) == 2.5
 
 
 def test_interval_graph_family_values_and_domain():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randspec import (
+    DomainError,
     EnsembleSpec,
     QGraphInstance,
     UniformLaw,
@@ -536,3 +537,10 @@ def test_probe_width_validation():
         minami_probe(spec, 0.0, (0.0, 0.1), 100, 10)
     with pytest.raises(ValueError):
         qgraph_minami_probe(UniformLaw(0.0, 1.0), 4.0, (-0.1,), 100, 10)
+
+
+@pytest.mark.parametrize("energy", [0.0, -1.0, math.pi**2])
+def test_qgraph_minami_rejects_energies_outside_the_domain(energy):
+    # the default width scale sin(sqrt E)/sqrt(E) is undefined there too
+    with pytest.raises(DomainError):
+        qgraph_minami_probe(UniformLaw(0.0, 1.0), energy, (0.1,), 20, 5)

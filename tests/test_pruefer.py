@@ -7,8 +7,9 @@ import pytest
 
 from conftest import random_operator
 from randspec import (
-    AffineFamily,
+    DomainError,
     EnsembleSpec,
+    IntervalGraphFamily,
     TridiagonalOperator,
     assemble,
     consecutive_sine_floor,
@@ -157,14 +158,20 @@ def test_hellmann_feynman_anderson_all_directions():
 
 
 def test_hellmann_feynman_affine_slope():
-    spec = EnsembleSpec("anderson", family=AffineFamily(3.0, 5.0))
+    # qgraph's omega moves the diagonal with slope lambda(E_j); anderson's with 1
     base = EnsembleSpec("anderson")
     size = 8
-    op = assemble(base, size, make_draw(base, size, seed=6, index=0))
-    scaled = hellmann_feynman_check(spec, op, 2, ("diagonal", 4))
+    box = assemble(base, size, make_draw(base, size, seed=6, index=0))
+    op = TridiagonalOperator(box.diag + 3.0, box.offdiag)  # spectrum inside (0, pi^2)
+    scaled = hellmann_feynman_check(EnsembleSpec("qgraph"), op, 2, ("diagonal", 4))
     plain = hellmann_feynman_check(base, op, 2, ("diagonal", 4))
-    assert scaled.analytic == pytest.approx(3.0 * plain.analytic, rel=1e-12)
+    lam = IntervalGraphFamily().lambda_at(plain.energy)
+    assert plain.energy > 0 and lam < -1.0
+    assert scaled.analytic == pytest.approx(lam * plain.analytic, rel=1e-12)
     assert scaled.rel_err <= 1e-6
+    op_neg = TridiagonalOperator(box.diag - 3.0, box.offdiag)  # E_2 < 0: no lambda
+    with pytest.raises(DomainError):
+        hellmann_feynman_check(EnsembleSpec("qgraph"), op_neg, 2, ("diagonal", 4))
 
 
 def test_hellmann_feynman_validation():

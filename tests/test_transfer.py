@@ -6,21 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_operator
 from randspec import (
     EnsembleSpec,
     FiniteProfile,
     PiecewiseLinearLaw,
-    TridiagonalOperator,
     classify_trace,
-    dense_spectrum,
     dimer_two_step,
     ellipticity_report,
     lyapunov,
     lyapunov_stream,
     one_step,
-    operator_steps,
-    propagate,
 )
 
 
@@ -33,53 +28,6 @@ def test_one_step_entries_and_determinant():
     want = np.array([[(0.3 - 1.1) / 0.7, -1.4 / 0.7], [1.0, 0.0]])
     assert np.allclose(step.matrix, want, atol=1e-15)
     assert np.linalg.det(step.matrix) == pytest.approx(1.4 / 0.7, rel=1e-14)
-
-
-def test_operator_steps_formula():
-    rng = np.random.default_rng(12)
-    op = random_operator(rng, size=9)
-    e = 0.4
-    mats = operator_steps(op, e)
-    a = np.ones(10)
-    a[1:9] = op.offdiag
-    assert mats.shape == (9, 2, 2)
-    assert np.allclose(mats[:, 0, 0], (e - op.diag) / a[1:], atol=0.0)
-    assert np.allclose(mats[:, 0, 1], -a[:-1] / a[1:], atol=0.0)
-    assert np.array_equal(mats[:, 1, 0], np.ones(9))
-    assert np.array_equal(mats[:, 1, 1], np.zeros(9))
-
-
-def test_propagate_reproduces_eigenvector_recursion():
-    rng = np.random.default_rng(13)
-    op = random_operator(rng, size=9)
-    vals, vecs = dense_spectrum(op, vectors=True)
-    j = 4
-    states, _ = propagate(op, vals[j], renormalize=False)
-    u = states[:, 1]  # u(1..L) with u(1) = 1
-    phi = vecs[:, j]
-    # Dirichlet shooting at an eigenvalue closes: u(L+1) is zero at scale
-    assert abs(states[-1, 0]) <= 1e-8 * np.max(np.abs(u))
-    # and the trajectory is parallel to the true eigenvector
-    cross = u * np.roll(phi, -1) - np.roll(u, -1) * phi
-    assert np.max(np.abs(cross[:-1])) <= 1e-8 * np.max(np.abs(u))
-
-
-def test_propagate_renormalized_consistent():
-    rng = np.random.default_rng(14)
-    op = random_operator(rng, size=8)
-    raw, zero_log = propagate(op, 0.37, renormalize=False)
-    unit, log_norm = propagate(op, 0.37)
-    assert zero_log == 0.0
-    assert np.allclose(
-        math.exp(log_norm) * unit[-1], raw[-1], rtol=1e-12, atol=1e-300
-    )
-    assert np.hypot(*unit[-1]) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_propagate_off_eigenvalue_does_not_close():
-    op = TridiagonalOperator(np.zeros(6), np.ones(5))
-    states, _ = propagate(op, 0.9, renormalize=False)
-    assert abs(states[-1, 0]) > 1e-3
 
 
 # ---------------------------------------------------------------------------
