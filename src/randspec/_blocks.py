@@ -32,6 +32,7 @@ MASK64 = (1 << 64) - 1
 STREAM_PRIMARY = 0
 STREAM_SECONDARY = 1
 STREAM_IDS = 2
+STREAM_LYAPUNOV = 5
 
 _BLOCK_BYTES = 1 << 23  # target bytes of doubles generated per block
 _BLOCK_CAP = 16384

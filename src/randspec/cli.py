@@ -336,7 +336,7 @@ PROBES = {
         "qgraph_minami_probe",
         "window counts of the reduced quantum-graph operator at fixed "
         "energy scale like (width L)^k for k = 1, 2 eigenvalues, with the "
-        "vertex-coupling scale factor sin(sqrt E)/sqrt(E)",
+        "vertex-coupling scale factor |sin(sqrt E)|/sqrt(E)",
         {
             "law": Field(_parse_law, "uniform:0,1"), **_BOX,
             "energy": Field(_float, gt=0), "widths": _WIDTHS,

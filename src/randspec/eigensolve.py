@@ -38,6 +38,7 @@ _TILE_BYTES = 1 << 18
 
 DEFAULT_MAX_WINDOW_EIGS = 512
 DEFAULT_ORACLE_MAX = 64
+_INVERSE_ITERATIONS = 8  # steps of `eigenvector`, per vector of a cluster
 
 
 def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
@@ -98,8 +99,9 @@ def _pointer(x):
 
 def _row_index(x, shape):
     """int64 row of x (rows are its last axis) that each lane of shape reads,
-    in C order; None when x is one row."""
-    if x.ndim == 1:
+    in C order; None when x is one row (of any shape (1, ..., 1, L)), which
+    every lane then reads."""
+    if x.size == x.shape[-1]:
         return None
     rows = np.arange(math.prod(x.shape[:-1]), dtype=np.int64).reshape(x.shape[:-1])
     return np.broadcast_to(rows, shape)
@@ -227,13 +229,27 @@ def sturm_count(op: TridiagonalOperator, energy: float) -> int:
     return int(sturm_counts(op.diag, op.offdiag, float(energy)))
 
 
-def count_in_interval(op: TridiagonalOperator, lo: float, hi: float) -> int:
-    """Number of eigenvalues in the half-open interval (lo, hi]."""
-    _check_inputs(lo=lo, hi=hi)
+def _window_counts(diag, offdiag, lo, hi):
+    """(edges, counts) of the half-open windows (lo, hi]: the edges moved up
+    one ulp, as [lo/hi, *window axes], and the Sturm counts below them, as
+    [lo/hi, *window axes, *row axes of diag], all from one `sturm_counts`
+    call; counts[1] - counts[0] eigenvalues of a row lie in its window."""
+    edges = np.nextafter([lo, hi], np.inf)
+    shifts = edges.reshape(edges.shape + (1,) * (np.ndim(diag) - 1))
+    return edges, sturm_counts(diag, offdiag, shifts)
+
+
+def _check_window(lo, hi, tol=0.0):
+    """The input checks of a window (lo, hi] located to width tol."""
+    _check_inputs(tol, lo=lo, hi=hi)
     if not lo <= hi:
         raise ValueError("need lo <= hi")
-    edges = np.nextafter([lo, hi], np.inf)
-    c = sturm_counts(op.diag, op.offdiag, edges)
+
+
+def count_in_interval(op: TridiagonalOperator, lo: float, hi: float) -> int:
+    """Number of eigenvalues in the half-open interval (lo, hi]."""
+    _check_window(lo, hi)
+    c = _window_counts(op.diag, op.offdiag, lo, hi)[1]
     return int(c[1] - c[0])
 
 
@@ -329,26 +345,19 @@ def eigenvalues_in(
 
     Counting-indexed bisection: multiplicities are resolved exactly (a k-fold
     eigenvalue appears k times). Refuses windows holding more than
-    `max_window_eigs` eigenvalues. Bisection runs in the window narrowed to
-    a margin around the operator's Gershgorin interval (`_bisection_bracket`).
+    `max_window_eigs` eigenvalues. The bisection is that of
+    `batched_eigenvalues_in` on the operator's one row.
     """
-    _check_inputs(tol, lo=lo, hi=hi)
-    if not lo <= hi:
-        raise ValueError("need lo <= hi")
-    lo_e, hi_e = np.nextafter([lo, hi], np.inf)
-    c = sturm_counts(op.diag, op.offdiag, np.array([lo_e, hi_e]))
-    n_here = int(c[1] - c[0])
-    if n_here == 0:
-        return np.empty(0)
+    _check_window(lo, hi, tol)
+    diag = op.diag[None]
+    edges, counts = _window_counts(diag, op.offdiag, lo, hi)
+    n_here = int(counts[1, 0] - counts[0, 0])
     if n_here > max_window_eigs:
         raise ValueError(
             f"window holds {n_here} eigenvalues > max_window_eigs="
             f"{max_window_eigs}; shrink the window or raise the cap"
         )
-    targets = np.arange(int(c[0]) + 1, int(c[1]) + 1)
-    lo_b, hi_b = _bisection_bracket(op.diag, op.offdiag, lo_e, hi_e)
-    vals = _bisect_indices(op.diag, op.offdiag, targets, lo_b, hi_b, tol)
-    return np.sort(vals)
+    return np.sort(_bisect_window(diag, op.offdiag, edges, counts, tol)[1])
 
 
 def batched_eigenvalues_in(
@@ -362,6 +371,18 @@ def batched_eigenvalues_in(
 
     diag2d: (batch, L); offdiag: (L-1,) shared or (batch, L-1).
     Returns (draw_index, value) arrays, sorted by draw then by value.
+    """
+    _check_window(lo, hi, tol)
+    diag2d = np.asarray(diag2d, dtype=np.float64)
+    offdiag = np.asarray(offdiag, dtype=np.float64)
+    if diag2d.ndim != 2:
+        raise ValueError(f"diag2d must be 2-D (batch, L), got shape {diag2d.shape}")
+    edges, counts = _window_counts(diag2d, offdiag, lo, hi)
+    return _bisect_window(diag2d, offdiag, edges, counts, tol)
+
+
+def _bisect_window(diag2d, offdiag, edges, counts, tol):
+    """(draw_index, value) in the window whose `_window_counts` are edges, counts.
 
     Bisection runs on the batch's own rows: the targets form one (slot, row)
     array over the draws that hold any, each draw's slots padded with copies
@@ -370,16 +391,8 @@ def batched_eigenvalues_in(
     The bracket is the window narrowed to a margin around the batch's
     Gershgorin interval (`_bisection_bracket`).
     """
-    _check_inputs(tol, lo=lo, hi=hi)
-    if not lo <= hi:
-        raise ValueError("need lo <= hi")
-    diag2d = np.asarray(diag2d, dtype=np.float64)
-    offdiag = np.asarray(offdiag, dtype=np.float64)
-    if diag2d.ndim != 2:
-        raise ValueError(f"diag2d must be 2-D (batch, L), got shape {diag2d.shape}")
-    lo_e, hi_e = np.nextafter([lo, hi], np.inf)
-    c_lo = sturm_counts(diag2d, offdiag, lo_e)
-    c_hi = sturm_counts(diag2d, offdiag, hi_e)
+    lo_e, hi_e = edges
+    c_lo, c_hi = counts
     per_draw = (c_hi - c_lo).astype(np.int64)
     draws = np.repeat(np.arange(diag2d.shape[0]), per_draw)
     held = per_draw > 0
@@ -444,11 +457,12 @@ def nearest_eigenvalue_distance(
 class EigenvectorResult:
     """Inverse-iteration output with residual and isolation diagnostics.
 
-    `flagged` is set when another eigenvalue sits within `cluster_tol` of the
-    Rayleigh quotient (`cluster` then carries an orthonormal basis of the
-    near-degenerate group; it holds just the vector itself otherwise), when
-    the gap is at most `gap_floor`, or when inverse iteration stopped with a
-    residual above its target 1e-10 * norm bound (an unconverged vector).
+    `flagged` is set when another eigenvalue sits within 1e-12 * norm bound
+    of the Rayleigh quotient (`cluster` then carries an orthonormal basis of
+    the near-degenerate group; it holds just the vector itself otherwise),
+    when the gap is at most that tolerance, or when inverse iteration stopped
+    with a residual above its target 1e-10 * norm bound (an unconverged
+    vector).
     """
 
     value: float
@@ -507,38 +521,27 @@ def _canonical_sign(v):
     return -v if v[i] < 0 else v
 
 
-def eigenvector(
-    op: TridiagonalOperator,
-    energy: float,
-    seed: int = 0,
-    max_iter: int = 8,
-    cluster_tol: float | None = None,
-    gap_floor: float | None = None,
-) -> EigenvectorResult:
+def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
     """Unit eigenvector for the eigenvalue nearest `energy`.
 
-    Inverse iteration from a deterministic seeded start vector; the sign is
+    Inverse iteration from a fixed pseudorandom start vector; the sign is
     fixed by making the largest-magnitude entry positive. Near-degenerate
-    eigenvalues (gap <= gap_floor) yield a flagged result carrying the whole
-    cluster basis instead of an error. A vector whose final residual misses
-    1e-10 * op.norm_bound() after `max_iter` steps (e.g. for an `energy`
-    midway between two eigenvalues) is returned flagged as well.
+    eigenvalues (within 1e-12 * op.norm_bound()) yield a flagged result
+    carrying the whole cluster basis instead of an error. A vector whose
+    final residual misses 1e-10 * op.norm_bound() after `_INVERSE_ITERATIONS`
+    steps (e.g. for an `energy` midway between two eigenvalues) is returned
+    flagged as well.
     """
     _check_inputs(energy=energy)
     scale = op.norm_bound()
     target = 1e-10 * scale
-    if cluster_tol is None:
-        cluster_tol = 1e-12 * scale
-    if gap_floor is None:
-        gap_floor = cluster_tol
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & (2**64 - 1), 0x9E3779B9], dtype=np.uint64))
-    )
+    cluster_tol = 1e-12 * scale
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0x9E3779B9], dtype=np.uint64)))
     v = rng.standard_normal(op.size)
     v /= np.linalg.norm(v)
     shift = float(energy)
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(_INVERSE_ITERATIONS):
         try:
             w = _solve_shifted(op, shift, v)
         except np.linalg.LinAlgError:
@@ -555,11 +558,11 @@ def eigenvector(
             break
     ray = float(v @ op.apply(v))
     resid = float(np.linalg.norm(op.apply(v) - ray * v))
-    n_cluster = count_in_interval(op, ray - cluster_tol, ray + cluster_tol)
-    n_cluster = max(n_cluster, 1)
+    edges = ray - cluster_tol, ray + cluster_tol
+    j_lo, c_hi = (int(c) for c in _window_counts(op.diag, op.offdiag, *edges)[1])
+    n_cluster = max(c_hi - j_lo, 1)
     glo, ghi = op.gershgorin()
     glo, ghi = glo - 1.0, ghi + 1.0
-    j_lo = int(sturm_counts(op.diag, op.offdiag, np.nextafter(ray - cluster_tol, np.inf)))
     j_hi = j_lo + n_cluster
     gap = np.inf
     if j_lo >= 1:
@@ -568,7 +571,7 @@ def eigenvector(
     if j_hi < op.size:
         above = _nearest_index_value(op, j_hi + 1, ray + cluster_tol, ghi, 0.0)
         gap = min(gap, above - ray)
-    flagged = n_cluster > 1 or gap <= gap_floor or resid > target
+    flagged = n_cluster > 1 or gap <= cluster_tol or resid > target
     v = _canonical_sign(v)
     cluster = (v,)
     if n_cluster > 1:
@@ -578,7 +581,7 @@ def eigenvector(
         for _ in range(1, n_cluster):
             w = rng.standard_normal(op.size)
             w /= np.linalg.norm(w)
-            for _ in range(max_iter):
+            for _ in range(_INVERSE_ITERATIONS):
                 try:
                     w = _solve_shifted(op, shift_c, w)
                 except np.linalg.LinAlgError:

@@ -103,17 +103,21 @@ class IdsTable:
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:3] != ["energy", "ids", "stderr"]:
-                raise ValueError(f"{path}: line 1 is not the header energy,ids,stderr")
-            for row in reader:
-                where = f"{path}: line {reader.line_num}"
-                if len(row) != len(header):
-                    raise ValueError(f"{where} has {len(row)} fields, the header {len(header)}")
-                try:
-                    rows.append((float(row[0]), float(row[1]), float(row[2])))
-                except ValueError:
-                    raise ValueError(f"{where} holds a field that is not a number") from None
+            try:
+                header = next(reader, [])
+                if header[:3] != ["energy", "ids", "stderr"]:
+                    raise ValueError(f"{path}: line 1 is not the header energy,ids,stderr")
+                for row in reader:
+                    where = f"{path}: line {reader.line_num}"
+                    if len(row) != len(header):
+                        raise ValueError(
+                            f"{where} has {len(row)} fields, the header {len(header)}")
+                    try:
+                        rows.append((float(row[0]), float(row[1]), float(row[2])))
+                    except ValueError:
+                        raise ValueError(f"{where} holds a field that is not a number") from None
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: no rows below the header")
         arr = np.asarray(rows, dtype=np.float64)

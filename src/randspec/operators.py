@@ -191,6 +191,11 @@ class FiniteProfile:
 # spectral families V_omega(E) = (V_omega - mu_E) / lambda_E
 
 
+# Half-width of the band around each excluded energy (k pi)^2 that the
+# interval-graph family and the graph eigenvalue scan leave out.
+POLE_MARGIN = 1e-6 * math.pi**2
+
+
 @dataclass(frozen=True)
 class IntervalGraphFamily:
     """Vertex reduction of the continuum Laplacian on unit-interval edges.
@@ -201,9 +206,6 @@ class IntervalGraphFamily:
     sin sqrt(E) vanishes.
     """
 
-    pole_margin: float = 1e-6 * math.pi**2
-    name = "interval_graph"
-
     def _root(self, energy: float) -> float:
         energy = float(energy)
         if not energy > 0:
@@ -211,7 +213,7 @@ class IntervalGraphFamily:
         s = math.sqrt(energy)
         k = max(1, round(s / math.pi))
         for kk in (k - 1, k, k + 1):
-            if kk >= 1 and abs(energy - (kk * math.pi) ** 2) < self.pole_margin:
+            if kk >= 1 and abs(energy - (kk * math.pi) ** 2) < POLE_MARGIN:
                 raise DomainError(
                     "energy within excluded band around {(k pi)^2: k >= 1}"
                 )

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import _blocks
-from .eigensolve import batched_eigenvalues_in, sturm_counts
+from .eigensolve import _window_counts, batched_eigenvalues_in
 from .ids import IdsTable, estimate_ids, unfold
 from .operators import EnsembleSpec, IntervalGraphFamily, draw_block, draw_width
 
@@ -126,11 +126,11 @@ def _report(name, spec, params, ests, samples, seed, t0) -> ProbeReport:
 # statistics helpers
 
 
-def wilson_ci(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         return (0.0, 1.0)
-    ph = k / n
+    ph, z = k / n, _Z95
     denom = 1.0 + z * z / n
     center = (ph + z * z / (2 * n)) / denom
     half = z * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / denom
@@ -142,10 +142,11 @@ def _proportion(name: str, k, n: int) -> Estimate:
     return Estimate(name, int(k) / n, wilson_ci(int(k), n))
 
 
-def normal_ci(mean: float, sd: float, n: int, z: float = _Z95):
+def normal_ci(mean: float, sd: float, n: int):
+    """95% normal interval for a mean of n samples with standard deviation sd."""
     if n <= 1:
         return (-math.inf, math.inf)
-    half = z * sd / math.sqrt(n)
+    half = _Z95 * sd / math.sqrt(n)
     return (mean - half, mean + half)
 
 
@@ -231,57 +232,49 @@ class _WindowJob:
     size: int
     seed: int
     total: int
-    windows: tuple  # ((lo, hi), ...) exact endpoints; worker applies nextafter
+    windows: tuple  # ((lo, hi), ...): the half-open windows (lo, hi]
     kcap: int = 64
     joint_pair: tuple[int, int] | None = None
     split: int | None = None  # windows[split:] evaluated on an independent draw
     post_affine: tuple[float, float] | None = None  # diag -> a + b * diag
 
 
-def _counts_for(windows, diag, off):
-    edges = np.array([e for w in windows for e in w])
-    edges = np.nextafter(edges, np.inf)
-    s = sturm_counts(diag, off, edges[:, None])  # (2W, rows)
-    return s[1::2] - s[0::2]
-
-
 def _window_block(job: _WindowJob, block: int):
+    """One block's integer accumulators, from which `_run_window_job` derives
+    the rest: count histograms (counts above kcap in the last bin), count
+    sums, sums of squares, pair products and the joint histogram."""
     rows = _blocks.block_rows(job.total, draw_width(job.spec, job.size), block)
     split = len(job.windows) if job.split is None else job.split
     streams = ((_blocks.STREAM_PRIMARY, job.windows[:split]),
                (_blocks.STREAM_SECONDARY, job.windows[split:]))
-    counts = np.concatenate([
-        _counts_for(windows, *draw_block(
-            job.spec, job.size, job.seed, block, rows, stream, job.post_affine))
-        for stream, windows in streams if windows
-    ])
-    n_win = counts.shape[0]
+    counts = []
+    for stream, windows in streams:
+        if windows:
+            diag, off = draw_block(
+                job.spec, job.size, job.seed, block, rows, stream, job.post_affine)
+            c = _window_counts(diag, off, *np.array(windows).T)[1]
+            counts.append(c[1] - c[0])
+    counts = np.concatenate(counts)  # (windows, rows)
     kcap = job.kcap
     clipped = np.minimum(counts, kcap)
-    hist = np.zeros((n_win, kcap + 1), dtype=np.int64)
-    for w in range(n_win):
-        hist[w] = np.bincount(clipped[w], minlength=kcap + 1)
-    excess = np.maximum(counts - 1, 0)
     joint = None
     if job.joint_pair is not None:
         i, j = job.joint_pair
         idx = clipped[i] * (kcap + 1) + clipped[j]
-        joint = np.bincount(idx, minlength=(kcap + 1) ** 2).reshape(
-            kcap + 1, kcap + 1
-        )
+        joint = np.bincount(idx, minlength=(kcap + 1) ** 2).reshape(kcap + 1, kcap + 1)
     return {
-        "hist": hist,
-        "occupancy": (counts >= 1).sum(axis=1),
+        "hist": np.array([np.bincount(c, minlength=kcap + 1) for c in clipped]),
         "count_sum": counts.sum(axis=1),
         "count_sq": (counts * counts).sum(axis=1),
-        "excess_sum": excess.sum(axis=1),
-        "excess_sq": (excess * excess).sum(axis=1),
         "pair_prod": counts @ counts.T,
         "joint": joint,
     }
 
 
 def _run_window_job(job: _WindowJob, workers: int) -> dict:
+    """`_window_block`'s accumulators summed in block order, plus per window
+    `occupancy` (draws with a count >= 1), `excess_sum` and `excess_sq` (sums
+    of max(count - 1, 0) and its square) and `k2` (draws with a count >= 2)."""
     blocks = _blocks.n_blocks(job.total, draw_width(job.spec, job.size))
     parts = _blocks.map_blocks(partial(_window_block, job), blocks, workers)
     out = parts[0]
@@ -289,6 +282,11 @@ def _run_window_job(job: _WindowJob, workers: int) -> dict:
         for key, val in p.items():
             if val is not None:
                 out[key] = out[key] + val
+    n, hist, count_sum = job.total, out["hist"], out["count_sum"]
+    out["occupancy"] = n - hist[:, 0]
+    out["excess_sum"] = count_sum - out["occupancy"]
+    out["excess_sq"] = out["count_sq"] - 2 * count_sum + out["occupancy"]
+    out["k2"] = n - hist[:, 0] - hist[:, 1]
     return out
 
 
@@ -315,20 +313,14 @@ def _extract(spec, size, seed, total, e_lo, e_hi, workers):
 
 def _width_scan(spec, center, widths, size, samples, seed, workers,
                 scale=1.0, post_affine=None):
-    """Sorted half-widths w and the window counts of [center -+ scale * w].
-
-    The stats gain `k2`, the number of draws with >= 2 eigenvalues in each
-    window.
-    """
+    """Sorted half-widths w and the window statistics of (center -+ scale * w]."""
     widths = [float(w) for w in widths]
     if not widths or not all(math.isfinite(w) and w > 0 for w in widths):
         raise ValueError("need positive finite window half-widths")
     widths.sort()
     windows = tuple((center - w * scale, center + w * scale) for w in widths)
     job = _WindowJob(spec, size, seed, samples, windows, post_affine=post_affine)
-    stats = _run_window_job(job, workers)
-    stats["k2"] = samples - stats["hist"][:, 0] - stats["hist"][:, 1]
-    return widths, stats
+    return widths, _run_window_job(job, workers)
 
 
 def _slope_estimate(name, widths, values):
@@ -597,7 +589,6 @@ def level_statistics_probe(
     ids_half_width: float = 0.75,
     ids_points: int = 161,
     ids_samples: int = 2048,
-    kcap: int = 64,
     collect: int = 0,
 ) -> tuple[ProbeReport, list[PointProcessSample]]:
     """Counting statistics of the unfolded spectrum near a reference energy.
@@ -625,9 +616,7 @@ def level_statistics_probe(
         lo, hi = _unfolded_window_edges(table, size, energy, (a, b))
         windows.append((float(lo), float(hi)))
     pair = (0, 1) if len(intervals) >= 2 else None
-    job = _WindowJob(
-        spec, size, seed, samples, tuple(windows), kcap=kcap, joint_pair=pair
-    )
+    job = _WindowJob(spec, size, seed, samples, tuple(windows), joint_pair=pair)
     stats = _run_window_job(job, workers)
     ests = []
     for i, (a, b) in enumerate(intervals):
@@ -639,7 +628,7 @@ def level_statistics_probe(
     report = _report(
         "level_statistics", spec,
         {"size": size, "energy": energy, "intervals": intervals, "windows": windows,
-         "kcap": kcap},
+         "kcap": job.kcap},
         ests, samples, seed, t0,
     )
     configs = []
@@ -688,7 +677,6 @@ def joint_independence_probe(
     ids_half_width: float = 0.75,
     ids_points: int = 161,
     ids_samples: int = 2048,
-    kcap: int = 16,
 ) -> ProbeReport:
     """Joint count law at two separated energies vs the product of Poissons.
 
@@ -712,9 +700,7 @@ def joint_independence_probe(
                (float(half_b[0]), float(half_b[1])))
     if windows[0][1] >= windows[1][0] and windows[1][1] >= windows[0][0]:
         raise ValueError("energy windows overlap; separate the energies")
-    job = _WindowJob(
-        spec, size, seed, samples, windows, kcap=kcap, joint_pair=(0, 1)
-    )
+    job = _WindowJob(spec, size, seed, samples, windows, kcap=16, joint_pair=(0, 1))
     stats = _run_window_job(job, workers)
     ests = [
         Estimate("tv_joint", tv_to_poisson_product(stats["joint"], length_a, length_b)),
@@ -728,7 +714,7 @@ def joint_independence_probe(
         "joint_independence", spec,
         {"size": size, "energy_a": energy_a, "energy_b": energy_b,
          "length_a": length_a, "length_b": length_b,
-         "windows": [list(windows[0]), list(windows[1])], "kcap": kcap},
+         "windows": [list(windows[0]), list(windows[1])], "kcap": job.kcap},
         ests, samples, seed, t0,
     )
 
@@ -809,10 +795,11 @@ def qgraph_minami_probe(
     """Occupancy and pair probabilities for the reduced quantum-graph matrix.
 
     Counts eigenvalues of the fixed-energy reduction R(E0) = A(E0) - W/c(E0)
-    in [-eps', eps'] where eps' = width_scale * eps. The default width_scale
-    sin(sqrt E0)/sqrt(E0) = 1/c(E0) converts vertex-eigenvalue windows to
-    the graph-eigenvalue scale. Linear/quadratic scaling of p1/p2 in eps is
-    the graph analogue of the single/pair window bounds.
+    in (-eps', eps'] where eps' = width_scale * eps. The default width_scale
+    |sin(sqrt E0)|/sqrt(E0) = 1/|c(E0)| converts vertex-eigenvalue windows to
+    the graph-eigenvalue scale; its absolute value keeps the windows the
+    right way round where sin(sqrt E0) < 0. Linear/quadratic scaling of p1/p2
+    in eps is the graph analogue of the single/pair window bounds.
     """
     t0 = time.perf_counter()
     family = IntervalGraphFamily()
@@ -820,7 +807,7 @@ def qgraph_minami_probe(
     mu = family.mu_at(energy)
     if width_scale is None:
         root = math.sqrt(energy)
-        width_scale = math.sin(root) / root
+        width_scale = abs(math.sin(root)) / root
     # diag of R(E0) is (omega - mu)/lam on top of the -1 couplings
     widths, stats = _width_scan(
         EnsembleSpec("qgraph", law=law), 0.0, widths, size, samples, seed,

@@ -190,7 +190,6 @@ def split_box_search(
     epsilon: float,
     separation: int,
     delta_target: float,
-    tol: float | None = None,
 ) -> SplitResult:
     """Split {1..L} into sub-boxes both nearly resonant with `energy`.
 
@@ -198,7 +197,8 @@ def split_box_search(
     Minimizes max(d_left(x_minus), d_right(x_plus)) exactly over all pairs
     with x_plus - x_minus >= separation: the two distance arrays depend on
     one endpoint each, so a suffix-minimum sweep evaluates every admissible
-    pair at O(L) eigensolves.
+    pair at O(L) eigensolves, each sub-box distance bisected to width
+    1e-13 * op.norm_bound().
     """
     size = op.size
     if separation < 1 or separation >= size:
@@ -208,8 +208,7 @@ def split_box_search(
         raise ValueError(
             f"window holds {n_win} eigenvalue(s); need >= 2 for a resonant split"
         )
-    if tol is None:
-        tol = 1e-13 * op.norm_bound()
+    tol = 1e-13 * op.norm_bound()
     xs = np.arange(1, size - separation + 1)
     ys = np.arange(1 + separation, size + 1)
     d_left = np.array(
@@ -302,8 +301,6 @@ def hellmann_feynman_check(
     op: TridiagonalOperator,
     j: int,
     perturbation: tuple[str, int],
-    h: float = 1e-5,
-    gap_floor: float | None = None,
 ) -> GradientCheck:
     """First-order eigenvalue response along one matrix direction.
 
@@ -316,9 +313,9 @@ def hellmann_feynman_check(
     a(k+1) dE/da(k+1) + a(k) dE/da(k) - 2 (E_j - V(k)) phi_j(k)^2 is reported
     as radial_residual at the perturbed site.
 
-    The numeric side is a central difference, refined once by Richardson
-    extrapolation when the first pass disagrees by more than 1e-4. Requires
-    E_j simple: gap above `gap_floor` (default 1e-9 ||H||).
+    The numeric side is a central difference of step 1e-5 max(1, ||H||),
+    refined once by Richardson extrapolation when the first pass disagrees by
+    more than 1e-4. Requires E_j simple: gap above 1e-9 ||H||.
     """
     what, site = perturbation
     if what not in ("diagonal", "coupling"):
@@ -329,10 +326,8 @@ def hellmann_feynman_check(
     if what == "coupling" and not 2 <= site <= size:
         raise ValueError("coupling index out of range (a(2)..a(L))")
     scale = op.norm_bound()
-    if gap_floor is None:
-        gap_floor = 1e-9 * scale
     vals, vecs, gap = _dense_pair(op, j)
-    if gap <= gap_floor:
+    if gap <= 1e-9 * scale:
         raise ValueError(f"eigenvalue {j} is near-degenerate (gap {gap:.3e})")
     energy = float(vals[j - 1])
     phi = vecs[:, j - 1]
@@ -345,7 +340,7 @@ def hellmann_feynman_check(
         analytic = 2.0 * phi[site - 1] * phi[site - 2]
         pert = ("coupling", site, 1.0)
         radial = _radial_residual(op, energy, phi, site)
-    step = h * max(1.0, scale)
+    step = 1e-5 * max(1.0, scale)
     d1 = (
         _perturbed_value(op, pert, step, j) - _perturbed_value(op, pert, -step, j)
     ) / (2.0 * step)

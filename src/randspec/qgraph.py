@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolve
-from .operators import DomainError, IntervalGraphFamily, TridiagonalOperator
-
-DEFAULT_POLE_MARGIN = 1e-6 * math.pi**2
+from .operators import POLE_MARGIN, DomainError, IntervalGraphFamily, TridiagonalOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +33,6 @@ class QGraphInstance:
     """One realization of the vertex couplings omega(1..L), omega >= 0."""
 
     omega: np.ndarray
-    pole_margin: float = DEFAULT_POLE_MARGIN
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.omega, dtype=np.float64)
@@ -52,12 +49,12 @@ class QGraphInstance:
 
     @property
     def family(self) -> IntervalGraphFamily:
-        return IntervalGraphFamily(self.pole_margin)
+        return IntervalGraphFamily()
 
 
-def c_factor(energy: float, pole_margin: float = DEFAULT_POLE_MARGIN) -> float:
+def c_factor(energy: float) -> float:
     """c(E) = sqrt(E)/sin(sqrt(E)), the vertex-reduction scale factor."""
-    IntervalGraphFamily(pole_margin)._root(energy)
+    IntervalGraphFamily()._root(energy)
     s = math.sqrt(float(energy))
     return s / math.sin(s)
 
@@ -75,7 +72,7 @@ def m_matrix(inst: QGraphInstance, energy: float) -> np.ndarray:
     """Dense M(E) - A_omega built from the closed form
     c(E) (-Delta + cos(sqrt E) I) - diag(omega); independent of
     reduced_operator, for cross-checking c(E) R(E) = M(E) - A_omega."""
-    c = c_factor(energy, inst.pole_margin)
+    c = c_factor(energy)
     s = math.sqrt(float(energy))
     size = inst.size
     m = np.zeros((size, size))
@@ -106,23 +103,23 @@ def potential_lipschitz(inst: QGraphInstance, energy_min: float) -> float:
     return d_cos + float(np.max(inst.omega)) * d_sinc
 
 
-def _pole_free_segments(window, pole_margin):
+def _pole_free_segments(window):
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo < hi:
         raise DomainError("window must satisfy 0 < lo < hi")
     cuts = [(lo, hi)]
     k = 1
-    while (k * math.pi) ** 2 - pole_margin < hi:
+    while (k * math.pi) ** 2 - POLE_MARGIN < hi:
         pole = (k * math.pi) ** 2
         nxt = []
         for a, b in cuts:
-            if pole + pole_margin <= a or pole - pole_margin >= b:
+            if pole + POLE_MARGIN <= a or pole - POLE_MARGIN >= b:
                 nxt.append((a, b))
                 continue
-            if a < pole - pole_margin:
-                nxt.append((a, pole - pole_margin))
-            if pole + pole_margin < b:
-                nxt.append((pole + pole_margin, b))
+            if a < pole - POLE_MARGIN:
+                nxt.append((a, pole - POLE_MARGIN))
+            if pole + POLE_MARGIN < b:
+                nxt.append((pole + POLE_MARGIN, b))
         cuts = nxt
         k += 1
     return [(a, b) for a, b in cuts if b > a]
@@ -149,7 +146,7 @@ def graph_roots(
     warning. Each root carries |g(E)| as its certification residual.
     """
     roots: list[GraphRoot] = []
-    for seg_lo, seg_hi in _pole_free_segments(window, inst.pole_margin):
+    for seg_lo, seg_hi in _pole_free_segments(window):
         lip = 1.25 * potential_lipschitz(inst, seg_lo)
         cert_tol = 16.0 * max(1.0, lip) * max(tol, 1e-14)
         n_init = int(min(4096, max(8, math.ceil((seg_hi - seg_lo) * lip / 0.25))))

@@ -20,7 +20,6 @@ import numpy as np
 from . import _blocks
 from .operators import EnsembleSpec
 
-_STREAM_LYAPUNOV = 5
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -180,7 +179,7 @@ def lyapunov_stream(
         raise ValueError("need steps >= 1000 for a stable estimate")
     if samples < 2:
         raise ValueError("need samples >= 2 for a spread-based CI")
-    rng = _blocks.block_rng(seed, 0, stream=_STREAM_LYAPUNOV)
+    rng = _blocks.block_rng(seed, 0, stream=_blocks.STREAM_LYAPUNOV)
     u = rng.random((samples, carry)).T
     v = np.array([np.ones(samples), np.zeros(samples)])  # (u(n+1), u(n))
     acc = np.zeros(samples)

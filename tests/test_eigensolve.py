@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_operator
-from randspec import _native
+from randspec import _native, probes
 from randspec import eigensolve as es
 from randspec import (
+    EnsembleSpec,
     TridiagonalOperator,
     batched_eigenvalues_in,
     count_in_interval,
@@ -69,11 +70,27 @@ def test_sturm_count_is_strictly_below():
 
 
 def test_count_in_interval_half_open():
+    """Windows (lo, hi] with edges on the eigenvalues 1 and 2 give the same
+    counts through every reader of the window rule: the counts, the two
+    extractions on one row and on two, and the probes' window engine."""
     op = TridiagonalOperator(np.array([1.0, 2.0]), np.array([0.0]))
-    assert count_in_interval(op, 1.0, 2.0) == 1  # (1, 2] contains 2 only
-    assert count_in_interval(op, 0.5, 1.0) == 1
-    assert count_in_interval(op, 1.0, 1.0) == 0
-    assert count_in_interval(op, 0.0, 3.0) == 2
+    cases = [((1.0, 2.0), 1), ((0.5, 1.0), 1), ((1.0, 1.0), 0), ((0.0, 3.0), 2),
+             ((2.0, 2.0), 0), ((1.5, 2.0), 1), ((1.0, 1.5), 0)]  # (1, 2] holds 2 only
+    rows = np.stack([op.diag, op.diag])
+    job = probes._WindowJob(EnsembleSpec("anderson"), 2, 0, 2, tuple(w for w, _ in cases))
+    with mock.patch.object(probes, "draw_block", return_value=(rows, op.offdiag)):
+        engine = probes._window_block(job, 0)["count_sum"]
+    assert engine.tolist() == [2 * want for _, want in cases]
+    for (lo, hi), want in cases:
+        inside = [e for e in (1.0, 2.0) if lo < e <= hi]
+        assert count_in_interval(op, lo, hi) == want
+        assert eigenvalues_in(op, lo, hi) == pytest.approx(inside, abs=1e-12)
+        draws, values = batched_eigenvalues_in(op.diag[None], op.offdiag, lo, hi)
+        assert draws.tolist() == [0] * want
+        assert values == pytest.approx(inside, abs=1e-10)
+        draws, values = batched_eigenvalues_in(rows, op.offdiag, lo, hi)
+        assert draws.tolist() == [0] * want + [1] * want
+        assert values == pytest.approx(inside * 2, abs=1e-10)
     with pytest.raises(ValueError):
         count_in_interval(op, 2.0, 1.0)
 
@@ -264,9 +281,10 @@ def test_padded_copies_are_swept_as_lanes(compiled):
     assert draws.tolist() == [0] * 10 + [1]
     assert values.tobytes() == np.r_[got[:, 0], got[0, 1]].tobytes()
     assert np.unique(got[:, 1]).tolist() == [got[0, 1]]  # the copies' values are equal
-    # the bisection's sweeps, then the extraction's two window counts and its own
+    # the bisection's sweeps, then the extraction's one sweep over both window
+    # edges and its own bisection's
     sweeps = [] if compiled else [(10, 2)] * levels
-    assert [c.args[2].shape for c in sweep.call_args_list] == sweeps + [(), ()] + sweeps
+    assert [c.args[2].shape for c in sweep.call_args_list] == sweeps + [(2, 1)] + sweeps
 
 
 def _gathered_extraction(diag2d, offdiag, lo, hi, tol, chunk=4096):

@@ -126,6 +126,8 @@ def test_csv_roundtrip_exact(tmp_path):
     ("energy,ids,stderr\n", "no rows below the header"),
     ("energy,ids,stderr\n0,0,0\n1,0.5\n", "line 3 has 2 fields, the header 3"),
     ("energy,ids,stderr\n0,0,x\n1,0.5,0\n", "line 2 holds a field that is not a number"),
+    pytest.param("energy,ids,stderr\n0,0," + "1" * 200_000 + "\n",
+                 "line 2: field larger than field limit", id="field above the csv limit"),
 ])
 def test_from_csv_rejects_malformed_file(tmp_path, text, message):
     path = tmp_path / "ids.csv"

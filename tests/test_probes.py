@@ -277,12 +277,16 @@ def test_decorrelation_disjoint_uses_independent_draws():
         rep.estimate("event_mismatch")
 
 
-def test_qgraph_minami_matches_reduced_operator_counts():
+@pytest.mark.parametrize("e0, widths", [(4.0, (0.05, 0.1)), (10.0, (10.0, 14.0))],
+                         ids=["4.0", "10.0"])
+def test_qgraph_minami_matches_reduced_operator_counts(e0, widths):
+    """At E0 = 10, sin(sqrt E0) < 0: the width scale is still positive, so the
+    windows (-eps, eps] are not reversed, and their counts are nonzero."""
     law = UniformLaw(0.0, 1.0)
-    size, n, e0 = 40, 300, 4.0
-    widths = (0.05, 0.1)
+    size, n = 40, 300
     rep = qgraph_minami_probe(law, e0, widths, size, n, seed=10)
-    ws = math.sin(math.sqrt(e0)) / math.sqrt(e0)
+    ws = abs(math.sin(math.sqrt(e0))) / math.sqrt(e0)
+    assert ws > 0.0
     assert rep.params["width_scale"] == pytest.approx(ws, rel=1e-15)
     spec = EnsembleSpec("qgraph", law=law)
     counts = np.zeros((2, n), dtype=np.int64)
@@ -296,6 +300,7 @@ def test_qgraph_minami_matches_reduced_operator_counts():
     for i, w in enumerate(widths):
         assert rep.estimate(f"p1_hat[{w:.6g}]").value == np.mean(counts[i] >= 1)
         assert rep.estimate(f"p2_hat[{w:.6g}]").value == np.mean(counts[i] >= 2)
+    assert counts.any()
     scaled = np.array(widths) * ws
     want_c1 = np.max((counts >= 1).mean(axis=1) / (scaled * size))
     assert rep.estimate("c1_hat").value == pytest.approx(want_c1, rel=1e-12)
