@@ -38,7 +38,6 @@ from .operators import (
     PiecewiseLinearLaw,
     TridiagonalOperator,
     UniformLaw,
-    assemble,
     coefficients,
     draw_width,
     make_draw,

@@ -471,7 +471,11 @@ def cmd_run(args) -> int:
     master, out_dir, cfg_workers, sections = load_config(args.config)
     workers = args.workers or cfg_workers or _env_workers()
     out = Path(args.out or out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        where = "--out" if args.out else "[experiment] out"
+        raise ConfigError(f"{where} = {str(out)!r}: not a directory ({exc.strerror})") from None
     summary = [
         ("probe", "type", "estimate", "value", "ci_lo", "ci_hi",
          "check", "bound", "status")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _native
+from . import _blocks, _native
 from .operators import TridiagonalOperator
 
 _TINY = 1e-300  # pivot clamp; preserves sign, zero maps to +tiny
@@ -473,6 +473,18 @@ class EigenvectorResult:
     cluster: tuple = field(repr=False, default=())
 
 
+class _SingularShift(np.linalg.LinAlgError):
+    """`_solve_shifted` met a zero pivot: shift is an eigenvalue of op in
+    floating point. `null` is the solution's limit as that pivot is perturbed
+    towards 0, LAPACK dstein's remedy with the shift left where it is: 1 at
+    the first zero pivot, 0 below it, back-substituted above it, a null
+    vector of the factor and so of op - shift."""
+
+    def __init__(self, null):
+        super().__init__("singular matrix")
+        self.null = null
+
+
 def _solve_shifted(op, shift, rhs):
     """Solve (op - shift) x = rhs: LAPACK dgtsv in plain floats.
 
@@ -480,7 +492,8 @@ def _solve_shifted(op, shift, rhs):
     in place of the subdiagonal, then back-substitutes. The operations and
     their order are dgtsv's, so x has the bits of scipy's
     `solve_banded((1, 1), ...)`, which calls it. An exactly zero pivot raises
-    LinAlgError (so does a 1x1 zero system, which scipy divides through).
+    `_SingularShift`, a LinAlgError (so does a 1x1 zero system, which scipy
+    divides through).
     """
     d = [a - shift for a in op.diag.tolist()]
     if not all(map(math.isfinite, d)):
@@ -491,7 +504,7 @@ def _solve_shifted(op, shift, rhs):
     for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):  # no row interchange
             if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular matrix")
+                break
             fact = dl[i] / d[i]
             d[i + 1] = d[i + 1] - fact * du[i]
             b[i + 1] = b[i + 1] - fact * b[i]
@@ -506,14 +519,24 @@ def _solve_shifted(op, shift, rhs):
                 du[i + 1] = -fact * dl[i]
             du[i] = temp
             b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    if d[n - 1] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix")
+    if 0.0 in d:  # rows above the first zero pivot k are final
+        k = d.index(0.0)
+        raise _SingularShift(np.array(
+            _back_substitute(d[:k] + [1.0], du, dl, [0.0] * k + [1.0]) + [0.0] * (n - k - 1)))
+    return np.array(_back_substitute(d, du, dl, b))
+
+
+def _back_substitute(d, du, dl, b):
+    """x of U x = b, U upper triangular with diagonal d (whose length is the
+    size), superdiagonal du and second superdiagonal dl."""
+    n = len(d)
+    b = list(b)
     b[n - 1] = b[n - 1] / d[n - 1]
     if n > 1:
         b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
         b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return np.array(b)
+    return b
 
 
 def _canonical_sign(v):
@@ -536,7 +559,7 @@ def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
     scale = op.norm_bound()
     target = 1e-10 * scale
     cluster_tol = 1e-12 * scale
-    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0x9E3779B9], dtype=np.uint64)))
+    rng = _blocks.block_rng(0, 0x9E3779B9)
     v = rng.standard_normal(op.size)
     v /= np.linalg.norm(v)
     shift = float(energy)
@@ -544,13 +567,11 @@ def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
     for _ in range(_INVERSE_ITERATIONS):
         try:
             w = _solve_shifted(op, shift, v)
-        except np.linalg.LinAlgError:
-            shift = shift + 1e-13 * scale
-            continue
+        except _SingularShift as exc:
+            w = exc.null
         nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            shift = shift + 1e-13 * scale
-            continue
+        if not np.isfinite(nw) or nw == 0.0:  # under- or overflow: keep v
+            break
         v = w / nw
         ray = float(v @ op.apply(v))
         resid = float(np.linalg.norm(op.apply(v) - ray * v))
@@ -584,9 +605,8 @@ def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
             for _ in range(_INVERSE_ITERATIONS):
                 try:
                     w = _solve_shifted(op, shift_c, w)
-                except np.linalg.LinAlgError:
-                    shift_c += 1e-14 * scale
-                    continue
+                except _SingularShift as exc:
+                    w = exc.null
                 for b in vecs:
                     w -= (b @ w) * b
                 nw = np.linalg.norm(w)

@@ -57,12 +57,6 @@ class UniformLaw:
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    @property
-    def density_bound(self) -> float:
-        if self.hi == self.lo:
-            return math.inf
-        return 1.0 / (self.hi - self.lo)
-
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms on [0, 1) to law samples (inverse CDF)."""
         return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=np.float64)
@@ -130,11 +124,6 @@ class PiecewiseLinearLaw:
     def support(self) -> tuple[float, float]:
         return (self.knots[0], self.knots[-1])
 
-    @property
-    def density_bound(self) -> float:
-        _, dens, _ = self._tables()
-        return float(dens.max())
-
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF sampling; exact on each linear segment."""
         u = np.asarray(u, dtype=np.float64)
@@ -181,10 +170,6 @@ class FiniteProfile:
             raise ValueError("radius smaller than the profile support")
         pad = radius - self.radius
         return np.pad(np.asarray(self.values, dtype=np.float64), pad)
-
-    def single_signed(self) -> bool:
-        nz = [v for v in self.values if v != 0.0]
-        return bool(nz) and (all(v > 0 for v in nz) or all(v < 0 for v in nz))
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +313,6 @@ class EnsembleSpec:
             raise ValueError("profile is only meaningful for the alloy ensemble")
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleDraw:
-    """One realization: raw variables, derived coefficients, and provenance."""
-
-    omega: np.ndarray
-    diag: np.ndarray
-    offdiag: np.ndarray
-    seed: int
-    index: int
-
-
 def draw_width(spec: EnsembleSpec, size: int) -> int:
     """Number of scalar random variables behind one draw on {1..size}."""
     if size < 1:
@@ -357,16 +331,12 @@ def coefficients(
 
     diag has shape (batch, size). offdiag is (size - 1,) when the couplings
     are deterministic and (batch, size - 1) for the hopping ensemble. Both
-    are C-contiguous arrays of their own, never views of omega.
+    are C-contiguous. For anderson and qgraph the returned diag is the
+    fresh omega itself, not a copy (omega is made a C-contiguous float
+    array first, which copies nothing when it is one); every other array is
+    one of its own.
     """
-    diag, off = _coefficients(spec, size, omega)
-    return (diag.copy() if diag is omega else diag), off
-
-
-def _coefficients(spec, size, omega):
-    """`coefficients`, but diag may be omega itself (anderson and qgraph), so
-    a fresh omega is not copied."""
-    omega = np.asarray(omega, dtype=np.float64)
+    omega = np.ascontiguousarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[1] != draw_width(spec, size):
         raise ValueError("omega must have shape (batch, draw_width)")
     batch = omega.shape[0]
@@ -390,25 +360,6 @@ def _coefficients(spec, size, omega):
     return diag, np.ones(size - 1)
 
 
-def omega_block(
-    spec: EnsembleSpec,
-    size: int,
-    seed: int,
-    block: int,
-    rows: int | None = None,
-    stream: int = _blocks.STREAM_PRIMARY,
-) -> np.ndarray:
-    """Law-transformed draw rows for one RNG block. A uniform law's map is
-    drawn with the uniforms, the bits of its `transform`."""
-    width = draw_width(spec, size)
-    if rows is None:
-        rows = _blocks.block_size(width)
-    law = spec.law
-    if isinstance(law, UniformLaw):
-        return _blocks.uniform_block(seed, block, rows, width, stream, lo=law.lo, hi=law.hi)
-    return law.transform(_blocks.uniform_block(seed, block, rows, width, stream))
-
-
 def draw_block(
     spec: EnsembleSpec,
     size: int,
@@ -416,15 +367,17 @@ def draw_block(
     block: int,
     rows: int,
     stream: int = _blocks.STREAM_PRIMARY,
-    post_affine: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, offdiag) of one RNG block's first `rows` draws; diag -> a + b *
-    diag when post_affine = (a, b) is given."""
-    diag, off = _coefficients(spec, size, omega_block(spec, size, seed, block, rows, stream))
-    if post_affine is not None:
-        a, b = post_affine
-        diag = a + b * diag
-    return diag, off
+    """(diag, offdiag) of one RNG block's first `rows` draws: the block's
+    uniforms, mapped by the law, then by `coefficients`. A uniform law's map
+    is drawn with the uniforms, the bits of its `transform`."""
+    width = draw_width(spec, size)
+    law = spec.law
+    if isinstance(law, UniformLaw):
+        omega = _blocks.uniform_block(seed, block, rows, width, stream, lo=law.lo, hi=law.hi)
+    else:
+        omega = law.transform(_blocks.uniform_block(seed, block, rows, width, stream))
+    return coefficients(spec, size, omega)
 
 
 def make_draw(
@@ -433,23 +386,13 @@ def make_draw(
     seed: int,
     index: int,
     stream: int = _blocks.STREAM_PRIMARY,
-) -> EnsembleDraw:
-    """Reproduce draw `index` of the run keyed by `seed`, bit for bit."""
+) -> TridiagonalOperator:
+    """Box operator of draw `index` of the run keyed by `seed`: row
+    index % B of `draw_block`'s block index // B, B = block_size(draw_width),
+    bit for bit the row the probes sweep."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    width = draw_width(spec, size)
-    bs = _blocks.block_size(width)
-    block, row = divmod(index, bs)
-    omega = omega_block(spec, size, seed, block, rows=row + 1, stream=stream)[row]
-    diag, off = coefficients(spec, size, omega[None, :])
-    off1 = off[0] if off.ndim == 2 else off
-    for arr in (omega, diag, off1):
-        arr.flags.writeable = False
-    return EnsembleDraw(omega, diag[0], off1, seed, index)
-
-
-def assemble(spec: EnsembleSpec, size: int, draw: EnsembleDraw) -> TridiagonalOperator:
-    """Dirichlet box operator on {1..size} for one draw."""
-    if draw.diag.shape != (size,):
-        raise ValueError("draw was made for a different box size")
-    return TridiagonalOperator(draw.diag, draw.offdiag)
+    block, row = divmod(index, _blocks.block_size(draw_width(spec, size)))
+    diag, off = draw_block(spec, size, seed, block, row + 1, stream)
+    # copies, so that the operator does not keep the block's other rows alive
+    return TridiagonalOperator(diag[row].copy(), (off[row] if off.ndim == 2 else off).copy())

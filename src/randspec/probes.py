@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _blocks
 from .eigensolve import _window_counts, batched_eigenvalues_in
-from .ids import IdsTable, estimate_ids, unfold
+from .ids import IdsTable, OutsideGridError, estimate_ids, unfold
 from .operators import EnsembleSpec, IntervalGraphFamily, draw_block, draw_width
 
 SCHEMA_VERSION = 1
@@ -250,8 +250,10 @@ def _window_block(job: _WindowJob, block: int):
     counts = []
     for stream, windows in streams:
         if windows:
-            diag, off = draw_block(
-                job.spec, job.size, job.seed, block, rows, stream, job.post_affine)
+            diag, off = draw_block(job.spec, job.size, job.seed, block, rows, stream)
+            if job.post_affine is not None:
+                a, b = job.post_affine
+                diag = a + b * diag
             c = _window_counts(diag, off, *np.array(windows).T)[1]
             counts.append(c[1] - c[0])
     counts = np.concatenate(counts)  # (windows, rows)
@@ -547,6 +549,9 @@ def _ids_for(
             f"ids_half_width = {half_width!r}: must be >= {IDS_DENSITY_HALF_SPAN}"
         )
     centers = (center, *extra_centers)
+    for c in centers:
+        if not c - half_width < c + half_width:  # both round to c
+            raise ValueError(f"energy {c!r}: too large to tabulate the IDS about it")
     nodes = np.unique(
         np.concatenate([np.linspace(c - half_width, c + half_width, 41) for c in centers])
     )
@@ -574,7 +579,13 @@ def _unfolded_window_edges(table, size, center, offsets):
     """Energies whose unfolded coordinates sit at N(center) * L + offset."""
     n0 = float(table.evaluate(np.array([center]))[0])
     targets = n0 + np.asarray(offsets, dtype=np.float64) / size
-    return table.inverse(targets)
+    try:
+        return table.inverse(targets)
+    except OutsideGridError:
+        raise OutsideGridError(
+            f"energy {center!r}: the window {tuple(offsets)} mean spacings about it leaves "
+            "the IDS table; the energy lies outside the spectrum or too near its edge"
+        ) from None
 
 
 def level_statistics_probe(
@@ -688,7 +699,7 @@ def joint_independence_probe(
     """
     t0 = time.perf_counter()
     if energy_a == energy_b:
-        raise ValueError("energies must be distinct")
+        raise ValueError("energy_a and energy_b must be distinct")
     table = _ids_for(
         spec, size, energy_a, seed, workers, ids_table,
         ids_half_width, ids_points, ids_samples, extra_centers=(energy_b,),
@@ -699,7 +710,7 @@ def joint_independence_probe(
     windows = ((float(half_a[0]), float(half_a[1])),
                (float(half_b[0]), float(half_b[1])))
     if windows[0][1] >= windows[1][0] and windows[1][1] >= windows[0][0]:
-        raise ValueError("energy windows overlap; separate the energies")
+        raise ValueError("the energy_a and energy_b windows overlap; separate the energies")
     job = _WindowJob(spec, size, seed, samples, windows, kcap=16, joint_pair=(0, 1))
     stats = _run_window_job(job, workers)
     ests = [

@@ -1,6 +1,6 @@
 """Shared builders for the test suite plus the acceptance summary hook."""
 
-from randspec import EnsembleSpec, FiniteProfile, assemble, make_draw
+from randspec import EnsembleSpec, FiniteProfile, make_draw
 
 MIXED_KINDS = ("hopping", "anderson", "alloy", "dimer_sign", "qgraph")
 
@@ -23,8 +23,7 @@ def random_operator(rng, size=None, size_cap=12):
     spec = mixed_spec(kind)
     if size is None:
         size = int(rng.integers(2, size_cap + 1))
-    draw = make_draw(spec, size, int(rng.integers(1 << 32)), int(rng.integers(256)))
-    return assemble(spec, size, draw)
+    return make_draw(spec, size, int(rng.integers(1 << 32)), int(rng.integers(256)))
 
 
 def record_criterion(tag, ok, message):

@@ -19,7 +19,6 @@ from randspec import (
     QGraphInstance,
     TridiagonalOperator,
     UniformLaw,
-    assemble,
     c_factor,
     consecutive_sine_floor,
     decorrelation_probe,
@@ -103,7 +102,7 @@ def test_accept_03_hopping_spectral_symmetry():
     worst_range = 0.0
     worst_oracle = 0.0
     for index in range(100):
-        op = assemble(spec, size, make_draw(spec, size, 103, index))
+        op = make_draw(spec, size, 103, index)
         vals = eigenvalues_in(op, -4.5, 4.5)
         oracle = dense_spectrum(op, oracle_max=512)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(vals - oracle))))
@@ -127,7 +126,7 @@ def test_accept_04_wronskian_identity():
     worst_excess = -math.inf
     pairs = 0
     for index in range(10):
-        op = assemble(spec, size, make_draw(spec, size, 104, index))
+        op = make_draw(spec, size, 104, index)
         vals, vecs = dense_spectrum(op, vectors=True, oracle_max=128)
         for _ in range(10):
             i, j = rng.choice(size, size=2, replace=False)
@@ -161,7 +160,7 @@ def test_accept_05_hellmann_feynman():
     for index in range(20):
         kind = "anderson" if index % 2 == 0 else "hopping"
         spec = EnsembleSpec(kind)
-        op = assemble(spec, 10, make_draw(spec, 10, 105, index))
+        op = make_draw(spec, 10, 105, index)
         vals, vecs = dense_spectrum(op, vectors=True)
         gaps = np.diff(vals)
         for j in range(1, 11):

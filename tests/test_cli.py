@@ -1,10 +1,12 @@
 """Config parsing, the experiment runner, and the utility subcommands."""
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -307,6 +309,25 @@ def test_run_deterministic_modulo_runtime(tmp_path):
     ).read_text()
 
 
+# the estimates of the paper suite that are an integer count over an integer
+_COUNT_PREFIXES = ("p_hat[", "m_hat[", "p2_hat[", "p1_hat[", "p_joint", "p_first", "p_second",
+                   "event_mismatch", "mean_count[", "mean_first", "mean_second", "n_spacings")
+
+
+def test_paper_suite_counts_pinned(tmp_path):
+    """`run paper-suite --scale 0.02` gives the counts in paper_suite_counts.json.
+    They do not depend on the SIMD exp or log of the CPU, so every sweep body
+    and draw path (AVX2, scalar, numpy) is held to the same file."""
+    assert main(["run", "paper-suite", "--scale", "0.02", "--out", str(tmp_path)]) == 0
+    got = {}
+    for path in sorted(tmp_path.glob("*.json")):
+        estimates = json.loads(path.read_text())["estimates"]
+        counts = {e["name"]: e["value"] for e in estimates if e["name"].startswith(_COUNT_PREFIXES)}
+        if counts:
+            got[path.stem] = counts
+    assert got == json.loads(Path(__file__).with_name("paper_suite_counts.json").read_text())
+
+
 def test_run_check_mode_exit_codes(tmp_path):
     failing = _SMALL_SUITE + "check_slope_min = 99\n"
     cfg = _write_config(tmp_path, failing)
@@ -415,6 +436,7 @@ _VALID = {
         ("experiment", "workers", "0", "[experiment] workers"),
         ("experiment", "seed", "1.5", "[experiment] seed"),
         ("experiment", "outdir", "x", "[experiment] unknown fields: outdir"),
+        ("experiment", "out", "{tmp}/short_row.csv/x", "[experiment] out"),
         ("w", "type", "nope", "[probe:w] type"),
         ("w", "samples", "0", "[probe:w] samples"),
         ("w", "samples", "2.5", "[probe:w] samples"),
@@ -449,6 +471,7 @@ _VALID = {
         ("argv", "--scale", "nan", "--scale"),
         ("argv", "--scale", "0", "--scale"),
         ("argv", "--workers", "0", "--workers"),
+        ("argv", "--out", "{tmp}/short_row.csv", "--out"),  # an existing file
         ("env", "RANDSPEC_WORKERS", "x", "RANDSPEC_WORKERS"),
         ("env", "RANDSPEC_WORKERS", "0", "RANDSPEC_WORKERS"),
     ],
@@ -457,11 +480,13 @@ def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, where, field, text
     text = _with_law_files(tmp_path, text)
     experiment = {"seed": "1"}
     sections = {"w": dict(_VALID["w"])}
-    argv = []
+    argv = ["--out", str(tmp_path / "res")]
     if where == "experiment":
         experiment[field] = text
+        if field == "out":
+            argv = []
     elif where == "argv":
-        argv = [field, text]
+        argv += [field, text]
     elif where == "env":
         monkeypatch.setenv(field, text)
     else:
@@ -471,7 +496,7 @@ def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, where, field, text
         body += f"[probe:{name}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
     cfg = _write_config(tmp_path, body)
     try:
-        code = main(["run", cfg, "--out", str(tmp_path / "res"), *argv])
+        code = main(["run", cfg, *argv])
     except SystemExit as exc:  # argparse rejects command-line values
         code = exc.code
     assert code == 2
@@ -600,6 +625,11 @@ def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
 # the parse layer: any text gives a value or the error that names its input
 
 
+def _subparser(command):
+    return next(a for a in cli._parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
 def _parse_targets():
     """(label, parse, error) for every config field and every command-line flag
     typed by a Field: `_value` on the field, or the flag's argparse type."""
@@ -608,10 +638,8 @@ def _parse_targets():
                 for ptype, probe in PROBES.items() for key, field in probe.fields.items()]
     out = [(label, functools.partial(cli._value, label, field), ConfigError)
            for label, field in targets]
-    commands = next(a for a in cli._parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
     for command in ("run", "ids", "lyapunov"):
-        for action in commands[command]._actions:
+        for action in _subparser(command)._actions:
             if isinstance(action.type, functools.partial):
                 out.append((f"{command} {action.option_strings[0]}", action.type,
                             argparse.ArgumentTypeError))
@@ -658,3 +686,171 @@ def test_parse_layer_raises_only_named_errors(tmp_path):
         _parses_or_names(target, text)
 
     parse_one()
+
+
+# ---------------------------------------------------------------------------
+# the command layer: any command line runs, or exits 2 naming what it rejects
+
+_REJECTED = ["nan", "inf", "-inf", "", " ", "1e400", "2.5", "0x10", "many"]
+_ODD_FLOAT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308", "5e-324", "x"]),
+    st.floats().map(repr),
+)
+
+
+def _valid_text(field):
+    """A text of the field's type inside its range. Integers (sizes, counts,
+    steps, margins) stay within 12 of the field's minimum, so that every
+    probe that runs is small."""
+    parse = field.parse
+    low = field.gt if field.gt is not None else field.ge
+    if parse is cli._int:
+        return st.integers(int(low or 0), int(low or 0) + 12).map(str)
+    if parse in (cli._float, cli._floats):
+        x = st.floats(-3.0, 3.0) if low is None else st.floats(low, low + 3.0).filter(
+            lambda x: field.gt is None or x > field.gt)
+        return x.map(repr) if parse is cli._float else st.lists(
+            x.map(repr), min_size=1, max_size=3).map(",".join)
+    if parse is cli._intervals:
+        pair = st.tuples(st.floats(-1.0, 2.0), st.floats(0.1, 2.0)).map(
+            lambda t: f"{t[0]!r}:{t[0] + t[1]!r}")
+        return st.lists(pair, min_size=1, max_size=3).map(",".join)
+    return st.sampled_from({
+        cli._bool: ["true", "false"], cli._kind: list(cli.KINDS),
+        cli._parse_law: ["uniform:1,2", "uniform:0,1", "piecewise:{law}"],
+        cli._parse_profile: ["finite:0.25,1,0.5", "finite:1"],
+    }[parse])
+
+
+def _odd_text(field):
+    """nan, inf, negative and huge numbers, texts of the wrong type, and for
+    integers the value just below the range: an integer field never gets a
+    large value, which would make the run large."""
+    if field.parse is cli._int:
+        return st.sampled_from([str(int(field.ge or 0) - 1), *_REJECTED])
+    if field.parse is cli._parse_law:
+        return st.one_of(st.tuples(_ODD_FLOAT, _ODD_FLOAT).map(lambda t: "uniform:" + ",".join(t)),
+                         st.sampled_from(["piecewise:{tmp}/none.csv", "gaussian:0,1"]))
+    if field.parse is cli._parse_profile:
+        return st.lists(_ODD_FLOAT, min_size=1, max_size=3).map(lambda v: "finite:" + ",".join(v))
+    if field.parse in (cli._floats, cli._intervals):
+        return st.lists(_ODD_FLOAT, min_size=1, max_size=3).map(",".join)
+    return st.one_of(_ODD_FLOAT, st.sampled_from(_REJECTED))
+
+
+def _mostly(valid, odd):
+    """`valid` seven times in eight, `odd` the eighth."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 0 else valid)
+
+
+def _field_text(field):
+    return _mostly(_valid_text(field), _odd_text(field))
+
+
+def _consistent(chosen):
+    """Most of the time, make the drawn fields fit together as a valid run
+    needs: a profile and a margin of at least 1 for the alloy only, and
+    min below max."""
+    chosen = dict(chosen)
+    if chosen.get("kind") == "alloy":
+        chosen.setdefault("profile", "finite:0.25,1,0.5")
+        if chosen.get("margin", "0") in ("-1", "0"):
+            chosen["margin"] = "1"
+    else:
+        chosen.pop("profile", None)
+    try:
+        lo, hi = float(chosen["min"]), float(chosen["max"])
+    except (KeyError, ValueError):
+        return chosen
+    if lo >= hi:
+        chosen["min"], chosen["max"] = repr(min(lo, hi)), repr(max(lo, hi) + 1.0)
+    return chosen
+
+
+def _fields(fields):
+    """{name: text}: every required field, and each optional one or not."""
+    required = {k: _field_text(f) for k, f in fields.items() if f.default is cli.REQUIRED}
+    optional = {k: _field_text(f) for k, f in fields.items() if f.default is not cli.REQUIRED}
+    drawn = st.fixed_dictionaries(required, optional=optional)
+    return _mostly(drawn.map(_consistent), drawn)
+
+
+_SEED = _mostly(st.integers(0, 2**70).map(str), st.sampled_from(["-1", *_REJECTED]))
+_RUN = st.tuples(
+    st.just("run"),
+    st.sampled_from(sorted(PROBES)).flatmap(
+        lambda ptype: st.tuples(st.just(ptype), _fields(PROBES[ptype].fields))),
+    st.fixed_dictionaries({"seed": _SEED}, optional={
+        "workers": _mostly(st.just("1"), st.sampled_from(["0", "x"])),
+        "out": _mostly(st.just("{tmp}/res"), st.just("{law}/x")),
+    }),
+    st.lists(st.sampled_from(["--check", "--scale", "--workers", "--out"]), unique=True),
+    _mostly(st.sampled_from(["0.5", "1"]), st.sampled_from(["0", "-1", "nan", "inf", "x"])),
+)
+
+
+def _subcommand(command, fields):
+    """argv for `ids` or `lyapunov` from its typed flags."""
+    return _fields(fields).map(
+        lambda chosen: [command] + [f"--{k}={v}" for k, v in chosen.items()])
+
+
+def _flag_fields(command):
+    """{flag: Field} of a subcommand's typed flags, and --kind. --workers is
+    left out (no worker pool starts)."""
+    fields = {a.dest: a.type.args[1] for a in _subparser(command)._actions
+              if isinstance(a.type, functools.partial) and a.dest != "workers"}
+    return {"kind": cli._ENSEMBLE["kind"], **fields}
+
+
+_IDS = _subcommand("ids", _flag_fields("ids"))
+_LYAPUNOV = _subcommand("lyapunov", _flag_fields("lyapunov"))
+
+
+def _main_exit(argv):
+    """(exit code, stderr) of cli.main(argv) in this process; any exception
+    other than argparse's SystemExit fails the test as a traceback would."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a command-line value
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_main_exits_cleanly_or_names_the_input(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a run with no out writes to ./results
+    law = tmp_path / "law.csv"
+    law.write_text("1,1\n1.5,2\n2,1\n")
+
+    def fill(text):
+        return text.format(tmp=tmp_path, law=law)
+
+    def check(argv, labels):
+        code, err = _main_exit([fill(a) for a in argv])
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert any(label in line for line in err.splitlines() for label in labels), (argv, err)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_RUN, _IDS, _LYAPUNOV))
+    def one_command(case):
+        if case[0] == "ids":
+            case = case + ["--out={tmp}/ids.csv"]
+        if case[0] != "run":
+            check(case, [a.partition("=")[0] for a in case[1:]] + ["arguments "])
+            return
+        _, (ptype, options), experiment, flags, scale = case
+        body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in experiment.items())
+        body += "[probe:p]\ntype = " + ptype + "\n"
+        body += "".join(f"{k} = {v}\n" for k, v in options.items())
+        (tmp_path / "guard.cfg").write_text(fill(body))
+        values = {"--scale": scale, "--workers": "1", "--out": "{tmp}/res"}
+        argv = ["run", str(tmp_path / "guard.cfg")]
+        for flag in flags:
+            argv += [flag] if flag == "--check" else [f"{flag}={values[flag]}"]
+        check(argv, ["[experiment]", "[probe:p]", "probe p failed", *flags])
+
+    one_command()

@@ -538,9 +538,14 @@ def test_solve_shifted_equals_scipy_gtsv(seed, n, couplings, offset):
     ([0.0, 0.0, 0.0], [1.0, 1.0], 0.0),  # the free Laplacian on 3 sites at E = 0
 ])
 def test_solve_shifted_raises_on_singular_system(diag, off, shift):
+    """The error carries a null vector of op - shift, the limit of the solve
+    as its zero pivot goes to 0, for every right-hand side."""
     op = TridiagonalOperator(np.array(diag), np.array(off))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError) as info:
         es._solve_shifted(op, shift, np.ones(op.size))
+    null = info.value.null
+    assert np.max(np.abs(null)) >= 1.0
+    assert np.array_equal(op.apply(null), shift * null)
 
 
 def test_solve_shifted_rejects_non_finite_shifted_diagonal():
@@ -637,6 +642,17 @@ def test_window_vectors_have_small_residuals():
         vec = eigenvector(op, float(value)).vector
         resid = dense @ vec - value * vec
         assert np.max(np.abs(resid)) <= 1e-8
+
+
+def test_eigenvector_at_a_singular_shift_keeps_the_shift():
+    """0.0 is an exact eigenvalue with eigenvector e2. A singular solve used
+    to retry at 0.0 + 1e-13 * norm bound, which pushed the other shifted
+    diagonal entry past the largest double."""
+    op = TridiagonalOperator(np.array([-1.7976931348623157e308, 0.0]), np.array([0.0]))
+    with np.errstate(over="ignore"):  # the bisection tolerance 4 ulp(DBL_MAX) overflows
+        pair = eigenvector(op, 0.0)
+    assert pair.value == 0.0 and np.array_equal(pair.vector, [0.0, 1.0])
+    assert pair.residual == 0.0 and not pair.flagged
 
 
 def test_eigenvector_flags_unconverged_vector():

@@ -14,13 +14,12 @@ from randspec import (
     PiecewiseLinearLaw,
     TridiagonalOperator,
     UniformLaw,
-    assemble,
     coefficients,
     draw_width,
     make_draw,
 )
 from randspec import _blocks
-from randspec.operators import omega_block
+from randspec.operators import draw_block
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +31,11 @@ def test_uniform_law_transform_endpoints():
     out = law.transform(np.array([0.0, 0.5, 1.0]))
     assert np.array_equal(out, [1.0, 1.5, 2.0])
     assert law.support == (1.0, 2.0)
-    assert law.density_bound == 1.0
 
 
 def test_uniform_law_degenerate_point_mass():
     law = UniformLaw(0.5, 0.5)
     assert np.array_equal(law.transform(np.array([0.0, 0.3, 0.9])), [0.5] * 3)
-    assert law.density_bound == math.inf
 
 
 def test_uniform_law_validation():
@@ -197,12 +194,17 @@ def test_alloy_delta_profile_equals_anderson():
     EnsembleSpec("dimer_sign"), EnsembleSpec("alloy", profile=FiniteProfile((0.5, 1.0, 0.25)), margin=1),
 ], ids=lambda spec: spec.kind)
 def test_coefficients_are_c_contiguous(spec):
-    """Every kind returns C-contiguous arrays of its own: the compiled sweep
-    copies a strided input of more than 4 KB on every call, as it did
-    hopping's couplings while they were the view omega[:, 1:]."""
+    """Every kind returns C-contiguous arrays: the compiled sweep copies a
+    strided input of more than 4 KB on every call, as it did hopping's
+    couplings while they were the view omega[:, 1:]. The anderson and qgraph
+    diagonal is the fresh omega itself; every other array is one of its own."""
     omega = np.random.default_rng(0).random((3, draw_width(spec, 6)))
-    for x in coefficients(spec, 6, omega):
-        assert x.flags.c_contiguous and not np.shares_memory(x, omega)
+    diag, off = coefficients(spec, 6, omega)
+    assert diag.flags.c_contiguous and off.flags.c_contiguous
+    assert (diag is omega) == (spec.kind in ("anderson", "qgraph"))
+    if diag is not omega:
+        assert not np.shares_memory(diag, omega)
+    assert not np.shares_memory(off, omega)
 
 
 def test_coefficients_shape_validation():
@@ -218,8 +220,6 @@ def test_finite_profile_helpers():
     prof = FiniteProfile((0.1, 0.4, 1.0, 0.4, 0.1))
     assert prof.radius == 2
     assert np.array_equal(prof.materialize(3), [0, 0.1, 0.4, 1.0, 0.4, 0.1, 0])
-    assert prof.single_signed()
-    assert not FiniteProfile((-0.5, 1.0, 0.0)).single_signed()
     with pytest.raises(ValueError):
         FiniteProfile((1.0, 2.0))  # even length
 
@@ -255,13 +255,13 @@ def test_make_draw_deterministic_and_distinct():
     spec = EnsembleSpec("anderson")
     a = make_draw(spec, 8, seed=3, index=5)
     b = make_draw(spec, 8, seed=3, index=5)
-    assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.diag, b.diag)
+    assert np.array_equal(a.offdiag, b.offdiag)
     c = make_draw(spec, 8, seed=3, index=6)
     d = make_draw(spec, 8, seed=4, index=5)
     e = make_draw(spec, 8, seed=3, index=5, stream=_blocks.STREAM_SECONDARY)
     for other in (c, d, e):
-        assert not np.array_equal(a.omega, other.omega)
+        assert not np.array_equal(a.diag, other.diag)
     with pytest.raises(ValueError):
         make_draw(spec, 8, seed=3, index=-1)
 
@@ -272,19 +272,17 @@ def test_make_draw_matches_block_row():
     bs = _blocks.block_size(draw_width(spec, size))
     index = bs + 2  # row 2 of block 1
     draw = make_draw(spec, size, seed=9, index=index)
-    block = omega_block(spec, size, seed=9, block=1)
-    assert np.array_equal(draw.omega, block[2])
+    diag, _ = draw_block(spec, size, seed=9, block=1, rows=bs)
+    assert np.array_equal(draw.diag, diag[2])
 
 
-def test_assemble_and_size_guard():
+def test_make_draw_returns_the_operator():
     spec = EnsembleSpec("hopping")
-    draw = make_draw(spec, 6, seed=0, index=0)
-    op = assemble(spec, 6, draw)
-    assert op.size == 6
+    op = make_draw(spec, 6, seed=0, index=0)
+    assert isinstance(op, TridiagonalOperator) and op.size == 6
     assert np.array_equal(op.diag, np.zeros(6))
     assert np.all((op.offdiag >= 1.0) & (op.offdiag <= 2.0))
-    with pytest.raises(ValueError):
-        assemble(spec, 7, draw)
+    assert not (op.diag.flags.writeable or op.offdiag.flags.writeable)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from randspec import (
     EnsembleSpec,
     QGraphInstance,
     UniformLaw,
-    assemble,
     decorrelation_probe,
     estimate_ids,
     joint_independence_probe,
@@ -178,8 +177,7 @@ def _dense_window_counts(spec, size, seed, n, windows, stream=None):
     counts = np.zeros((len(windows), n), dtype=np.int64)
     for i in range(n):
         kwargs = {} if stream is None else {"stream": stream}
-        draw = make_draw(spec, size, seed, i, **kwargs)
-        vals = np.linalg.eigvalsh(assemble(spec, size, draw).to_dense())
+        vals = np.linalg.eigvalsh(make_draw(spec, size, seed, i, **kwargs).to_dense())
         for w, (lo, hi) in enumerate(windows):
             counts[w, i] = np.sum((vals > lo) & (vals <= hi))
     return counts
@@ -291,7 +289,7 @@ def test_qgraph_minami_matches_reduced_operator_counts(e0, widths):
     spec = EnsembleSpec("qgraph", law=law)
     counts = np.zeros((2, n), dtype=np.int64)
     for i in range(n):
-        omega = make_draw(spec, size, 10, i).omega
+        omega = make_draw(spec, size, 10, i).diag
         op = reduced_operator(QGraphInstance(omega), e0)
         vals = np.linalg.eigvalsh(op.to_dense())
         for w, width in enumerate(widths):

@@ -11,7 +11,6 @@ from randspec import (
     EnsembleSpec,
     IntervalGraphFamily,
     TridiagonalOperator,
-    assemble,
     consecutive_sine_floor,
     count_in_interval,
     dense_spectrum,
@@ -109,8 +108,8 @@ def test_wronskian_telescoping_violation_small():
 def test_wronskian_detects_mismatched_pairs():
     spec = EnsembleSpec("anderson")
     size = 12
-    op_a = assemble(spec, size, make_draw(spec, size, seed=1, index=0))
-    op_b = assemble(spec, size, make_draw(spec, size, seed=1, index=1))
+    op_a = make_draw(spec, size, seed=1, index=0)
+    op_b = make_draw(spec, size, seed=1, index=1)
     va, ua = _eigenpairs(op_a)
     vb, ub = _eigenpairs(op_b)
     res = wronskian_sequence(ua[:, 4], ub[:, 4], op_a.offdiag, va[4], vb[4])
@@ -145,7 +144,7 @@ def test_sine_product_identity_and_bound():
 def test_hellmann_feynman_anderson_all_directions():
     spec = EnsembleSpec("anderson")
     size = 10
-    op = assemble(spec, size, make_draw(spec, size, seed=5, index=0))
+    op = make_draw(spec, size, seed=5, index=0)
     rng = np.random.default_rng(55)
     for j in range(1, size + 1):
         n = int(rng.integers(1, size + 1))
@@ -161,7 +160,7 @@ def test_hellmann_feynman_affine_slope():
     # qgraph's omega moves the diagonal with slope lambda(E_j); anderson's with 1
     base = EnsembleSpec("anderson")
     size = 8
-    box = assemble(base, size, make_draw(base, size, seed=6, index=0))
+    box = make_draw(base, size, seed=6, index=0)
     op = TridiagonalOperator(box.diag + 3.0, box.offdiag)  # spectrum inside (0, pi^2)
     scaled = hellmann_feynman_check(EnsembleSpec("qgraph"), op, 2, ("diagonal", 4))
     plain = hellmann_feynman_check(base, op, 2, ("diagonal", 4))
@@ -195,7 +194,7 @@ def test_hellmann_feynman_validation():
 def test_split_box_matches_brute_force():
     spec = EnsembleSpec("anderson")
     size = 18
-    op = assemble(spec, size, make_draw(spec, size, seed=44, index=0))
+    op = make_draw(spec, size, seed=44, index=0)
     vals = dense_spectrum(op)
     energy = 0.5 * (vals[8] + vals[9])
     epsilon = abs(vals[9] - vals[8])  # window holds at least two eigenvalues
