@@ -535,13 +535,18 @@ def cmd_list_probes(args) -> int:
 
 
 def cmd_ids(args) -> int:
-    if not args.min < args.max:
-        raise ConfigError(f"--min = {args.min:g}, --max = {args.max:g}: need --min < --max")
+    with np.errstate(all="ignore"):  # an overflowing step leaves a non-finite grid
+        grid = np.linspace(args.min, args.max, args.points)
+        increasing = np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)
+    if not increasing:  # also --min >= --max
+        raise ConfigError(
+            f"--min = {args.min:g}, --max = {args.max:g}, --points = {args.points}: "
+            "the grid is not finite and strictly increasing"
+        )
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():  # checked before the estimate runs
         raise ConfigError(f"--out = {args.out!r}: not a file in an existing directory")
     spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
-    grid = np.linspace(args.min, args.max, args.points)
     table = estimate_ids(
         spec, args.size, args.samples, grid, seed=args.seed,
         workers=args.workers or _env_workers(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ctypes
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,8 @@ _COUPLING_OVERFLOW = (
 # 64 KB tiles 25-45% slower.
 _TILE_BYTES = 1 << 18
 
-DEFAULT_MAX_WINDOW_EIGS = 512
 DEFAULT_ORACLE_MAX = 64
-_INVERSE_ITERATIONS = 8  # steps of `eigenvector`, per vector of a cluster
+_INVERSE_ITERATIONS = 8  # steps of `eigenvector`
 
 
 def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
@@ -271,7 +270,9 @@ def _bisect_indices(diag, offdiag, targets, lo, hi, tol):
     diag, offdiag, targets, drow, orow = _lanes(diag, offdiag, np.asarray(targets, dtype=np.int64))
     lo, hi = float(lo), float(hi)
     scale = max(abs(lo), abs(hi)) if targets.size else 1.0
-    tol_eff = max(tol, 4.0 * np.spacing(scale))
+    # the ulp of DBL_MAX is the gap below it, 2^971: np.spacing gives inf there
+    ulp = 2.0**971 if scale == sys.float_info.max else np.spacing(scale)
+    tol_eff = max(tol, 4.0 * ulp)
     width = hi - lo if targets.size else 0.0
     iters = max(1, int(np.ceil(np.log2(max(width / tol_eff, 2.0)))) + 1)
     if _native.kernel() is None:
@@ -339,24 +340,17 @@ def eigenvalues_in(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_window_eigs: int = DEFAULT_MAX_WINDOW_EIGS,
 ) -> np.ndarray:
     """All eigenvalues in (lo, hi], sorted, each located to width <= tol.
 
     Counting-indexed bisection: multiplicities are resolved exactly (a k-fold
-    eigenvalue appears k times). Refuses windows holding more than
-    `max_window_eigs` eigenvalues. The bisection is that of
-    `batched_eigenvalues_in` on the operator's one row.
+    eigenvalue appears k times). The bisection is that of
+    `batched_eigenvalues_in` on the operator's one row; a window holds at
+    most L eigenvalues, so its memory is O(L), the size of the operator.
     """
     _check_window(lo, hi, tol)
     diag = op.diag[None]
     edges, counts = _window_counts(diag, op.offdiag, lo, hi)
-    n_here = int(counts[1, 0] - counts[0, 0])
-    if n_here > max_window_eigs:
-        raise ValueError(
-            f"window holds {n_here} eigenvalues > max_window_eigs="
-            f"{max_window_eigs}; shrink the window or raise the cap"
-        )
     return np.sort(_bisect_window(diag, op.offdiag, edges, counts, tol)[1])
 
 
@@ -458,11 +452,9 @@ class EigenvectorResult:
     """Inverse-iteration output with residual and isolation diagnostics.
 
     `flagged` is set when another eigenvalue sits within 1e-12 * norm bound
-    of the Rayleigh quotient (`cluster` then carries an orthonormal basis of
-    the near-degenerate group; it holds just the vector itself otherwise),
-    when the gap is at most that tolerance, or when inverse iteration stopped
-    with a residual above its target 1e-10 * norm bound (an unconverged
-    vector).
+    of the Rayleigh quotient, when the gap is at most that tolerance, or when
+    inverse iteration stopped with a residual above its target
+    1e-10 * norm bound (an unconverged vector).
     """
 
     value: float
@@ -470,7 +462,6 @@ class EigenvectorResult:
     residual: float
     gap: float
     flagged: bool
-    cluster: tuple = field(repr=False, default=())
 
 
 class _SingularShift(np.linalg.LinAlgError):
@@ -550,17 +541,15 @@ def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
     Inverse iteration from a fixed pseudorandom start vector; the sign is
     fixed by making the largest-magnitude entry positive. Near-degenerate
     eigenvalues (within 1e-12 * op.norm_bound()) yield a flagged result
-    carrying the whole cluster basis instead of an error. A vector whose
-    final residual misses 1e-10 * op.norm_bound() after `_INVERSE_ITERATIONS`
-    steps (e.g. for an `energy` midway between two eigenvalues) is returned
-    flagged as well.
+    instead of an error. A vector whose final residual misses
+    1e-10 * op.norm_bound() after `_INVERSE_ITERATIONS` steps (e.g. for an
+    `energy` midway between two eigenvalues) is returned flagged as well.
     """
     _check_inputs(energy=energy)
     scale = op.norm_bound()
     target = 1e-10 * scale
     cluster_tol = 1e-12 * scale
-    rng = _blocks.block_rng(0, 0x9E3779B9)
-    v = rng.standard_normal(op.size)
+    v = _blocks.block_rng(0, 0x9E3779B9).standard_normal(op.size)
     v /= np.linalg.norm(v)
     shift = float(energy)
     resid = np.inf
@@ -593,34 +582,7 @@ def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
         above = _nearest_index_value(op, j_hi + 1, ray + cluster_tol, ghi, 0.0)
         gap = min(gap, above - ray)
     flagged = n_cluster > 1 or gap <= cluster_tol or resid > target
-    v = _canonical_sign(v)
-    cluster = (v,)
-    if n_cluster > 1:
-        # orthogonalized inverse iteration for the near-degenerate group
-        vecs = [v]
-        shift_c = ray + 3e-14 * scale
-        for _ in range(1, n_cluster):
-            w = rng.standard_normal(op.size)
-            w /= np.linalg.norm(w)
-            for _ in range(_INVERSE_ITERATIONS):
-                try:
-                    w = _solve_shifted(op, shift_c, w)
-                except _SingularShift as exc:
-                    w = exc.null
-                for b in vecs:
-                    w -= (b @ w) * b
-                nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    w = rng.standard_normal(op.size)
-                    nw = np.linalg.norm(w)
-                w /= nw
-            for b in vecs:
-                w -= (b @ w) * b
-            nw = np.linalg.norm(w)
-            if nw > 0:
-                vecs.append(_canonical_sign(w / nw))
-        cluster = tuple(vecs)
-    return EigenvectorResult(ray, v, resid, float(gap), bool(flagged), cluster)
+    return EigenvectorResult(ray, _canonical_sign(v), resid, float(gap), bool(flagged))
 
 
 # ---------------------------------------------------------------------------

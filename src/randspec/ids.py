@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -35,7 +35,6 @@ class IdsTable:
     energies: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=np.float64)
@@ -169,8 +168,7 @@ def estimate_ids(
         stderr = np.sqrt(np.maximum(var, 0.0)) / size / math.sqrt(samples)
     else:
         stderr = np.zeros(grid.size)
-    meta = {"kind": spec.kind, "size": size, "samples": samples, "seed": seed}
-    return IdsTable(grid, values, stderr, meta)
+    return IdsTable(grid, values, stderr)
 
 
 def unfold(energies, table: IdsTable, e0: float, size: int):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _blocks
 from .eigensolve import _window_counts, batched_eigenvalues_in
-from .ids import IdsTable, OutsideGridError, estimate_ids, unfold
+from .ids import OutsideGridError, estimate_ids, unfold
 from .operators import EnsembleSpec, IntervalGraphFamily, draw_block, draw_width
 
 SCHEMA_VERSION = 1
@@ -514,25 +514,16 @@ def decorrelation_probe(
 IDS_DENSITY_HALF_SPAN = 0.2
 
 
-def _ids_for(
-    spec,
-    size,
-    center,
-    seed,
-    workers,
-    table,
-    half_width,
-    points,
-    samples,
-    extra_centers=(),
-    max_offset=4.0,
-):
-    """Integrated-density table for unfolding near the given centers.
+def _unfolded_windows(spec, size, seed, workers, bands, half_width, points, samples):
+    """(table, windows): an integrated-density table for unfolding near the
+    bands' centers, and each band's energy window.
 
-    When no table is supplied, estimates one in two stages: a coarse pass
-    pins the local density (N(c + 0.2) - N(c - 0.2)) / 0.4 at each center c,
-    then a fine high-sample pass covers just the span the windows need
-    (max_offset mean spacings plus safety margin on each side). Unfolding
+    A band (c, (a, b)) asks for the energies whose unfolded coordinates sit at
+    N(c) * L + a and N(c) * L + b, with a and b in mean spacings. The table is
+    estimated in two stages: a coarse pass pins the local density
+    (N(c + 0.2) - N(c - 0.2)) / 0.4 at each distinct center c, then a fine
+    high-sample pass covers just the span the windows need (max |a|, |b| over
+    the bands, plus safety margin, on each side of every center). Unfolding
     precision is what limits the count statistics, so the sample budget is
     concentrated on the few relevant spacings around each center.
 
@@ -542,13 +533,12 @@ def _ids_for(
     grid energy is an independent lane of the same draws, so the density is
     the one the full 41-point table gives.
     """
-    if table is not None:
-        return table
     if not half_width >= IDS_DENSITY_HALF_SPAN:
         raise ValueError(
             f"ids_half_width = {half_width!r}: must be >= {IDS_DENSITY_HALF_SPAN}"
         )
-    centers = (center, *extra_centers)
+    centers = list(dict.fromkeys(c for c, _ in bands))
+    max_offset = max(abs(x) for _, ab in bands for x in ab)
     for c in centers:
         if not c - half_width < c + half_width:  # both round to c
             raise ValueError(f"energy {c!r}: too large to tabulate the IDS about it")
@@ -568,24 +558,22 @@ def _ids_for(
         density = max((n_hi - n_lo) / (2 * IDS_DENSITY_HALF_SPAN), 1e-3)
         span = 2.5 * (max_offset + 2.0) / (size * density)
         fine.append(np.linspace(c - span, c + span, points))
-    grid = np.unique(np.concatenate(fine))
-    return estimate_ids(
-        spec, size, samples, grid, seed=seed, workers=workers,
-        stream=_blocks.STREAM_IDS,
+    table = estimate_ids(
+        spec, size, samples, np.unique(np.concatenate(fine)), seed=seed,
+        workers=workers, stream=_blocks.STREAM_IDS,
     )
-
-
-def _unfolded_window_edges(table, size, center, offsets):
-    """Energies whose unfolded coordinates sit at N(center) * L + offset."""
-    n0 = float(table.evaluate(np.array([center]))[0])
-    targets = n0 + np.asarray(offsets, dtype=np.float64) / size
-    try:
-        return table.inverse(targets)
-    except OutsideGridError:
-        raise OutsideGridError(
-            f"energy {center!r}: the window {tuple(offsets)} mean spacings about it leaves "
-            "the IDS table; the energy lies outside the spectrum or too near its edge"
-        ) from None
+    windows = []
+    for c, ab in bands:
+        n0 = float(table.evaluate(np.array([c]))[0])
+        try:
+            lo, hi = table.inverse(n0 + np.asarray(ab, dtype=np.float64) / size)
+        except OutsideGridError:
+            raise OutsideGridError(
+                f"energy {c!r}: the window {tuple(ab)} mean spacings about it leaves "
+                "the IDS table; the energy lies outside the spectrum or too near its edge"
+            ) from None
+        windows.append((float(lo), float(hi)))
+    return table, tuple(windows)
 
 
 def level_statistics_probe(
@@ -596,7 +584,6 @@ def level_statistics_probe(
     seed: int = 0,
     workers: int = 1,
     intervals=((0.0, 1.0), (1.0, 2.0), (0.0, 2.0)),
-    ids_table: IdsTable | None = None,
     ids_half_width: float = 0.75,
     ids_points: int = 161,
     ids_samples: int = 2048,
@@ -617,17 +604,12 @@ def level_statistics_probe(
     for a, b in intervals:
         if not b > a:
             raise ValueError("intervals must have positive length")
-    table = _ids_for(
-        spec, size, energy, seed, workers, ids_table,
+    table, windows = _unfolded_windows(
+        spec, size, seed, workers, [(energy, ab) for ab in intervals],
         ids_half_width, ids_points, ids_samples,
-        max_offset=max(abs(x) for ab in intervals for x in ab),
     )
-    windows = []
-    for a, b in intervals:
-        lo, hi = _unfolded_window_edges(table, size, energy, (a, b))
-        windows.append((float(lo), float(hi)))
     pair = (0, 1) if len(intervals) >= 2 else None
-    job = _WindowJob(spec, size, seed, samples, tuple(windows), joint_pair=pair)
+    job = _WindowJob(spec, size, seed, samples, windows, joint_pair=pair)
     stats = _run_window_job(job, workers)
     ests = []
     for i, (a, b) in enumerate(intervals):
@@ -684,7 +666,6 @@ def joint_independence_probe(
     workers: int = 1,
     length_a: float = 1.0,
     length_b: float = 1.0,
-    ids_table: IdsTable | None = None,
     ids_half_width: float = 0.75,
     ids_points: int = 161,
     ids_samples: int = 2048,
@@ -700,15 +681,11 @@ def joint_independence_probe(
     t0 = time.perf_counter()
     if energy_a == energy_b:
         raise ValueError("energy_a and energy_b must be distinct")
-    table = _ids_for(
-        spec, size, energy_a, seed, workers, ids_table,
-        ids_half_width, ids_points, ids_samples, extra_centers=(energy_b,),
-        max_offset=max(length_a, length_b) / 2.0,
+    _, windows = _unfolded_windows(
+        spec, size, seed, workers,
+        [(energy_a, (-length_a / 2, length_a / 2)), (energy_b, (-length_b / 2, length_b / 2))],
+        ids_half_width, ids_points, ids_samples,
     )
-    half_a = _unfolded_window_edges(table, size, energy_a, (-length_a / 2, length_a / 2))
-    half_b = _unfolded_window_edges(table, size, energy_b, (-length_b / 2, length_b / 2))
-    windows = ((float(half_a[0]), float(half_a[1])),
-               (float(half_b[0]), float(half_b[1])))
     if windows[0][1] >= windows[1][0] and windows[1][1] >= windows[0][0]:
         raise ValueError("the energy_a and energy_b windows overlap; separate the energies")
     job = _WindowJob(spec, size, seed, samples, windows, kcap=16, joint_pair=(0, 1))
@@ -742,7 +719,6 @@ def spacing_probe(
     seed: int = 0,
     workers: int = 1,
     half_width: float = 2.0,
-    ids_table: IdsTable | None = None,
     ids_points: int = 301,
     ids_samples: int = 2048,
 ) -> tuple[ProbeReport, np.ndarray]:
@@ -757,12 +733,11 @@ def spacing_probe(
     n_spacings = 0 and NaN statistics.
     """
     t0 = time.perf_counter()
-    table = _ids_for(
-        spec, size, energy, seed, workers, ids_table,
-        0.75, ids_points, ids_samples, max_offset=half_width,
+    table, [(lo, hi)] = _unfolded_windows(
+        spec, size, seed, workers, [(energy, (-half_width, half_width))],
+        0.75, ids_points, ids_samples,
     )
-    lo, hi = _unfolded_window_edges(table, size, energy, (-half_width, half_width))
-    draws, values = _extract(spec, size, seed, samples, float(lo), float(hi), workers)
+    draws, values = _extract(spec, size, seed, samples, lo, hi, workers)
     unfolded = unfold(values, table, energy, size)
     spacings = np.diff(unfolded)[draws[1:] == draws[:-1]]
     m = spacings.size
@@ -783,7 +758,7 @@ def spacing_probe(
     report = _report(
         "spacing", spec,
         {"size": size, "energy": energy, "half_width": half_width,
-         "window": [float(lo), float(hi)]},
+         "window": [lo, hi]},
         ests, samples, seed, t0,
     )
     return report, spacings

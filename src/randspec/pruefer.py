@@ -39,27 +39,6 @@ class PrueferTrace:
     angles: np.ndarray
     vector: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.vector.size
-
-    def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u(n), u(n-1)) pairs recovered from (r, phi)."""
-        return self.radii * np.sin(self.angles), self.radii * np.cos(self.angles)
-
-    def max_reconstruction_error(self) -> float:
-        u_n, u_prev = self.reconstruct()
-        pad_n = np.concatenate([self.vector, [0.0]])
-        pad_prev = np.concatenate([[0.0], self.vector])
-        return float(
-            max(np.max(np.abs(u_n - pad_n)), np.max(np.abs(u_prev - pad_prev)))
-        )
-
-    def max_radius_ratio(self) -> float:
-        """Largest one-step amplification max(r(n+1)/r(n), r(n)/r(n+1))."""
-        ratios = self.radii[1:] / self.radii[:-1]
-        return float(max(ratios.max(), (1.0 / ratios).max()))
-
     def sine_magnitudes(self) -> np.ndarray:
         """|sin phi(n)| = |u(n)| / r(n), exact (no trig round trip)."""
         pad_n = np.concatenate([self.vector, [0.0]])

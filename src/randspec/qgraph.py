@@ -152,8 +152,13 @@ def graph_roots(
         n_init = int(min(4096, max(8, math.ceil((seg_hi - seg_lo) * lip / 0.25))))
         xs = np.linspace(seg_lo, seg_hi, n_init + 1)
 
+        counts: dict[float, int] = {}
+
         def n_neg(e):
-            return eigensolve.sturm_count(reduced_operator(inst, e), 0.0)
+            """#{negative eigenvalues of R(e)}, swept once per energy."""
+            if e not in counts:
+                counts[e] = eigensolve.sturm_count(reduced_operator(inst, e), 0.0)
+            return counts[e]
 
         def certify(energy):
             resid = abs(secular_value(inst, energy))
@@ -164,7 +169,6 @@ def graph_roots(
                 )
             return resid
 
-        counts = {float(x): n_neg(float(x)) for x in xs}
         stack = [(float(xs[i]), float(xs[i + 1])) for i in range(n_init)]
         gvals: dict[float, float] = {}
 
@@ -175,8 +179,7 @@ def graph_roots(
 
         while stack:
             x0, x1 = stack.pop()
-            c0 = counts.setdefault(x0, n_neg(x0))
-            c1 = counts.setdefault(x1, n_neg(x1))
+            c0, c1 = n_neg(x0), n_neg(x1)
             width = x1 - x0
             jump = c1 - c0
             if jump == 0 and min(abs(g_at(x0)), abs(g_at(x1))) > lip * width:
@@ -199,7 +202,7 @@ def graph_roots(
                 lo_b, hi_b = x0, x1
                 while hi_b - lo_b > tol:
                     mid = 0.5 * (lo_b + hi_b)
-                    if counts.setdefault(mid, n_neg(mid)) == c0:
+                    if n_neg(mid) == c0:
                         lo_b = mid
                     else:
                         hi_b = mid

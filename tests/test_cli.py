@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randspec
-from randspec import FiniteProfile, IdsTable, UniformLaw, cli, probes
+from randspec import FiniteProfile, IdsTable, UniformLaw, _native, cli, probes
 from randspec.cli import (
     PROBES,
     ConfigError,
@@ -328,6 +329,25 @@ def test_paper_suite_counts_pinned(tmp_path):
     assert got == json.loads(Path(__file__).with_name("paper_suite_counts.json").read_text())
 
 
+def _lines_but_runtime(out):
+    """{file name: its lines other than runtime_s} of a run's output directory."""
+    return {path.name: [line for line in path.read_text().splitlines() if '"runtime_s"' not in line]
+            for path in sorted(out.iterdir())}
+
+
+def test_paper_suite_same_on_c_and_numpy_paths(tmp_path):
+    """Every file of `run paper-suite --scale 0.02` (windows, spacings and
+    CSVs as well as counts) is the same on the C library's draws and sweeps
+    as on numpy's, apart from runtime_s."""
+    if _native.kernel() is None:
+        pytest.skip("no compiled kernel")
+    argv = ["run", "paper-suite", "--scale", "0.02", "--workers", "1", "--out"]
+    assert main([*argv, str(tmp_path / "c")]) == 0
+    with mock.patch.object(_native, "_library", None), mock.patch.object(_native, "_kernel", None):
+        assert main([*argv, str(tmp_path / "numpy")]) == 0
+    assert _lines_but_runtime(tmp_path / "c") == _lines_but_runtime(tmp_path / "numpy")
+
+
 def test_run_check_mode_exit_codes(tmp_path):
     failing = _SMALL_SUITE + "check_slope_min = 99\n"
     cfg = _write_config(tmp_path, failing)
@@ -607,6 +627,10 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
         (_IDS_ARGV, "--profile", "geometric:1,0.5", "--profile"),
         (_IDS_ARGV, "--law", "piecewise:{tmp}/short_row.csv", "--law"),
         (_LYAPUNOV_ARGV, "--law", "piecewise:{tmp}/word.csv", "--law"),
+        # 21 points do not fit between -DBL_TRUE_MIN and 0; the step of
+        # +-1e308 overflows
+        ([*_IDS_ARGV, "--min=-5e-324"], "--max", "0.0", "--max = 0, --points = 21: the grid"),
+        ([*_IDS_ARGV, "--min=-1e308"], "--max", "1e308", "--max = 1e+308, --points = 21: the grid"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
@@ -614,7 +638,7 @@ def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
     # the last occurrence of a flag wins, so each row overrides one valid value
     try:
         code = main([*base, "--out", str(tmp_path / "ids.csv"), flag, text]
-                    if base is _IDS_ARGV else [*base, flag, text])
+                    if base[0] == "ids" else [*base, flag, text])
     except SystemExit as exc:  # argparse rejects command-line values
         code = exc.code
     assert code == 2

@@ -136,11 +136,12 @@ def test_free_laplacian_eigenvalues():
 
 
 def test_window_guard():
+    # no cap on the eigenvalues of a window: it holds at most L of them, so
+    # the whole spectrum of a box comes back in one call
     op = _free(2000)
-    with pytest.raises(ValueError):
-        eigenvalues_in(op, -3.0, 3.0)  # 2000 > default max_window_eigs
-    got = eigenvalues_in(op, -3.0, 3.0, max_window_eigs=4096)
+    got = eigenvalues_in(op, -3.0, 3.0)
     assert len(got) == 2000
+    assert np.allclose(got, _free_eigs(2000), atol=1e-12)
 
 
 def test_batched_matches_per_row():
@@ -620,15 +621,15 @@ def test_eigenvector_canonical_sign():
 
 
 def test_eigenvector_degenerate_cluster():
+    # a double eigenvalue flags the result; the vector is still a unit
+    # vector of its eigenspace
     op = TridiagonalOperator(np.array([1.0, 1.0, 4.0]), np.zeros(2))
     pair = eigenvector(op, 1.0)
     assert pair.flagged
-    assert pair.cluster is not None and len(pair.cluster) == 2
-    basis = np.column_stack(pair.cluster)
-    assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-10)
-    dense = op.to_dense()
-    for v in pair.cluster:
-        assert np.max(np.abs(dense @ v - 1.0 * v)) <= 1e-10
+    assert pair.value == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(op.to_dense() @ pair.vector - pair.vector)) <= 1e-10
+    assert pair.gap == pytest.approx(3.0, abs=1e-12)
 
 
 def test_window_vectors_have_small_residuals():
@@ -649,10 +650,27 @@ def test_eigenvector_at_a_singular_shift_keeps_the_shift():
     to retry at 0.0 + 1e-13 * norm bound, which pushed the other shifted
     diagonal entry past the largest double."""
     op = TridiagonalOperator(np.array([-1.7976931348623157e308, 0.0]), np.array([0.0]))
-    with np.errstate(over="ignore"):  # the bisection tolerance 4 ulp(DBL_MAX) overflows
+    with np.errstate(over="raise"):
         pair = eigenvector(op, 0.0)
     assert pair.value == 0.0 and np.array_equal(pair.vector, [0.0, 1.0])
     assert pair.residual == 0.0 and not pair.flagged
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+def test_bisection_to_dbl_max_keeps_a_finite_tolerance(compiled):
+    """A bracket reaching -DBL_MAX takes 4 ulp from the gap below DBL_MAX
+    (np.spacing(DBL_MAX) is inf), so the bisection runs to the eigenvalue
+    rather than stopping after 2 levels."""
+    if compiled and _native.kernel() is None:
+        pytest.skip("no compiled kernel")
+    big = 1.7976931348623157e308
+    op = TridiagonalOperator(np.array([-big, 0.0]), np.array([0.0]))
+    with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+        with np.errstate(over="raise"):
+            value = es._nearest_index_value(op, 1, -big, -1e296, 0.0)
+            pair = eigenvector(op, 0.0)
+    assert abs(value + big) <= 4.0 * 2.0**971
+    assert pair.gap == -value
 
 
 def test_eigenvector_flags_unconverged_vector():

@@ -185,7 +185,6 @@ def test_estimate_worker_invariant():
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.stderr, b.stderr)
     assert np.all(np.diff(a.values) >= 0)
-    assert a.meta["samples"] == 40
 
 
 def test_estimate_stderr_scales_with_samples():

@@ -1,7 +1,6 @@
 """Probe statistics: closed-form helpers, brute-force count equality,
 worker invariance, and report serialization."""
 
-import functools
 import json
 import math
 
@@ -345,27 +344,27 @@ def test_count_probes_invariant_under_workers_and_blocks(samples, seed):
     assert one == _count_probe_reports(samples, seed, workers=2)
 
 
-@functools.cache
-def _unfold_table():
-    """One IDS table around both probe energies, shared by every example."""
-    grid = np.unique(np.concatenate(
-        [np.linspace(c - 0.02, c + 0.02, 21) for c in (0.5, 0.45)]
-    ))
-    return estimate_ids(EnsembleSpec("anderson"), 2000, 64, grid, seed=5)
-
-
 def _unfolded_probe_outputs(samples, seed, workers):
+    # small IDS passes: each probe estimates its own unfolding table, and the
+    # reports carry the windows read off it
     spec = EnsembleSpec("anderson")
     common = dict(size=2000, samples=samples, seed=seed, workers=workers,
-                  ids_table=_unfold_table())
+                  ids_points=21, ids_samples=64)
     spacing, spacings = spacing_probe(spec, 0.5, half_width=0.5, **common)
     levels, configs = level_statistics_probe(
         spec, 0.5, intervals=((0.0, 0.5), (0.5, 1.0)), collect=samples, **common
     )
     joint = joint_independence_probe(spec, 0.5, 0.45, **common)
     points = [(c.index, c.center, c.window, c.points.tobytes()) for c in configs]
+    table, windows = probes._unfolded_windows(
+        spec, 2000, seed, workers, [(0.5, (-0.5, 0.5)), (0.45, (-0.5, 0.5))], 0.75, 21, 64
+    )
     return ([_strip_runtime(r) for r in (spacing, levels, joint)],
-            spacings.tobytes(), points)
+            spacings.tobytes(), points, _table_bytes(table), windows)
+
+
+def _table_bytes(table):
+    return tuple(getattr(table, name).tobytes() for name in ("energies", "values", "stderr"))
 
 
 @settings(max_examples=2, deadline=None)
@@ -381,17 +380,19 @@ def test_unfolded_probes_invariant_under_workers_and_blocks(samples, seed):
 
 def test_level_statistics_worker_invariance():
     spec = EnsembleSpec("anderson")
-    table = estimate_ids(
-        spec, 400, 128, np.linspace(-0.6, 0.6, 121), seed=12
-    )
     kwargs = dict(
-        energy=0.0, size=400, samples=3000, seed=12, ids_table=table,
+        energy=0.0, size=400, samples=3000, seed=12, ids_points=41, ids_samples=128,
         intervals=((0.0, 1.0), (1.0, 2.0)),
     )
     one, _ = level_statistics_probe(spec, workers=1, **kwargs)
     two, _ = level_statistics_probe(spec, workers=2, **kwargs)
     assert _strip_runtime(one) == _strip_runtime(two)
     assert _blocks.n_blocks(3000, 400) >= 2
+    # the IDS estimate the windows are read from, at either worker count
+    bands = [(0.0, (0.0, 1.0)), (0.0, (1.0, 2.0))]
+    tables = [probes._unfolded_windows(spec, 400, 12, w, bands, 0.75, 41, 128) for w in (1, 2)]
+    assert _table_bytes(tables[0][0]) == _table_bytes(tables[1][0])
+    assert tables[0][1] == tables[1][1] == tuple(map(tuple, one.params["windows"]))
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +504,9 @@ def _ids_for_full_coarse(spec, size, centers, seed, half_width, points, samples,
 )
 def test_ids_for_matches_full_coarse_grid(kind, centers, half_width):
     spec = EnsembleSpec(kind)
-    got = probes._ids_for(
-        spec, 100, centers[0], 5, 1, None, half_width, 11, 8,
-        extra_centers=centers[1:], max_offset=2.0,
+    # bands of +-2 mean spacings about each center: a fine span of 2.0
+    got, _ = probes._unfolded_windows(
+        spec, 100, 5, 1, [(c, (-2.0, 2.0)) for c in centers], half_width, 11, 8,
     )
     want = _ids_for_full_coarse(spec, 100, centers, 5, half_width, 11, 8, 2.0)
     for name in ("energies", "values", "stderr"):
@@ -518,7 +519,9 @@ def test_ids_for_rejects_half_width_below_density_span(monkeypatch):
 
     monkeypatch.setattr(probes, "estimate_ids", no_sweep)
     with pytest.raises(ValueError, match="ids_half_width"):
-        probes._ids_for(EnsembleSpec("anderson"), 100, 0.0, 0, 1, None, 0.1, 11, 8)
+        probes._unfolded_windows(
+            EnsembleSpec("anderson"), 100, 0, 1, [(0.0, (0.0, 1.0))], 0.1, 11, 8
+        )
 
 
 # ---------------------------------------------------------------------------

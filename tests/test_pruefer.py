@@ -39,13 +39,15 @@ def test_trace_reconstruction_and_radii():
         j = int(rng.integers(10))
         trace = pruefer_trace(op, vals[j], vecs[:, j])
         assert trace.radii.shape == (11,)
-        assert trace.max_reconstruction_error() <= 1e-12
+        # (r sin phi, r cos phi) recovers the zero-padded (u(n), u(n-1))
+        u = vecs[:, j]
+        assert np.max(np.abs(trace.radii * np.sin(trace.angles) - np.append(u, 0.0))) <= 1e-12
+        assert np.max(np.abs(trace.radii * np.cos(trace.angles) - np.insert(u, 0, 0.0))) <= 1e-12
         # r(n)^2 = u(n)^2 + u(n-1)^2 double-counts every entry once
         assert np.sum(trace.radii**2) == pytest.approx(
             2.0 * np.sum(vecs[:, j] ** 2), rel=1e-12
         )
         assert np.all((trace.angles >= 0.0) & (trace.angles < 2.0 * math.pi))
-        assert trace.max_radius_ratio() >= 1.0
 
 
 def test_trace_rejects_bad_input():

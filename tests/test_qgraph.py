@@ -121,6 +121,25 @@ def test_roots_are_certified_singular_points():
     assert energies == sorted(energies)
 
 
+def test_scan_sweeps_each_energy_once(monkeypatch):
+    # a cell's ends and bisection midpoints share energies with the cells
+    # around them; each is swept once and its count reused
+    import randspec.eigensolve as eig
+
+    swept, count = [], eig.sturm_count
+
+    def sturm_count(op, shift):
+        swept.append(op.diag.tobytes() + op.offdiag.tobytes())
+        return count(op, shift)
+
+    monkeypatch.setattr(eig, "sturm_count", sturm_count)
+    rng = np.random.default_rng(10)
+    for size, window in ((6, (3.0, 4.2)), (8, (0.4, 9.4))):
+        roots = graph_roots(_instance(rng, size), window)
+        assert roots and len(swept) == len(set(swept))
+        swept.clear()
+
+
 def test_root_count_matches_negative_count_scan():
     # n_neg(R(E)) is nondecreasing in E between poles; its total jump over
     # the window counts the crossings the scanner must find.
