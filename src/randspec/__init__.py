@@ -22,11 +22,9 @@ from .eigensolve import (
 from .ids import (
     IdsTable,
     OutsideGridError,
-    ResolutionError,
     estimate_ids,
     free_laplacian_ids,
     holder_exponent_fit,
-    holder_modulus,
     unfold,
 )
 from .operators import (
@@ -48,18 +46,11 @@ from .probes import (
     ProbeReport,
     decorrelation_probe,
     joint_independence_probe,
-    ks_to_exponential,
     level_statistics_probe,
-    log_slope,
     minami_probe,
-    normal_ci,
-    poisson_pmf_with_tail,
     qgraph_minami_probe,
     spacing_probe,
-    tv_to_poisson,
-    tv_to_poisson_product,
     wegner_probe,
-    wilson_ci,
 )
 from .pruefer import (
     GradientCheck,
@@ -73,27 +64,18 @@ from .pruefer import (
     wronskian_sequence,
 )
 from .qgraph import (
-    GraphRoot,
     QGraphInstance,
     c_factor,
     free_graph_eigenvalues,
     graph_eigenvalues,
-    graph_roots,
     m_matrix,
-    potential_lipschitz,
     reduced_operator,
-    secular_value,
 )
 from .transfer import (
     EllipticityReport,
     LyapunovEstimate,
-    TransferStep,
-    classify_trace,
-    dimer_two_step,
     ellipticity_report,
     lyapunov,
-    lyapunov_stream,
-    one_step,
 )
 
 __version__ = "0.1.0"

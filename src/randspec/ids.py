@@ -24,10 +24,6 @@ class OutsideGridError(ValueError):
     """Energy outside the tabulated grid."""
 
 
-class ResolutionError(ValueError):
-    """Requested window is finer than the tabulated grid."""
-
-
 @dataclass(frozen=True, eq=False)
 class IdsTable:
     """Monotone piecewise-linear interpolant of the estimated IDS."""
@@ -178,7 +174,7 @@ def unfold(energies, table: IdsTable, e0: float, size: int):
     return size * table.evaluate(energies) - size * table.evaluate(e0)
 
 
-def holder_modulus(table: IdsTable, scale: float, eta: float) -> float:
+def _holder_modulus(table: IdsTable, scale: float, eta: float) -> float:
     """Largest IDS increment over windows of width exp(-scale^eta).
 
     Evaluates sup_x N(x + w) - N(x) exactly for the piecewise-linear table
@@ -191,14 +187,12 @@ def holder_modulus(table: IdsTable, scale: float, eta: float) -> float:
     e = table.energies
     max_step = float(np.max(np.diff(e)))
     if max_step > w:
-        raise ResolutionError(
-            f"window width {w:.3e} below grid resolution {max_step:.3e}"
-        )
+        raise ValueError(f"window width {w:.3e} below grid resolution {max_step:.3e}")
     lo, hi = float(e[0]), float(e[-1])
     cand = np.concatenate([e, e - w])
     cand = cand[(cand >= lo) & (cand <= hi - w)]
     if cand.size == 0:
-        raise ResolutionError("grid too narrow for the requested window")
+        raise ValueError("grid too narrow for the requested window")
     inc = table.evaluate(cand + w) - table.evaluate(cand)
     return float(np.max(inc))
 
@@ -208,7 +202,7 @@ def holder_exponent_fit(table: IdsTable, scales, eta: float):
     (h, intercept, moduli). Positive h witnesses a stretched-exponential
     modulus of continuity."""
     scales = np.asarray(scales, dtype=np.float64)
-    mods = np.array([holder_modulus(table, float(s), eta) for s in scales])
+    mods = np.array([_holder_modulus(table, float(s), eta) for s in scales])
     if np.any(mods <= 0):
         keep = mods > 0
         scales, mods = scales[keep], mods[keep]

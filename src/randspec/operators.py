@@ -181,6 +181,14 @@ class FiniteProfile:
 POLE_MARGIN = 1e-6 * math.pi**2
 
 
+def _pole_band(k: int) -> tuple[float, float]:
+    """Edges of the open band (lo, hi) excluded around (k pi)^2. The family
+    rejects lo < E < hi and the graph scan ends its segments at lo and hi, so
+    a segment end is always inside the family's domain."""
+    pole = (k * math.pi) ** 2
+    return pole - POLE_MARGIN, pole + POLE_MARGIN
+
+
 @dataclass(frozen=True)
 class IntervalGraphFamily:
     """Vertex reduction of the continuum Laplacian on unit-interval edges.
@@ -197,8 +205,9 @@ class IntervalGraphFamily:
             raise DomainError("energy must be positive")
         s = math.sqrt(energy)
         k = max(1, round(s / math.pi))
-        for kk in (k - 1, k, k + 1):
-            if kk >= 1 and abs(energy - (kk * math.pi) ** 2) < POLE_MARGIN:
+        for kk in range(max(1, k - 1), k + 2):
+            lo, hi = _pole_band(kk)
+            if lo < energy < hi:
                 raise DomainError(
                     "energy within excluded band around {(k pi)^2: k >= 1}"
                 )

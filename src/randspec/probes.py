@@ -277,6 +277,8 @@ def _run_window_job(job: _WindowJob, workers: int) -> dict:
     """`_window_block`'s accumulators summed in block order, plus per window
     `occupancy` (draws with a count >= 1), `excess_sum` and `excess_sq` (sums
     of max(count - 1, 0) and its square) and `k2` (draws with a count >= 2)."""
+    if not job.total >= 1:
+        raise ValueError(f"samples = {job.total!r}: must be >= 1")
     blocks = _blocks.n_blocks(job.total, draw_width(job.spec, job.size))
     parts = _blocks.map_blocks(partial(_window_block, job), blocks, workers)
     out = parts[0]
@@ -323,6 +325,12 @@ def _width_scan(spec, center, widths, size, samples, seed, workers,
     windows = tuple((center - w * scale, center + w * scale) for w in widths)
     job = _WindowJob(spec, size, seed, samples, windows, post_affine=post_affine)
     return widths, _run_window_job(job, workers)
+
+
+def _check_positive(name, value):
+    """ValueError naming a length or half-width that is not > 0."""
+    if not value > 0:
+        raise ValueError(f"{name} = {value!r}: must be > 0")
 
 
 def _slope_estimate(name, widths, values):
@@ -439,6 +447,7 @@ def decorrelation_probe(
     t0 = time.perf_counter()
     if half_width is None:
         half_width = 1.0 / size
+    _check_positive("half_width", half_width)
     wa = (energy_a - half_width, energy_a + half_width)
     wb = (energy_b - half_width, energy_b + half_width)
     job = _WindowJob(
@@ -681,6 +690,8 @@ def joint_independence_probe(
     t0 = time.perf_counter()
     if energy_a == energy_b:
         raise ValueError("energy_a and energy_b must be distinct")
+    _check_positive("length_a", length_a)
+    _check_positive("length_b", length_b)
     _, windows = _unfolded_windows(
         spec, size, seed, workers,
         [(energy_a, (-length_a / 2, length_a / 2)), (energy_b, (-length_b / 2, length_b / 2))],
@@ -733,6 +744,7 @@ def spacing_probe(
     n_spacings = 0 and NaN statistics.
     """
     t0 = time.perf_counter()
+    _check_positive("half_width", half_width)
     table, [(lo, hi)] = _unfolded_windows(
         spec, size, seed, workers, [(energy, (-half_width, half_width))],
         0.75, ids_points, ids_samples,

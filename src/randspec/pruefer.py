@@ -202,16 +202,15 @@ def split_box_search(
             for y in ys
         ]
     )
-    # suffix minimum of d_right over y >= x + separation
-    suf_min = np.minimum.accumulate(d_right[::-1])[::-1]
+    # suf_arg[i]: the first index of the minimum of d_right[i:], from one
+    # right-to-left pass; x = xs[i] pairs with y >= x + separation = ys[i]
     suf_arg = np.empty(ys.size, dtype=np.int64)
     best = ys.size - 1
     for i in range(ys.size - 1, -1, -1):
         if d_right[i] <= d_right[best]:
             best = i
         suf_arg[i] = best
-    # y_min index for x: smallest index with ys >= x + separation is x - 1
-    cand = np.maximum(d_left, suf_min)
+    cand = np.maximum(d_left, d_right[suf_arg])
     i_best = int(np.argmin(cand))
     x_minus = int(xs[i_best])
     y_index = int(suf_arg[i_best])
@@ -233,11 +232,9 @@ class GradientCheck:
     """Analytic derivative vs central finite difference for one direction."""
 
     analytic: float
-    numeric: float
     rel_err: float
     energy: float
     gap: float
-    used_richardson: bool
     radial_residual: float
 
 
@@ -314,19 +311,16 @@ def hellmann_feynman_check(
         lam = IntervalGraphFamily().lambda_at(energy) if spec.kind == "qgraph" else 1.0
         analytic = lam * phi[site - 1] ** 2
         pert = ("diagonal", site, lam)
-        radial = _radial_residual(op, energy, phi, site)
     else:
         analytic = 2.0 * phi[site - 1] * phi[site - 2]
         pert = ("coupling", site, 1.0)
-        radial = _radial_residual(op, energy, phi, site)
+    radial = _radial_residual(op, energy, phi, site)
     step = 1e-5 * max(1.0, scale)
     d1 = (
         _perturbed_value(op, pert, step, j) - _perturbed_value(op, pert, -step, j)
     ) / (2.0 * step)
     denom = max(abs(analytic), abs(d1), 1e-300)
     rel = abs(analytic - d1) / denom
-    used_rich = False
-    numeric = d1
     if rel > 1e-4:
         d2 = (
             _perturbed_value(op, pert, step / 2.0, j)
@@ -335,5 +329,4 @@ def hellmann_feynman_check(
         numeric = (4.0 * d2 - d1) / 3.0
         denom = max(abs(analytic), abs(numeric), 1e-300)
         rel = abs(analytic - numeric) / denom
-        used_rich = True
-    return GradientCheck(float(analytic), float(numeric), float(rel), energy, gap, used_rich, float(radial))
+    return GradientCheck(float(analytic), float(rel), energy, gap, float(radial))

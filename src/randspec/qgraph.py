@@ -18,6 +18,7 @@ secular value g(E) = eigenvalue of R(E) nearest zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolve
-from .operators import POLE_MARGIN, DomainError, IntervalGraphFamily, TridiagonalOperator
+from .operators import DomainError, IntervalGraphFamily, TridiagonalOperator, _pole_band
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,21 +48,15 @@ class QGraphInstance:
     def size(self) -> int:
         return self.omega.size
 
-    @property
-    def family(self) -> IntervalGraphFamily:
-        return IntervalGraphFamily()
-
 
 def c_factor(energy: float) -> float:
-    """c(E) = sqrt(E)/sin(sqrt(E)), the vertex-reduction scale factor."""
-    IntervalGraphFamily()._root(energy)
-    s = math.sqrt(float(energy))
-    return s / math.sin(s)
+    """c(E) = sqrt(E)/sin(sqrt(E)) = -lambda_E, the vertex-reduction scale factor."""
+    return -IntervalGraphFamily().lambda_at(energy)
 
 
 def reduced_operator(inst: QGraphInstance, energy: float) -> TridiagonalOperator:
     """R(E) = -Delta + V_omega(E) as a tridiagonal box operator."""
-    fam = inst.family
+    fam = IntervalGraphFamily()
     lam = fam.lambda_at(energy)
     mu = fam.mu_at(energy)
     diag = (inst.omega - mu) / lam
@@ -83,13 +78,13 @@ def m_matrix(inst: QGraphInstance, energy: float) -> np.ndarray:
     return m
 
 
-def secular_value(inst: QGraphInstance, energy: float) -> float:
+def _secular_value(inst: QGraphInstance, energy: float) -> float:
     """g(E): the eigenvalue of R(E) nearest zero (signed)."""
     below, above = eigensolve.nearest_eigenvalues(reduced_operator(inst, energy), 0.0)
     return below if -below < above else above
 
 
-def potential_lipschitz(inst: QGraphInstance, energy_min: float) -> float:
+def _potential_lipschitz(inst: QGraphInstance, energy_min: float) -> float:
     """Upper bound for sup_n |d V_omega(E)(n) / dE| on [energy_min, inf).
 
     |d cos sqrt(E)/dE| <= min(1/2, 1/(2 sqrt(E))) and the coupling term is
@@ -105,49 +100,40 @@ def potential_lipschitz(inst: QGraphInstance, energy_min: float) -> float:
 
 def _pole_free_segments(window):
     lo, hi = float(window[0]), float(window[1])
-    if not 0.0 < lo < hi:
-        raise DomainError("window must satisfy 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainError("window must satisfy 0 < lo < hi < inf")
     cuts = [(lo, hi)]
-    k = 1
-    while (k * math.pi) ** 2 - POLE_MARGIN < hi:
-        pole = (k * math.pi) ** 2
+    for k in itertools.count(1):
+        band_lo, band_hi = _pole_band(k)
+        if band_lo >= hi:
+            break
         nxt = []
         for a, b in cuts:
-            if pole + POLE_MARGIN <= a or pole - POLE_MARGIN >= b:
+            if band_hi <= a or band_lo >= b:
                 nxt.append((a, b))
                 continue
-            if a < pole - POLE_MARGIN:
-                nxt.append((a, pole - POLE_MARGIN))
-            if pole + POLE_MARGIN < b:
-                nxt.append((pole + POLE_MARGIN, b))
+            if a < band_lo:
+                nxt.append((a, band_lo))
+            if band_hi < b:
+                nxt.append((band_hi, b))
         cuts = nxt
-        k += 1
     return [(a, b) for a, b in cuts if b > a]
 
 
-@dataclass(frozen=True)
-class GraphRoot:
-    """One certified graph eigenvalue: location and secular residual."""
-
-    energy: float
-    residual: float
-
-
-def graph_roots(
-    inst: QGraphInstance, window, tol: float = 1e-10
-) -> list[GraphRoot]:
-    """Certified graph eigenvalues in the window, sorted by energy.
+def graph_eigenvalues(inst: QGraphInstance, window, tol: float = 1e-10) -> np.ndarray:
+    """Certified graph eigenvalues in the window, sorted.
 
     Scans the negative-count of R(E) on pole-free segments with a
     Lipschitz-safe exclusion test (a cell [x0, x1] with
     min(|g(x0)|, |g(x1)|) > lip * (x1 - x0) holds no root), splits cells
     with multiple sign changes, and bisects each single change to width tol.
     Tangential (non-crossing) near-roots below resolution are dropped with a
-    warning. Each root carries |g(E)| as its certification residual.
+    warning. A root whose secular value |g(E)| exceeds the certification
+    tolerance raises RuntimeError.
     """
-    roots: list[GraphRoot] = []
+    roots: list[float] = []
     for seg_lo, seg_hi in _pole_free_segments(window):
-        lip = 1.25 * potential_lipschitz(inst, seg_lo)
+        lip = 1.25 * _potential_lipschitz(inst, seg_lo)
         cert_tol = 16.0 * max(1.0, lip) * max(tol, 1e-14)
         n_init = int(min(4096, max(8, math.ceil((seg_hi - seg_lo) * lip / 0.25))))
         xs = np.linspace(seg_lo, seg_hi, n_init + 1)
@@ -161,20 +147,19 @@ def graph_roots(
             return counts[e]
 
         def certify(energy):
-            resid = abs(secular_value(inst, energy))
+            resid = abs(_secular_value(inst, energy))
             if resid > cert_tol:
                 raise RuntimeError(
                     f"root at E = {energy:.12g} failed certification "
                     f"(|g| = {resid:.3e} > {cert_tol:.3e})"
                 )
-            return resid
 
         stack = [(float(xs[i]), float(xs[i + 1])) for i in range(n_init)]
         gvals: dict[float, float] = {}
 
         def g_at(e):
             if e not in gvals:
-                gvals[e] = secular_value(inst, e)
+                gvals[e] = _secular_value(inst, e)
             return gvals[e]
 
         while stack:
@@ -194,9 +179,8 @@ def graph_roots(
                         )
                     continue
                 e_mid = 0.5 * (x0 + x1)
-                resid = certify(e_mid)
-                for _ in range(abs(jump)):
-                    roots.append(GraphRoot(e_mid, resid))
+                certify(e_mid)
+                roots += [e_mid] * abs(jump)
                 continue
             if abs(jump) == 1:
                 lo_b, hi_b = x0, x1
@@ -207,18 +191,13 @@ def graph_roots(
                     else:
                         hi_b = mid
                 e_root = 0.5 * (lo_b + hi_b)
-                roots.append(GraphRoot(e_root, certify(e_root)))
+                certify(e_root)
+                roots.append(e_root)
             else:
                 mid = 0.5 * (x0 + x1)
                 stack.append((x0, mid))
                 stack.append((mid, x1))
-    roots.sort(key=lambda r: r.energy)
-    return roots
-
-
-def graph_eigenvalues(inst: QGraphInstance, window, tol: float = 1e-10) -> np.ndarray:
-    """Sorted graph eigenvalues in the window (see graph_roots)."""
-    return np.array([r.energy for r in graph_roots(inst, window, tol)])
+    return np.array(sorted(roots))
 
 
 def free_graph_eigenvalues(size: int, window) -> np.ndarray:

@@ -23,53 +23,21 @@ from .operators import EnsembleSpec
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-@dataclass(frozen=True, eq=False)
-class TransferStep:
-    """One 2x2 propagation step u(n+1) = (matrix @ (u(n), u(n-1)))[0]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (2, 2):
-            raise ValueError("transfer step must be 2x2")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def det(self) -> float:
-        m = self.matrix
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-    @property
-    def trace(self) -> float:
-        return float(self.matrix[0, 0] + self.matrix[1, 1])
+def _one_step(potential: float, energy: float) -> np.ndarray:
+    """Step for -u(n+1) - u(n-1) + V u(n) = E u(n): [[V - E, -1], [1, 0]]."""
+    return np.array([[potential - energy, -1.0], [1.0, 0.0]])
 
 
-def one_step(
-    potential: float, energy: float, a_left: float = 1.0, a_right: float = 1.0
-) -> TransferStep:
-    """Step for -a_right u(n+1) - a_left u(n-1) + V u(n) = E u(n).
-
-    Matrix [[(V - E)/a_right, -a_left/a_right], [1, 0]]; det = a_left/a_right.
-    """
-    if a_right == 0.0:
-        raise ValueError("right coupling must be nonzero")
-    return TransferStep(
-        [[(potential - energy) / a_right, -a_left / a_right], [1.0, 0.0]]
-    )
-
-
-def dimer_two_step(omega: float, energy: float) -> TransferStep:
+def _dimer_two_step(omega: float, energy: float) -> np.ndarray:
     """Two-step matrix across one sign-mirrored pair (-omega then +omega).
 
     [[1 + omega^2 - E^2, omega - E], [omega + E, 1]]; det = 1 exactly.
     """
     w, e = float(omega), float(energy)
-    return TransferStep([[1.0 + w * w - e * e, w - e], [w + e, 1.0]])
+    return np.array([[1.0 + w * w - e * e, w - e], [w + e, 1.0]])
 
 
-def classify_trace(trace: float) -> str:
+def _classify_trace(trace: float) -> str:
     t = abs(float(trace))
     if t > 2.0:
         return "hyperbolic"
@@ -84,17 +52,16 @@ class EllipticityReport:
 
     A, B, C_delta are the sign-mirrored two-step matrices at omega = 0, 1,
     delta, here constructed numerically as negated products of one-step
-    matrices. `trace_formulas` hold the closed-form polynomials
-    tr A = 2 - E^2, tr A^2 = (2 - E^2)^2 - 2, tr B = 3 - E^2,
-    tr B^2 = (3 - E^2)^2 - 2, tr C_delta = 2 + delta^2 - E^2;
-    `max_formula_error` is the worst disagreement, including the entrywise
-    gap between the products and the closed-form two-step matrices.
+    matrices. `max_formula_error` is the worst disagreement with the
+    closed-form polynomials tr A = 2 - E^2, tr A^2 = (2 - E^2)^2 - 2,
+    tr B = 3 - E^2, tr B^2 = (3 - E^2)^2 - 2, tr C_delta = 2 + delta^2 - E^2,
+    including the entrywise gap between the products and the closed-form
+    two-step matrices.
     """
 
     energy: float
     delta: float
     traces: dict
-    trace_formulas: dict
     max_formula_error: float
     classes: dict
 
@@ -108,11 +75,11 @@ def ellipticity_report(energy: float, delta: float = 0.5) -> EllipticityReport:
     def pair(w):
         # -(T(+w) @ T(-w)): one step across -w then +w, negated so the
         # trace carries the 2 - E^2 sign convention.
-        return -(one_step(w, e).matrix @ one_step(-w, e).matrix)
+        return -(_one_step(w, e) @ _one_step(-w, e))
 
     prods = {"A": pair(0.0), "B": pair(1.0), "C_delta": pair(d)}
     entry_err = max(
-        float(np.max(np.abs(prods[k] - dimer_two_step(w, e).matrix)))
+        float(np.max(np.abs(prods[k] - _dimer_two_step(w, e))))
         for k, w in (("A", 0.0), ("B", 1.0), ("C_delta", d))
     )
     a, b, c = prods["A"], prods["B"], prods["C_delta"]
@@ -131,8 +98,8 @@ def ellipticity_report(energy: float, delta: float = 0.5) -> EllipticityReport:
         "C_delta": 2.0 + d * d - e * e,
     }
     err = max(abs(traces[k] - formulas[k]) for k in traces)
-    classes = {k: classify_trace(v) for k, v in traces.items()}
-    return EllipticityReport(e, d, traces, formulas, max(err, entry_err), classes)
+    classes = {k: _classify_trace(v) for k, v in traces.items()}
+    return EllipticityReport(e, d, traces, max(err, entry_err), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -152,63 +119,11 @@ class LyapunovEstimate:
     ci99: tuple[float, float]
     steps: int
     samples: int
-    sites_per_step: int
     seed: int
 
 
-def lyapunov_stream(
-    step: tuple,
-    steps: int,
-    samples: int = 64,
-    seed: int = 0,
-) -> LyapunovEstimate:
-    """Lyapunov exponent of a product of random 2x2 matrices.
-
-    step = (sites_per_step, carry, entries). Uniforms are drawn a chunk of k
-    steps at a time as rng.random((k, samples)), after `carry` rows kept
-    from the previous chunk (the first carry is drawn replica-major, as
-    rng.random((samples, carry)).T). entries(u) maps that (carry + k,
-    samples) block to the entries m00, m01, m10, m11 of the k step
-    matrices, each a scalar or a (k, samples) array. Replicas evolve
-    independently with per-step renormalization; gamma is averaged per
-    lattice step (steps * sites_per_step sites) and the replica mean is
-    merged with math.fsum. Requires steps >= 1000.
-    """
-    sites_per_step, carry, entries = step
-    if steps < 1000:
-        raise ValueError("need steps >= 1000 for a stable estimate")
-    if samples < 2:
-        raise ValueError("need samples >= 2 for a spread-based CI")
-    rng = _blocks.block_rng(seed, 0, stream=_blocks.STREAM_LYAPUNOV)
-    u = rng.random((samples, carry)).T
-    v = np.array([np.ones(samples), np.zeros(samples)])  # (u(n+1), u(n))
-    acc = np.zeros(samples)
-    chunk = max(1, _CHUNK // samples)
-    for start in range(0, steps, chunk):
-        k = min(chunk, steps - start)
-        u = np.concatenate([u[len(u) - carry:], rng.random((k, samples))])
-        m00, m01, m10, m11 = entries(u)
-        # cols[i, c] is column c of step i's matrix: M v = c0 * v0 + c1 * v1
-        cols = np.empty((k, 2, 2, samples))
-        cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1] = m00, m10, m01, m11
-        for col in cols:
-            w = col[0] * v[0] + col[1] * v[1]
-            nrm = np.hypot(w[0], w[1])
-            if not nrm.all():
-                raise ValueError("replica vanished; singular step matrix")
-            acc += np.log(nrm)
-            v = w / nrm
-    per = acc / (steps * sites_per_step)
-    gamma = math.fsum(per) / samples
-    sd = float(np.std(per, ddof=1))
-    se = sd / math.sqrt(samples)
-    return LyapunovEstimate(
-        gamma, se, (gamma - _Z99 * se, gamma + _Z99 * se), steps, samples,
-        sites_per_step, seed,
-    )
-
-
-# Step-matrix entries from a block x of law samples, carry + k rows of them.
+# Step-matrix entries m00, m01, m10, m11 from a block x of law samples,
+# carry + k rows of them for k steps; each is a scalar or a (k, samples) array.
 
 
 def _dimer_entries(w, e, profile):
@@ -231,13 +146,11 @@ def _alloy_entries(x, e, profile):
     return _anderson_entries(np.ascontiguousarray(windows) @ profile, e, profile)
 
 
-# kind: (lattice sites per step, draw rows carried between chunks, entries);
-# alloy carries its profile's width.
 _STEP_TABLE = {
-    "dimer_sign": (2, 0, _dimer_entries),
-    "anderson": (1, 0, _anderson_entries),
-    "hopping": (1, 1, _hopping_entries),
-    "alloy": (1, None, _alloy_entries),
+    "dimer_sign": _dimer_entries,
+    "anderson": _anderson_entries,
+    "hopping": _hopping_entries,
+    "alloy": _alloy_entries,
 }
 
 
@@ -250,19 +163,56 @@ def lyapunov(
 ) -> LyapunovEstimate:
     """Lyapunov exponent of the given ensemble at one energy.
 
-    Supported kinds: dimer_sign (two-step matrices, 2 sites per step),
-    anderson, hopping, and alloy (one-step matrices).
+    Supported kinds: dimer_sign (two-step matrices, 2 lattice sites per
+    step), anderson, hopping, and alloy (one-step matrices). Uniforms are
+    drawn a chunk of k steps at a time as rng.random((k, samples)), after
+    the rows kept from the previous chunk: none for dimer_sign and anderson,
+    one for hopping (a step reads two couplings), the profile's width for
+    alloy. The first kept rows are drawn replica-major, as
+    rng.random((samples, carry)).T. Replicas evolve independently with
+    per-step renormalization; gamma is averaged per lattice site and the
+    replica mean is merged with math.fsum. Requires steps >= 1000 and
+    samples >= 2.
     """
     e = float(energy)
     if not math.isfinite(e):
         raise ValueError(f"energy = {energy!r}: must be finite")
     if spec.kind not in _STEP_TABLE:
         raise NotImplementedError(f"lyapunov not implemented for kind {spec.kind!r}")
-    sites, carry, entries = _STEP_TABLE[spec.kind]
+    entries = _STEP_TABLE[spec.kind]
     profile = None
+    carry = 1 if spec.kind == "hopping" else 0
     if spec.kind == "alloy":
         profile = spec.profile.materialize(spec.margin)
         carry = profile.size
+    if steps < 1000:
+        raise ValueError("need steps >= 1000 for a stable estimate")
+    if samples < 2:
+        raise ValueError("need samples >= 2 for a spread-based CI")
     law = spec.law
-    step = (sites, carry, lambda u: entries(law.transform(u), e, profile))
-    return lyapunov_stream(step, steps, samples, seed)
+    rng = _blocks.block_rng(seed, 0, stream=_blocks.STREAM_LYAPUNOV)
+    u = rng.random((samples, carry)).T
+    v = np.array([np.ones(samples), np.zeros(samples)])  # (u(n+1), u(n))
+    acc = np.zeros(samples)
+    chunk = max(1, _CHUNK // samples)
+    for start in range(0, steps, chunk):
+        k = min(chunk, steps - start)
+        u = np.concatenate([u[len(u) - carry:], rng.random((k, samples))])
+        m00, m01, m10, m11 = entries(law.transform(u), e, profile)
+        # cols[i, c] is column c of step i's matrix: M v = c0 * v0 + c1 * v1
+        cols = np.empty((k, 2, 2, samples))
+        cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1] = m00, m10, m01, m11
+        for col in cols:
+            w = col[0] * v[0] + col[1] * v[1]
+            nrm = np.hypot(w[0], w[1])
+            if not nrm.all():
+                raise ValueError("replica vanished; singular step matrix")
+            acc += np.log(nrm)
+            v = w / nrm
+    per = acc / (steps * (2 if spec.kind == "dimer_sign" else 1))
+    gamma = math.fsum(per) / samples
+    sd = float(np.std(per, ddof=1))
+    se = sd / math.sqrt(samples)
+    return LyapunovEstimate(
+        gamma, se, (gamma - _Z99 * se, gamma + _Z99 * se), steps, samples, seed
+    )

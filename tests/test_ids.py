@@ -13,14 +13,13 @@ from randspec import (
     EnsembleSpec,
     IdsTable,
     OutsideGridError,
-    ResolutionError,
     UniformLaw,
     estimate_ids,
     free_laplacian_ids,
     holder_exponent_fit,
-    holder_modulus,
     unfold,
 )
+from randspec.ids import _holder_modulus
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +208,17 @@ def _two_slope_table():
 def test_holder_modulus_exact_two_slopes():
     t = _two_slope_table()
     w = math.exp(-1.0)
-    assert holder_modulus(t, 1.0, 1.0) == pytest.approx(1.8 * w, rel=1e-12)
+    assert _holder_modulus(t, 1.0, 1.0) == pytest.approx(1.8 * w, rel=1e-12)
 
 
 def test_holder_modulus_resolution_guard():
     t = _two_slope_table()  # grid step 0.005
-    with pytest.raises(ResolutionError):
-        holder_modulus(t, 6.0, 1.0)  # window exp(-6) ~ 0.0025
+    with pytest.raises(ValueError, match="below grid resolution"):
+        _holder_modulus(t, 6.0, 1.0)  # window exp(-6) ~ 0.0025
     with pytest.raises(ValueError):
-        holder_modulus(t, -1.0, 1.0)
+        _holder_modulus(t, -1.0, 1.0)
     with pytest.raises(ValueError):
-        holder_modulus(t, 1.0, 0.0)
+        _holder_modulus(t, 1.0, 0.0)
 
 
 def test_holder_fit_recovers_sqrt_exponent():

@@ -18,23 +18,26 @@ from randspec import (
     decorrelation_probe,
     estimate_ids,
     joint_independence_probe,
-    ks_to_exponential,
     level_statistics_probe,
-    log_slope,
     make_draw,
     minami_probe,
-    normal_ci,
-    poisson_pmf_with_tail,
     qgraph_minami_probe,
     reduced_operator,
     spacing_probe,
-    tv_to_poisson,
-    tv_to_poisson_product,
     wegner_probe,
-    wilson_ci,
 )
 from randspec import _blocks, probes
-from randspec.probes import Estimate, ProbeReport
+from randspec.probes import (
+    Estimate,
+    ProbeReport,
+    ks_to_exponential,
+    log_slope,
+    normal_ci,
+    poisson_pmf_with_tail,
+    tv_to_poisson,
+    tv_to_poisson_product,
+    wilson_ci,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +540,30 @@ def test_probes_vary_with_seed():
 
 def test_probe_width_validation():
     spec = EnsembleSpec("anderson")
-    with pytest.raises(ValueError):
-        wegner_probe(spec, 0.0, (), 100, 10)
-    with pytest.raises(ValueError):
-        minami_probe(spec, 0.0, (0.0, 0.1), 100, 10)
-    with pytest.raises(ValueError):
-        qgraph_minami_probe(UniformLaw(0.0, 1.0), 4.0, (-0.1,), 100, 10)
+    law = UniformLaw(0.0, 1.0)
+    # (call, the error it must raise); the bounds are the config fields'
+    rows = [
+        (lambda: wegner_probe(spec, 0.0, (), 100, 10), "half-widths"),
+        (lambda: minami_probe(spec, 0.0, (0.0, 0.1), 100, 10), "half-widths"),
+        (lambda: qgraph_minami_probe(law, 4.0, (-0.1,), 100, 10), "half-widths"),
+        (lambda: wegner_probe(spec, 0.0, [1e-3], 50, 0), r"samples = 0: must be >= 1"),
+        (lambda: minami_probe(spec, 0.0, [1e-3], 50, -1), r"samples = -1: must be >= 1"),
+        (lambda: decorrelation_probe(spec, 0.0, 0.5, 50, 0), r"samples = 0: must be >= 1"),
+        (lambda: qgraph_minami_probe(law, 4.0, [1e-3], 50, 0), r"samples = 0: must be >= 1"),
+        (lambda: decorrelation_probe(spec, 0.0, 0.5, 50, 10, half_width=-1.0),
+         r"half_width = -1.0: must be > 0"),
+        (lambda: joint_independence_probe(spec, 0.5, 0.0, 200, 50, length_a=-1.0),
+         r"length_a = -1.0: must be > 0"),
+        (lambda: joint_independence_probe(spec, 0.5, 0.0, 200, 50, length_a=0.0),
+         r"length_a = 0.0: must be > 0"),
+        (lambda: joint_independence_probe(spec, 0.5, 0.0, 200, 50, length_b=0.0),
+         r"length_b = 0.0: must be > 0"),
+        (lambda: spacing_probe(spec, 0.0, 200, 10, half_width=-1.0),
+         r"half_width = -1.0: must be > 0"),
+    ]
+    for call, message in rows:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("energy", [0.0, -1.0, math.pi**2])

@@ -7,17 +7,16 @@ import pytest
 
 from randspec import (
     DomainError,
+    IntervalGraphFamily,
     QGraphInstance,
     c_factor,
     free_graph_eigenvalues,
     graph_eigenvalues,
-    graph_roots,
     m_matrix,
     nearest_eigenvalue_distance,
-    potential_lipschitz,
     reduced_operator,
-    secular_value,
 )
+from randspec.qgraph import _potential_lipschitz, _secular_value
 
 
 def _instance(rng, size):
@@ -108,17 +107,14 @@ def test_roots_are_certified_singular_points():
     rng = np.random.default_rng(9)
     inst = _instance(rng, 10)
     window = (0.5, 9.5)
-    roots = graph_roots(inst, window, tol=1e-12)
+    roots = graph_eigenvalues(inst, window, tol=1e-12)
     assert len(roots) > 0
     for r in roots:
-        assert window[0] < r.energy < window[1]
-        op = reduced_operator(inst, r.energy)
+        assert window[0] < r < window[1]
+        op = reduced_operator(inst, r)
         assert nearest_eigenvalue_distance(op, 0.0) <= 1e-9
-        assert abs(secular_value(inst, r.energy)) == pytest.approx(
-            r.residual, abs=1e-15
-        )
-    energies = [r.energy for r in roots]
-    assert energies == sorted(energies)
+        assert abs(_secular_value(inst, r)) <= 1e-9
+    assert np.all(np.diff(roots) >= 0)
 
 
 def test_scan_sweeps_each_energy_once(monkeypatch):
@@ -135,24 +131,36 @@ def test_scan_sweeps_each_energy_once(monkeypatch):
     monkeypatch.setattr(eig, "sturm_count", sturm_count)
     rng = np.random.default_rng(10)
     for size, window in ((6, (3.0, 4.2)), (8, (0.4, 9.4))):
-        roots = graph_roots(_instance(rng, size), window)
-        assert roots and len(swept) == len(set(swept))
+        roots = graph_eigenvalues(_instance(rng, size), window)
+        assert len(roots) and len(swept) == len(set(swept))
         swept.clear()
 
 
 def test_root_count_matches_negative_count_scan():
-    # n_neg(R(E)) is nondecreasing in E between poles; its total jump over
-    # the window counts the crossings the scanner must find.
-    rng = np.random.default_rng(10)
-    inst = _instance(rng, 8)
-    window = (0.4, 9.4)
-    fine = np.linspace(window[0], window[1], 4001)
+    # n_neg(R(E)) moves by one at each graph eigenvalue, up or down: it is not
+    # monotone between poles (it can rise and then fall inside one pole-free
+    # segment). The sum of |jumps| over a fine grid counts the crossings the
+    # scanner must find. R(E) is continuous across the poles, so the grid
+    # only skips the excluded bands. The last two windows contain (2 pi)^2
+    # and (3 pi)^2, where pole +- POLE_MARGIN rounds to a float that an
+    # absolute-distance band test would still count as inside the band.
     import randspec.eigensolve as eig
 
-    counts = [eig.sturm_count(reduced_operator(inst, e), 0.0) for e in fine]
-    jumps = int(np.sum(np.abs(np.diff(counts))))
-    roots = graph_eigenvalues(inst, window)
-    assert len(roots) == jumps
+    rng = np.random.default_rng(10)
+    wide = QGraphInstance(np.array([0.3, 0.1, 0.7, 0.2]))
+    poles = (math.pi * np.arange(1, 5)) ** 2
+    for inst, window, want in (
+        (_instance(rng, 8), (0.4, 9.4), None),
+        (wide, (5.0, 45.0), 2),
+        (wide, (1.0, 100.0), 5),
+    ):
+        fine = np.linspace(window[0], window[1], 4001)
+        fine = fine[np.min(np.abs(fine[:, None] - poles), axis=1) > 1e-4]
+        counts = [eig.sturm_count(reduced_operator(inst, e), 0.0) for e in fine]
+        jumps = int(np.sum(np.abs(np.diff(counts))))
+        roots = graph_eigenvalues(inst, window)
+        assert len(roots) == jumps
+        assert want is None or jumps == want
 
 
 def test_secular_value_signed_nearest_zero():
@@ -162,15 +170,17 @@ def test_secular_value_signed_nearest_zero():
         op = reduced_operator(inst, e)
         vals = np.linalg.eigvalsh(op.to_dense())
         want = vals[np.argmin(np.abs(vals))]
-        assert secular_value(inst, e) == pytest.approx(want, abs=1e-10)
+        assert _secular_value(inst, e) == pytest.approx(want, abs=1e-10)
 
 
 def test_window_must_avoid_nonpositive_energies():
     inst = QGraphInstance(np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
-        graph_roots(inst, (-1.0, 5.0))
+        graph_eigenvalues(inst, (-1.0, 5.0))
     with pytest.raises(DomainError):
-        graph_roots(inst, (0.0, 5.0))
+        graph_eigenvalues(inst, (0.0, 5.0))
+    with pytest.raises(DomainError):
+        graph_eigenvalues(inst, (1.0, math.inf))  # infinitely many poles to cut
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +191,16 @@ def test_potential_lipschitz_dominates_numeric_slope():
     rng = np.random.default_rng(12)
     inst = _instance(rng, 6)
     e_min = 2.0
-    lip = potential_lipschitz(inst, e_min)
+    lip = _potential_lipschitz(inst, e_min)
     es = np.linspace(e_min, e_min + 6.0, 2001)
-    fam = inst.family
+    fam = IntervalGraphFamily()
     pots = np.array(
         [(inst.omega - fam.mu_at(e)) / fam.lambda_at(e) for e in es]
     )
     slopes = np.abs(np.diff(pots, axis=0)) / np.diff(es)[:, None]
     assert slopes.max() <= lip * (1.0 + 1e-6)
     with pytest.raises(ValueError):
-        potential_lipschitz(inst, 0.0)
+        _potential_lipschitz(inst, 0.0)
 
 
 def test_secular_bracket_bound():
@@ -198,8 +208,8 @@ def test_secular_bracket_bound():
     rng = np.random.default_rng(13)
     inst = _instance(rng, 9)
     e0 = 4.0
-    g0 = abs(secular_value(inst, e0))
-    lip = 1.25 * potential_lipschitz(inst, 2.0)
+    g0 = abs(_secular_value(inst, e0))
+    lip = 1.25 * _potential_lipschitz(inst, 2.0)
     roots = graph_eigenvalues(inst, (2.0, 8.0))
     if len(roots):
         assert np.min(np.abs(roots - e0)) >= g0 / lip - 1e-9

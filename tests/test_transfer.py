@@ -10,13 +10,11 @@ from randspec import (
     EnsembleSpec,
     FiniteProfile,
     PiecewiseLinearLaw,
-    classify_trace,
-    dimer_two_step,
     ellipticity_report,
     lyapunov,
-    lyapunov_stream,
-    one_step,
+    transfer,
 )
+from randspec.transfer import _classify_trace, _dimer_two_step, _one_step
 
 
 # ---------------------------------------------------------------------------
@@ -24,10 +22,9 @@ from randspec import (
 
 
 def test_one_step_entries_and_determinant():
-    step = one_step(0.3, 1.1, a_left=1.4, a_right=0.7)
-    want = np.array([[(0.3 - 1.1) / 0.7, -1.4 / 0.7], [1.0, 0.0]])
-    assert np.allclose(step.matrix, want, atol=1e-15)
-    assert np.linalg.det(step.matrix) == pytest.approx(1.4 / 0.7, rel=1e-14)
+    step = _one_step(0.3, 1.1)
+    assert np.array_equal(step, [[0.3 - 1.1, -1.0], [1.0, 0.0]])
+    assert np.linalg.det(step) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -39,19 +36,19 @@ def test_dimer_two_step_is_negated_product():
     for _ in range(40):
         w = rng.uniform(-2, 2)
         e = rng.uniform(-3, 3)
-        prod = -(one_step(w, e).matrix @ one_step(-w, e).matrix)
-        two = dimer_two_step(w, e).matrix
+        prod = -(_one_step(w, e) @ _one_step(-w, e))
+        two = _dimer_two_step(w, e)
         assert np.max(np.abs(two - prod)) <= 1e-15
         assert abs(np.linalg.det(two) - 1.0) <= 1e-14
 
 
 def test_classify_trace_trichotomy():
-    assert classify_trace(2.5) == "hyperbolic"
-    assert classify_trace(-2.5) == "hyperbolic"
-    assert classify_trace(2.0) == "parabolic"
-    assert classify_trace(-2.0) == "parabolic"
-    assert classify_trace(1.999) == "elliptic"
-    assert classify_trace(0.0) == "elliptic"
+    assert _classify_trace(2.5) == "hyperbolic"
+    assert _classify_trace(-2.5) == "hyperbolic"
+    assert _classify_trace(2.0) == "parabolic"
+    assert _classify_trace(-2.0) == "parabolic"
+    assert _classify_trace(1.999) == "elliptic"
+    assert _classify_trace(0.0) == "elliptic"
 
 
 def test_ellipticity_report_formulas_and_classes():
@@ -85,29 +82,35 @@ def test_ellipticity_report_formulas_and_classes():
 # Lyapunov exponents
 
 
-def test_lyapunov_stream_constant_hyperbolic():
-    m = np.array([[2.5, -1.0], [1.0, 0.0]])  # eigenvalues 2 and 1/2
-    est = lyapunov_stream((1, 0, lambda u: m.ravel()), steps=4000, samples=4)
+def _constant_step(monkeypatch, kind, m00, m01, m10, m11):
+    """Make every step of `kind` the same matrix [[m00, m01], [m10, m11]]."""
+    monkeypatch.setitem(transfer._STEP_TABLE, kind, lambda x, e, profile: (m00, m01, m10, m11))
+
+
+def test_lyapunov_constant_hyperbolic_product(monkeypatch):
+    _constant_step(monkeypatch, "anderson", 2.5, -1.0, 1.0, 0.0)  # eigenvalues 2 and 1/2
+    est = lyapunov(EnsembleSpec("anderson"), 0.0, steps=4000, samples=4)
     assert est.gamma == pytest.approx(math.log(2.0), abs=1e-2)
     assert est.stderr <= 1e-3
-    assert est.steps == 4000 and est.samples == 4 and est.sites_per_step == 1
+    assert est.steps == 4000 and est.samples == 4
 
 
-def test_lyapunov_stream_rotation_is_zero():
-    m = np.array([[0.0, -1.0], [1.0, 0.0]])
-    est = lyapunov_stream((1, 0, lambda u: m.ravel()), steps=1000, samples=2)
+def test_lyapunov_rotation_is_zero(monkeypatch):
+    _constant_step(monkeypatch, "anderson", 0.0, -1.0, 1.0, 0.0)
+    est = lyapunov(EnsembleSpec("anderson"), 0.0, steps=1000, samples=2)
     assert est.gamma == 0.0
     assert est.ci99 == (0.0, 0.0)
 
 
-def test_lyapunov_stream_validation():
-    identity = (1, 0, lambda u: (1.0, 0.0, 0.0, 1.0))
+def test_lyapunov_validation(monkeypatch):
+    spec = EnsembleSpec("anderson")
     with pytest.raises(ValueError):
-        lyapunov_stream(identity, steps=999)
+        lyapunov(spec, 0.0, steps=999)
     with pytest.raises(ValueError):
-        lyapunov_stream(identity, steps=1000, samples=1)
+        lyapunov(spec, 0.0, steps=1000, samples=1)
+    _constant_step(monkeypatch, "anderson", 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="vanished"):
-        lyapunov_stream((1, 0, lambda u: (0.0, 0.0, 0.0, 0.0)), steps=1000, samples=2)
+        lyapunov(spec, 0.0, steps=1000, samples=2)
 
 
 def test_lyapunov_reproducible_and_seeded():
@@ -126,10 +129,13 @@ def test_lyapunov_anderson_weak_disorder():
     assert est.ci99[0] < est.gamma < est.ci99[1]
 
 
-def test_lyapunov_dimer_counts_two_sites():
+def test_lyapunov_dimer_counts_two_sites(monkeypatch):
     est = lyapunov(EnsembleSpec("dimer_sign"), -2.5, steps=2000, samples=8, seed=2)
-    assert est.sites_per_step == 2
     assert est.gamma > 0.0
+    # a two-step matrix with eigenvalues 2 and 1/2 grows by log 2 per two sites
+    _constant_step(monkeypatch, "dimer_sign", 2.5, -1.0, 1.0, 0.0)
+    est = lyapunov(EnsembleSpec("dimer_sign"), 0.0, steps=4000, samples=4)
+    assert est.gamma == pytest.approx(0.5 * math.log(2.0), abs=1e-2)
 
 
 def test_lyapunov_hopping_runs():
