@@ -360,6 +360,55 @@ def test_run_check_mode_exit_codes(tmp_path):
     assert main(["run", cfg, "--out", str(out), "--check"]) == 1
 
 
+# collected level points, and one check of each outcome: PASS, FAIL, a NaN
+# estimate (a one-width slope) and an estimate the probe does not report
+_PINNED_RUN = """
+[experiment]
+seed = 2026
+
+[probe:levels]
+type = level_statistics
+kind = anderson
+size = 100
+samples = 40
+energy = 0.0
+collect = 3
+ids_points = 21
+ids_samples = 16
+check_corr_z_max = 100
+check_corr_z_min = 100
+check_absent_max = 1
+
+[probe:weg]
+type = wegner
+kind = anderson
+size = 20
+samples = 50
+energy = 0.0
+widths = 0.05
+check_slope_min = 0
+check_C_hat_max = 100
+"""
+
+
+def test_run_check_output_pinned(tmp_path):
+    """The bytes of the summary and the collected points under --check. The
+    summary rows hold every check outcome: PASS, FAIL, NaN (FAIL) and missing
+    (FAIL), so a failed bound gives exit code 1."""
+    cfg = _write_config(tmp_path, _PINNED_RUN)
+    out = tmp_path / "res"
+    assert main(["run", cfg, "--check", "--out", str(out)]) == 1
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("summary.csv", "levels_points.csv")}
+    assert digests == {
+        "summary.csv": "eb8de1b02f7e39c07b055becec153bbe7b5b7267aeeffd6ea48e7b108360ff39",
+        "levels_points.csv": "1fd2366486271f455f07371ee52f330e0f0a321585994728a6b73b8dae14a053",
+    }
+    statuses = [row[6:] for row in _read_summary(out)[1:] if row[8]]
+    assert statuses == [["max", "100", "PASS"], ["min", "100", "FAIL"], ["max", "1", "FAIL"],
+                        ["min", "0", "FAIL"], ["max", "100", "PASS"]]
+
+
 def test_run_isolates_probe_errors(tmp_path):
     cfg = _write_config(
         tmp_path,
