@@ -12,7 +12,6 @@ seed, independent of the worker count.
 from .eigensolve import (
     batched_eigenvalues_in,
     count_in_interval,
-    dense_spectrum,
     eigenvalues_in,
     eigenvector,
     nearest_eigenvalue_distance,
@@ -42,7 +41,6 @@ from .operators import (
 )
 from .probes import (
     Estimate,
-    PointProcessSample,
     ProbeReport,
     decorrelation_probe,
     joint_independence_probe,

@@ -80,6 +80,9 @@ def uniform_block(
 
 
 def n_blocks(total: int, width: int) -> int:
+    """Blocks of a run of `total` draws; every Monte Carlo run has one or more."""
+    if not total >= 1:
+        raise ValueError(f"samples = {total!r}: must be >= 1")
     return -(-total // block_size(width))
 
 

@@ -5,7 +5,6 @@ Config grammar (INI):
     [experiment]
     seed = 12345            ; mandatory master seed
     out = results           ; output directory (overridden by --out)
-    workers = 4             ; optional; overridden by --workers / env
 
     [probe:some_name]       ; one section per probe invocation
     type = wegner           ; one of the probe types in PROBES
@@ -39,7 +38,6 @@ import hashlib
 import importlib.resources
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,9 +50,6 @@ from .ids import estimate_ids
 from .operators import (
     KINDS, EnsembleSpec, FiniteProfile, PiecewiseLinearLaw, UniformLaw,
 )
-
-ENV_WORKERS = "RANDSPEC_WORKERS"
-
 
 class ConfigError(ValueError):
     """Rejected input, annotated with section/field."""
@@ -209,7 +204,7 @@ def _parse_fields(where: str, options, fields: dict) -> dict:
 # the probe table
 
 
-_WORKERS = Field(_int, None, ge=1)
+_WORKERS = Field(_int, "1", ge=1)
 _SCALE = Field(_float, gt=0)
 _BOUND = Field(_float)
 _ENSEMBLE = {"kind": Field(_kind), "law": Field(_parse_law, None),
@@ -240,9 +235,9 @@ def _width_curve(header, *stats):
 
 
 def _points_curve(name, kwargs, result):
-    report, samples = result
-    rows = [("draw", "xi")] + [(s.index, float(x)) for s in samples for x in s.points]
-    return report, ({f"{name}_points.csv": rows} if samples else {})
+    report, draws = result
+    rows = [("draw", "xi")] + [(r, float(x)) for r, points in enumerate(draws) for x in points]
+    return report, ({f"{name}_points.csv": rows} if draws else {})
 
 
 def _ecdf_curve(name, kwargs, result):
@@ -361,12 +356,11 @@ class Section(NamedTuple):
     options: dict
 
 
-_EXPERIMENT = {"seed": Field(_int), "out": Field(str, "results"), "workers": _WORKERS}
+_EXPERIMENT = {"seed": Field(_int), "out": Field(str, "results")}
 
 
 def load_config(path: str):
-    """Parse an experiment config; returns (master_seed, out_dir, workers,
-    [probe sections])."""
+    """Parse an experiment config; returns (master_seed, out_dir, [probe sections])."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # estimate names in check keys are case-sensitive
     if path == "paper-suite":
@@ -385,7 +379,7 @@ def load_config(path: str):
             sections.append(Section(name, dict(parser[sec_name])))
         elif sec_name != "experiment":
             raise ConfigError(f"unexpected section [{sec_name}]; use [probe:NAME]")
-    return exp["seed"], exp["out"], exp["workers"], sections
+    return exp["seed"], exp["out"], sections
 
 
 def _ensemble(where, kind, law=None, profile=None, margin=0) -> EnsembleSpec:
@@ -433,10 +427,6 @@ def probe_seed(master: int, name: str) -> int:
     return (master ^ int.from_bytes(digest[:8], "big")) & (2**63 - 1)
 
 
-def _env_workers() -> int:
-    return _value(ENV_WORKERS, _WORKERS, os.environ.get(ENV_WORKERS, "1"))
-
-
 # ---------------------------------------------------------------------------
 # probe execution
 
@@ -448,28 +438,8 @@ def _write_csv(path: Path, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def _evaluate_checks(report, checks):
-    """Returns rows (estimate, bound spec, pass?) for the summary."""
-    results = []
-    for est_name, which, bound in checks:
-        try:
-            value = report.estimate(est_name).value
-        except KeyError:
-            results.append((est_name, which, bound, None, False))
-            continue
-        if value != value:  # NaN never passes a bound
-            ok = False
-        elif which == "min":
-            ok = value >= bound
-        else:
-            ok = value <= bound
-        results.append((est_name, which, bound, value, ok))
-    return results
-
-
 def cmd_run(args) -> int:
-    master, out_dir, cfg_workers, sections = load_config(args.config)
-    workers = args.workers or cfg_workers or _env_workers()
+    master, out_dir, sections = load_config(args.config)
     out = Path(args.out or out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -486,7 +456,7 @@ def cmd_run(args) -> int:
         try:
             probe, kwargs, checks = parse_probe(sec, args.scale)
             result = getattr(probes, probe.function)(
-                **kwargs, seed=probe_seed(master, sec.name), workers=workers
+                **kwargs, seed=probe_seed(master, sec.name), workers=args.workers
             )
             report, curves = (
                 probe.curves(sec.name, kwargs, result) if probe.curves else (result, {})
@@ -499,22 +469,25 @@ def cmd_run(args) -> int:
         (out / f"{sec.name}.json").write_text(report.to_json())
         for fname, rows in curves.items():
             _write_csv(out / fname, rows)
-        check_map = {}
-        for est_name, which, bound, value, ok in _evaluate_checks(report, checks):
-            check_map.setdefault(est_name, []).append((which, bound, ok))
-            if not ok:
-                any_check_failed = True
+        bounds = {}  # estimate -> [(min | max, bound)]; NaN passes no bound
+        for est_name, which, bound in checks:
+            bounds.setdefault(est_name, []).append((which, bound))
         for est in report.estimates:
             lo, hi = est.ci if est.ci is not None else ("", "")
-            for which, bound, ok in check_map.get(est.name, [(None, "", None)]):
-                status = "" if ok is None else ("PASS" if ok else "FAIL")
+            for which, bound in bounds.get(est.name, [("", "")]):
+                status = ""
+                if which:
+                    ok = est.value >= bound if which == "min" else est.value <= bound
+                    any_check_failed |= not ok
+                    status = "PASS" if ok else "FAIL"
                 summary.append((sec.name, ptype, est.name, est.value, lo, hi,
-                                which or "", bound, status))
-        for est_name, entries in check_map.items():
-            if all(e.name != est_name for e in report.estimates):
-                for which, bound, ok in entries:
-                    summary.append((sec.name, ptype, est_name, "missing", "", "",
-                                    which, bound, "FAIL"))
+                                which, bound, status))
+        reported = {est.name for est in report.estimates}
+        for est_name, entries in bounds.items():
+            if est_name not in reported:
+                any_check_failed = True
+                summary += [(sec.name, ptype, est_name, "missing", "", "", which, bound, "FAIL")
+                            for which, bound in entries]
     _write_csv(out / "summary.csv", summary)
     if any_error:
         return 2
@@ -547,10 +520,8 @@ def cmd_ids(args) -> int:
     if out.is_dir() or not out.parent.is_dir():  # checked before the estimate runs
         raise ConfigError(f"--out = {args.out!r}: not a file in an existing directory")
     spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
-    table = estimate_ids(
-        spec, args.size, args.samples, grid, seed=args.seed,
-        workers=args.workers or _env_workers(),
-    )
+    table = estimate_ids(spec, args.size, args.samples, grid, seed=args.seed,
+                         workers=args.workers)
     table.to_csv(args.out)
     print(f"wrote {args.points}-point table to {args.out}")
     return 0
@@ -558,9 +529,12 @@ def cmd_ids(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
-    est = transfer.lyapunov(
-        spec, args.energy, steps=args.steps, samples=args.samples, seed=args.seed
-    )
+    try:
+        est = transfer.lyapunov(
+            spec, args.energy, steps=args.steps, samples=args.samples, seed=args.seed
+        )
+    except ValueError as exc:  # a product that overflows or vanishes at this law and energy
+        raise ConfigError(f"--law and --energy: {exc}") from None
     payload = {
         "gamma": est.gamma, "stderr": est.stderr, "ci99": list(est.ci99),
         "steps": est.steps, "samples": est.samples, "energy": args.energy,
@@ -595,7 +569,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the probes in a config file")
     p_run.add_argument("config", help="config path, or 'paper-suite' for the bundled suite")
     p_run.add_argument("--check", action="store_true", help="evaluate check_* bounds")
-    p_run.add_argument("--workers", type=_arg(_WORKERS))
+    _flag(p_run, "workers", _WORKERS)
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument(
         "--scale", type=_arg(_SCALE), default=1.0,

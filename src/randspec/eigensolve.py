@@ -4,8 +4,8 @@ The workhorse is the Sturm negative-pivot count of the shifted LDL^T
 factorization: `sturm_count(H, E)` returns #{eigenvalues < E} exactly (up to
 floating-point pivot signs), in O(L) flops and without forming any matrix.
 Window counts, bisection eigenvalue extraction, and the batched Monte Carlo
-kernels are all built on it. Dense LAPACK diagonalization is available as an
-independent oracle for small matrices only.
+kernels are all built on it. Nothing here diagonalizes a dense matrix; an
+independent check runs LAPACK on `TridiagonalOperator.to_dense()`.
 
 Eigenvalue indices are 1-based (E_1 <= ... <= E_L); site indices are 1-based.
 """
@@ -36,7 +36,6 @@ _COUPLING_OVERFLOW = (
 # 64 KB tiles 25-45% slower.
 _TILE_BYTES = 1 << 18
 
-DEFAULT_ORACLE_MAX = 64
 _INVERSE_ITERATIONS = 8  # steps of `eigenvector`
 
 
@@ -584,27 +583,3 @@ def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
     flagged = n_cluster > 1 or gap <= cluster_tol or resid > target
     return EigenvectorResult(ray, _canonical_sign(v), resid, float(gap), bool(flagged))
 
-
-# ---------------------------------------------------------------------------
-# dense oracle
-
-
-def dense_spectrum(
-    op: TridiagonalOperator,
-    vectors: bool = False,
-    oracle_max: int = DEFAULT_ORACLE_MAX,
-):
-    """Full spectrum via LAPACK, for small matrices only.
-
-    Independent of the Sturm/bisection path; used as a cross-checking oracle.
-    Raises for sizes above `oracle_max` to keep it out of hot loops.
-    """
-    if op.size > oracle_max:
-        raise ValueError(
-            f"dense oracle capped at {oracle_max} (got {op.size}); "
-            "raise oracle_max explicitly for reference computations"
-        )
-    if vectors:
-        vals, vecs = np.linalg.eigh(op.to_dense())
-        return vals, vecs
-    return np.linalg.eigvalsh(op.to_dense())

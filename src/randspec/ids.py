@@ -144,8 +144,6 @@ def estimate_ids(
     """
     if size < 100:
         raise ValueError("need size >= 100")
-    if samples < 1:
-        raise ValueError("need samples >= 1")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")

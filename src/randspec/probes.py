@@ -63,36 +63,9 @@ class ProbeReport:
                 return e
         raise KeyError(f"no estimate named {name!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "params": _jsonable(self.params),
-            "estimates": [
-                {
-                    "name": e.name,
-                    "value": _jsonable(e.value),
-                    "ci": _jsonable(list(e.ci)) if e.ci is not None else None,
-                }
-                for e in self.estimates
-            ],
-            "samples": self.samples,
-            "seed": self.seed,
-            "runtime_s": self.runtime_s,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-@dataclass(frozen=True, eq=False)
-class PointProcessSample:
-    """Unfolded eigenvalues of one draw inside one observation window."""
-
-    index: int
-    center: float
-    window: tuple[float, float]
-    points: np.ndarray
+        fields = {"schema_version": SCHEMA_VERSION, **_jsonable(dataclasses.asdict(self))}
+        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
 
 
 def _jsonable(v):
@@ -148,6 +121,13 @@ def normal_ci(mean: float, sd: float, n: int):
         return (-math.inf, math.inf)
     half = _Z95 * sd / math.sqrt(n)
     return (mean - half, mean + half)
+
+
+def _mean(name, total, total_sq, n):
+    """Mean over n draws from the sum and the sum of squares, with a normal CI."""
+    mean = float(total / n)
+    var = max(total_sq / n - mean**2, 0.0)
+    return Estimate(name, mean, normal_ci(mean, math.sqrt(var), n))
 
 
 def poisson_pmf_with_tail(mean: float, kcap: int) -> np.ndarray:
@@ -277,8 +257,6 @@ def _run_window_job(job: _WindowJob, workers: int) -> dict:
     """`_window_block`'s accumulators summed in block order, plus per window
     `occupancy` (draws with a count >= 1), `excess_sum` and `excess_sq` (sums
     of max(count - 1, 0) and its square) and `k2` (draws with a count >= 2)."""
-    if not job.total >= 1:
-        raise ValueError(f"samples = {job.total!r}: must be >= 1")
     blocks = _blocks.n_blocks(job.total, draw_width(job.spec, job.size))
     parts = _blocks.map_blocks(partial(_window_block, job), blocks, workers)
     out = parts[0]
@@ -310,8 +288,6 @@ def _extract(spec, size, seed, total, e_lo, e_hi, workers):
     blocks = _blocks.n_blocks(total, draw_width(spec, size))
     fn = partial(_extract_block, spec, size, seed, total, e_lo, e_hi)
     parts = _blocks.map_blocks(fn, blocks, workers)
-    if not parts:
-        return np.empty(0, dtype=np.int64), np.empty(0)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -327,10 +303,11 @@ def _width_scan(spec, center, widths, size, samples, seed, workers,
     return widths, _run_window_job(job, workers)
 
 
-def _check_positive(name, value):
-    """ValueError naming a length or half-width that is not > 0."""
-    if not value > 0:
-        raise ValueError(f"{name} = {value!r}: must be > 0")
+def _check(name, value, low, strict=False):
+    """ValueError naming a parameter below its bound: > low if `strict`,
+    else >= low."""
+    if not (value > low if strict else value >= low):
+        raise ValueError(f"{name} = {value!r}: must be {'>' if strict else '>='} {low}")
 
 
 def _slope_estimate(name, widths, values):
@@ -398,15 +375,10 @@ def minami_probe(
     t0 = time.perf_counter()
     widths, stats = _width_scan(spec, energy, widths, size, samples, seed, workers)
     m = stats["excess_sum"] / samples
-    var = np.maximum(stats["excess_sq"] / samples - m**2, 0.0)
     ests = []
     for i, w in enumerate(widths):
         ests.append(
-            Estimate(
-                f"m_hat[{w:.6g}]",
-                float(m[i]),
-                normal_ci(float(m[i]), math.sqrt(var[i]), samples),
-            )
+            _mean(f"m_hat[{w:.6g}]", stats["excess_sum"][i], stats["excess_sq"][i], samples)
         )
         ests.append(_proportion(f"p2_hat[{w:.6g}]", stats["k2"][i], samples))
     slope, npts = _slope_estimate("slope", widths, m)
@@ -445,9 +417,10 @@ def decorrelation_probe(
     `event_mismatch`.
     """
     t0 = time.perf_counter()
+    _check("size", size, 1)
     if half_width is None:
         half_width = 1.0 / size
-    _check_positive("half_width", half_width)
+    _check("half_width", half_width, 0, strict=True)
     wa = (energy_a - half_width, energy_a + half_width)
     wb = (energy_b - half_width, energy_b + half_width)
     job = _WindowJob(
@@ -542,10 +515,9 @@ def _unfolded_windows(spec, size, seed, workers, bands, half_width, points, samp
     grid energy is an independent lane of the same draws, so the density is
     the one the full 41-point table gives.
     """
-    if not half_width >= IDS_DENSITY_HALF_SPAN:
-        raise ValueError(
-            f"ids_half_width = {half_width!r}: must be >= {IDS_DENSITY_HALF_SPAN}"
-        )
+    _check("ids_half_width", half_width, IDS_DENSITY_HALF_SPAN)
+    _check("ids_points", points, 2)
+    _check("ids_samples", samples, 1)
     centers = list(dict.fromkeys(c for c, _ in bands))
     max_offset = max(abs(x) for _, ab in bands for x in ab)
     for c in centers:
@@ -597,7 +569,7 @@ def level_statistics_probe(
     ids_points: int = 161,
     ids_samples: int = 2048,
     collect: int = 0,
-) -> tuple[ProbeReport, list[PointProcessSample]]:
+) -> tuple[ProbeReport, list[np.ndarray]]:
     """Counting statistics of the unfolded spectrum near a reference energy.
 
     Each interval (a, b) in unfolded (mean-spacing) units is mapped back to
@@ -605,11 +577,14 @@ def level_statistics_probe(
     count histogram over draws is compared to Poisson(b - a) in total
     variation, and the count correlation across the first two intervals is
     reported as corr_z = r * sqrt(n) (asymptotically standard normal under
-    independence). With collect > 0 the unfolded point configurations of the
-    first `collect` draws are returned alongside the report.
+    independence). With collect > 0 the sorted unfolded points of the first
+    `collect` draws are returned alongside the report, draw r at position r.
     """
     t0 = time.perf_counter()
+    _check("collect", collect, 0)
     intervals = [(float(a), float(b)) for a, b in intervals]
+    if not intervals:
+        raise ValueError("intervals: must be non-empty")
     for a, b in intervals:
         if not b > a:
             raise ValueError("intervals must have positive length")
@@ -624,7 +599,8 @@ def level_statistics_probe(
     for i, (a, b) in enumerate(intervals):
         tag = f"{a:.6g},{b:.6g}"
         ests.append(Estimate(f"tv_poisson[{tag}]", tv_to_poisson(stats["hist"][i], b - a)))
-        ests.append(_mean_count(f"mean_count[{tag}]", stats, i, samples))
+        ests.append(_mean(f"mean_count[{tag}]", stats["count_sum"][i],
+                          stats["count_sq"][i], samples))
     if pair is not None:
         ests.append(Estimate("corr_z", _pair_corr_z(stats, samples)))
     report = _report(
@@ -639,19 +615,9 @@ def level_statistics_probe(
         hi = max(w[1] for w in windows)
         draws, values = _extract(spec, size, seed, collect, lo, hi, workers)
         xi = unfold(values, table, energy, size)
-        configs = [
-            PointProcessSample(r, energy, (lo, hi), np.sort(xi[draws == r]))
-            for r in range(collect)
-        ]
+        configs = [np.sort(xi[draws == r]) for r in range(collect)]
     report.runtime_s = time.perf_counter() - t0
     return report, configs
-
-
-def _mean_count(name, stats, i, n):
-    """Mean count of window i over n draws, with a normal CI."""
-    mean = float(stats["count_sum"][i] / n)
-    var = max(stats["count_sq"][i] / n - mean**2, 0.0)
-    return Estimate(name, mean, normal_ci(mean, math.sqrt(var), n))
 
 
 def _pair_corr_z(stats, n):
@@ -690,8 +656,8 @@ def joint_independence_probe(
     t0 = time.perf_counter()
     if energy_a == energy_b:
         raise ValueError("energy_a and energy_b must be distinct")
-    _check_positive("length_a", length_a)
-    _check_positive("length_b", length_b)
+    _check("length_a", length_a, 0, strict=True)
+    _check("length_b", length_b, 0, strict=True)
     _, windows = _unfolded_windows(
         spec, size, seed, workers,
         [(energy_a, (-length_a / 2, length_a / 2)), (energy_b, (-length_b / 2, length_b / 2))],
@@ -707,7 +673,7 @@ def joint_independence_probe(
         Estimate("tv_second", tv_to_poisson(stats["hist"][1], length_b)),
         Estimate("corr_z", _pair_corr_z(stats, samples)),
     ]
-    ests += [_mean_count(f"mean_{tag}", stats, i, samples)
+    ests += [_mean(f"mean_{tag}", stats["count_sum"][i], stats["count_sq"][i], samples)
              for i, tag in enumerate(("first", "second"))]
     return _report(
         "joint_independence", spec,
@@ -744,7 +710,7 @@ def spacing_probe(
     n_spacings = 0 and NaN statistics.
     """
     t0 = time.perf_counter()
-    _check_positive("half_width", half_width)
+    _check("half_width", half_width, 0, strict=True)
     table, [(lo, hi)] = _unfolded_windows(
         spec, size, seed, workers, [(energy, (-half_width, half_width))],
         0.75, ids_points, ids_samples,

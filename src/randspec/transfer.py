@@ -172,7 +172,7 @@ def lyapunov(
     rng.random((samples, carry)).T. Replicas evolve independently with
     per-step renormalization; gamma is averaged per lattice site and the
     replica mean is merged with math.fsum. Requires steps >= 1000 and
-    samples >= 2.
+    samples >= 2; a product that overflows raises ValueError.
     """
     e = float(energy)
     if not math.isfinite(e):
@@ -209,6 +209,8 @@ def lyapunov(
                 raise ValueError("replica vanished; singular step matrix")
             acc += np.log(nrm)
             v = w / nrm
+    if not np.isfinite(acc).all():  # a step's entries or the product overflowed
+        raise ValueError(f"energy = {e!r}: the transfer-matrix product overflows")
     per = acc / (steps * (2 if spec.kind == "dimer_sign" else 1))
     gamma = math.fsum(per) / samples
     sd = float(np.std(per, ddof=1))

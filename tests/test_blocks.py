@@ -26,6 +26,9 @@ def test_block_partition_covers_total():
             assert sum(rows) == total
             assert all(r >= 1 for r in rows)
             assert _blocks.block_rows(total, width, nb) == 0
+    for total in (0, -3):  # every Monte Carlo run takes one draw or more
+        with pytest.raises(ValueError, match=f"samples = {total}: must be >= 1"):
+            _blocks.n_blocks(total, 10)
 
 
 def test_block_size_pure_and_monotone():

@@ -25,7 +25,6 @@ from randspec.cli import (
     PROBES,
     ConfigError,
     Section,
-    _evaluate_checks,
     _fmt,
     _parse_law,
     _parse_profile,
@@ -34,7 +33,6 @@ from randspec.cli import (
     parse_probe,
     probe_seed,
 )
-from randspec.probes import Estimate, ProbeReport
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +104,6 @@ def test_parse_profile():
             _parse_profile(text)
 
 
-def test_evaluate_checks():
-    rep = ProbeReport(
-        "demo", {}, [Estimate("slope", 1.05), Estimate("bad", float("nan"))],
-        10, 0, 0.0,
-    )
-    rows = _evaluate_checks(
-        rep,
-        [
-            ("slope", "min", 0.9),
-            ("slope", "max", 1.0),
-            ("bad", "min", 0.0),
-            ("missing", "max", 1.0),
-        ],
-    )
-    assert rows[0] == ("slope", "min", 0.9, 1.05, True)
-    assert rows[1] == ("slope", "max", 1.0, 1.05, False)
-    assert rows[2][4] is False  # NaN never passes
-    assert rows[3] == ("missing", "max", 1.0, None, False)
-
-
 # ---------------------------------------------------------------------------
 # config files
 
@@ -143,7 +121,6 @@ def test_load_config_basics(tmp_path):
 [experiment]
 seed = 42
 out = outdir
-workers = 3
 
 [probe:first]
 type = wegner
@@ -155,8 +132,8 @@ widths = 0.05,0.1
 check_slope_min = 0.5
 """,
     )
-    seed, out, workers, sections = load_config(path)
-    assert (seed, out, workers) == (42, "outdir", 3)
+    seed, out, sections = load_config(path)
+    assert (seed, out) == (42, "outdir")
     assert len(sections) == 1
     sec = sections[0]
     assert sec.name == "first"
@@ -171,8 +148,8 @@ check_slope_min = 0.5
 
 def test_load_config_defaults_and_errors(tmp_path):
     path = _write_config(tmp_path, "[experiment]\nseed = 7\n")
-    seed, out, workers, sections = load_config(path)
-    assert (seed, out, workers, sections) == (7, "results", None, [])
+    seed, out, sections = load_config(path)
+    assert (seed, out, sections) == (7, "results", [])
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.cfg"))
     with pytest.raises(ConfigError):
@@ -205,7 +182,7 @@ disjoint = true
 check_corr_z_max = 3
 """,
     )
-    _, _, _, (sec,) = load_config(path)
+    _, _, (sec,) = load_config(path)
     with pytest.raises(ConfigError, match=r"\[probe:p\] unknown fields: disjoint"):
         parse_probe(sec)  # disjoint belongs to decorrelation only
     options = dict(sec.options)
@@ -230,13 +207,13 @@ def test_section_check_suffix_required(tmp_path):
         tmp_path,
         "[experiment]\nseed = 1\n\n[probe:p]\ntype = wegner\ncheck_slope = 1\n",
     )
-    _, _, _, (sec,) = load_config(path)
+    _, _, (sec,) = load_config(path)
     with pytest.raises(ConfigError, match=r"\[probe:p\] check_slope: .*_min or _max"):
         parse_probe(sec)
 
 
 def test_paper_suite_config_bundled():
-    seed, out, workers, sections = load_config("paper-suite")
+    seed, out, sections = load_config("paper-suite")
     assert isinstance(seed, int)
     assert len(sections) == 10
     types = {s.options["type"] for s in sections}
@@ -453,15 +430,6 @@ def test_run_scale_multiplies_samples(tmp_path):
     assert rep["samples"] == 30
 
 
-def test_run_env_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("RANDSPEC_WORKERS", "2")
-    cfg = _write_config(tmp_path, _SMALL_SUITE)
-    out = tmp_path / "res"
-    assert main(["run", cfg, "--out", str(out)]) == 0
-    rep = json.loads((out / "weg.json").read_text())
-    assert rep["samples"] == 300
-
-
 # law files that PiecewiseLinearLaw.from_csv must refuse with a named error
 _MALFORMED_LAWS = {
     "short_row.csv": "0,1\n1\n",
@@ -501,8 +469,7 @@ _VALID = {
 @pytest.mark.parametrize(
     "where, field, text, label",
     [
-        ("experiment", "workers", "four", "[experiment] workers"),
-        ("experiment", "workers", "0", "[experiment] workers"),
+        ("experiment", "workers", "2", "[experiment] unknown fields: workers"),  # --workers only
         ("experiment", "seed", "1.5", "[experiment] seed"),
         ("experiment", "outdir", "x", "[experiment] unknown fields: outdir"),
         ("experiment", "out", "{tmp}/short_row.csv/x", "[experiment] out"),
@@ -541,11 +508,9 @@ _VALID = {
         ("argv", "--scale", "0", "--scale"),
         ("argv", "--workers", "0", "--workers"),
         ("argv", "--out", "{tmp}/short_row.csv", "--out"),  # an existing file
-        ("env", "RANDSPEC_WORKERS", "x", "RANDSPEC_WORKERS"),
-        ("env", "RANDSPEC_WORKERS", "0", "RANDSPEC_WORKERS"),
     ],
 )
-def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, where, field, text, label):
+def test_run_rejects_bad_input(tmp_path, capsys, where, field, text, label):
     text = _with_law_files(tmp_path, text)
     experiment = {"seed": "1"}
     sections = {"w": dict(_VALID["w"])}
@@ -556,8 +521,6 @@ def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, where, field, text
             argv = []
     elif where == "argv":
         argv += [field, text]
-    elif where == "env":
-        monkeypatch.setenv(field, text)
     else:
         sections = {where: {**_VALID[where], field: text}}
     body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in experiment.items())
@@ -576,8 +539,7 @@ def test_run_rejects_bad_input(tmp_path, capsys, monkeypatch, where, field, text
 # utility subcommands
 
 
-def test_list_probes_prints_registry(capsys, monkeypatch):
-    monkeypatch.setenv("RANDSPEC_WORKERS", "x")  # read only by commands that run
+def test_list_probes_prints_registry(capsys):
     assert main(["list-probes"]) == 0
     out = capsys.readouterr().out
     for name in (
@@ -680,6 +642,8 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
         # +-1e308 overflows
         ([*_IDS_ARGV, "--min=-5e-324"], "--max", "0.0", "--max = 0, --points = 21: the grid"),
         ([*_IDS_ARGV, "--min=-1e308"], "--max", "1e308", "--max = 1e+308, --points = 21: the grid"),
+        # draws this large overflow the transfer-matrix product
+        (_LYAPUNOV_ARGV, "--law", "uniform:-1e308,1e308", "--law and --energy: energy = 0.0"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
@@ -740,8 +704,8 @@ def test_parse_layer_raises_only_named_errors(tmp_path):
     laws = [f"piecewise:{tmp_path / name}" for name in [*_MALFORMED_LAWS, "missing.csv", ""]]
     targets = _parse_targets()
     assert {label for label, _, _ in targets} >= {
-        "[experiment] workers", "[probe:spacing] law", "ids --law", "ids --points",
-        "lyapunov --steps", "run --scale",
+        "[experiment] seed", "[probe:spacing] law", "ids --law", "ids --points",
+        "lyapunov --steps", "run --scale", "run --workers",
     }
     for target in targets:  # every field meets every extreme and malformed law file
         for text in _EXTREMES + laws:
@@ -854,7 +818,6 @@ _RUN = st.tuples(
     st.sampled_from(sorted(PROBES)).flatmap(
         lambda ptype: st.tuples(st.just(ptype), _fields(PROBES[ptype].fields))),
     st.fixed_dictionaries({"seed": _SEED}, optional={
-        "workers": _mostly(st.just("1"), st.sampled_from(["0", "x"])),
         "out": _mostly(st.just("{tmp}/res"), st.just("{law}/x")),
     }),
     st.lists(st.sampled_from(["--check", "--scale", "--workers", "--out"]), unique=True),

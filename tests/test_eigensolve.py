@@ -18,7 +18,6 @@ from randspec import (
     TridiagonalOperator,
     batched_eigenvalues_in,
     count_in_interval,
-    dense_spectrum,
     eigenvalues_in,
     eigenvector,
     nearest_eigenvalue_distance,
@@ -557,22 +556,14 @@ def test_solve_shifted_rejects_non_finite_shifted_diagonal():
 
 
 # ---------------------------------------------------------------------------
-# dense oracle
-
-
-def test_dense_spectrum_cap():
-    op = _free(65)
-    with pytest.raises(ValueError):
-        dense_spectrum(op)
-    vals = dense_spectrum(op, oracle_max=65)
-    assert np.allclose(vals, _free_eigs(65), atol=1e-12)
+# spectral symmetry
 
 
 def test_hopping_spectrum_is_symmetric():
     rng = np.random.default_rng(0)
     op = TridiagonalOperator(np.zeros(6), rng.uniform(1.0, 2.0, size=5))
-    vals = dense_spectrum(op)
-    assert np.max(np.abs(vals + vals[::-1])) <= 1e-12
+    vals = eigenvalues_in(op, -5.0, 5.0)
+    assert vals.size == 6 and np.max(np.abs(vals + vals[::-1])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ def _unfolded_probe_outputs(samples, seed, workers):
         spec, 0.5, intervals=((0.0, 0.5), (0.5, 1.0)), collect=samples, **common
     )
     joint = joint_independence_probe(spec, 0.5, 0.45, **common)
-    points = [(c.index, c.center, c.window, c.points.tobytes()) for c in configs]
+    points = [c.tobytes() for c in configs]
     table, windows = probes._unfolded_windows(
         spec, 2000, seed, workers, [(0.5, (-0.5, 0.5)), (0.45, (-0.5, 0.5))], 0.75, 21, 64
     )
@@ -404,15 +404,14 @@ def test_level_statistics_worker_invariance():
 
 def test_level_statistics_collects_point_samples():
     spec = EnsembleSpec("anderson")
-    rep, samples = level_statistics_probe(
+    rep, draws = level_statistics_probe(
         spec, 0.0, 400, 50, seed=2, ids_samples=64, collect=5
     )
-    assert [s.index for s in samples] == [0, 1, 2, 3, 4]
-    for s in samples:
-        assert s.center == 0.0
-        assert np.all(np.diff(s.points) >= 0)
+    assert len(draws) == 5  # draw r at position r
+    for points in draws:
+        assert np.all(np.diff(points) >= 0)
         # unfolded points live inside the union of requested intervals
-        assert np.all(s.points >= -0.05) and np.all(s.points <= 2.05)
+        assert np.all(points >= -0.05) and np.all(points <= 2.05)
     names = [e.name for e in rep.estimates]
     assert "tv_poisson[0,1]" in names and "corr_z" in names
     assert "mean_count[0,2]" in names
@@ -560,6 +559,17 @@ def test_probe_width_validation():
          r"length_b = 0.0: must be > 0"),
         (lambda: spacing_probe(spec, 0.0, 200, 10, half_width=-1.0),
          r"half_width = -1.0: must be > 0"),
+        (lambda: spacing_probe(spec, 0.0, 200, 0, ids_samples=32), r"samples = 0: must be >= 1"),
+        (lambda: spacing_probe(spec, 0.0, 200, -3, ids_samples=32), r"samples = -3: must be >= 1"),
+        (lambda: level_statistics_probe(spec, 0.0, 200, 10, intervals=()),
+         r"intervals: must be non-empty"),
+        (lambda: level_statistics_probe(spec, 0.0, 200, 10, ids_samples=0),
+         r"ids_samples = 0: must be >= 1"),
+        (lambda: level_statistics_probe(spec, 0.0, 200, 10, ids_points=1),
+         r"ids_points = 1: must be >= 2"),
+        (lambda: level_statistics_probe(spec, 0.0, 200, 10, collect=-1),
+         r"collect = -1: must be >= 0"),
+        (lambda: decorrelation_probe(spec, 0.5, -0.5, 0, 10), r"size = 0: must be >= 1"),
     ]
     for call, message in rows:
         with pytest.raises(ValueError, match=message):

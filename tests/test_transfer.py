@@ -10,6 +10,7 @@ from randspec import (
     EnsembleSpec,
     FiniteProfile,
     PiecewiseLinearLaw,
+    UniformLaw,
     ellipticity_report,
     lyapunov,
     transfer,
@@ -155,6 +156,14 @@ def test_lyapunov_alloy_profiles():
 def test_lyapunov_qgraph_unsupported():
     with pytest.raises(NotImplementedError):
         lyapunov(EnsembleSpec("qgraph"), 4.0, steps=1500, samples=4)
+
+
+@pytest.mark.parametrize("kind, law", [("anderson", UniformLaw(-1e308, 1e308)),
+                                       ("dimer_sign", UniformLaw(0.0, 1e200))])
+def test_lyapunov_names_an_overflowing_product(kind, law):
+    # a step's entries or the renormalized product overflow: gamma would be NaN
+    with pytest.raises(ValueError, match="energy = 0.0: the transfer-matrix product overflows"):
+        lyapunov(EnsembleSpec(kind, law=law), 0.0, steps=1000, samples=2)
 
 
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
