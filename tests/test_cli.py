@@ -469,7 +469,12 @@ _VALID = {
 @pytest.mark.parametrize(
     "where, field, text, label",
     [
-        ("experiment", "workers", "2", "[experiment] unknown fields: workers"),  # --workers only
+        # workers is no [experiment] field any more (--workers only); the ids
+        # keep the names these rows had while it was one
+        pytest.param("experiment", "workers", "0", "[experiment] unknown fields: workers",
+                     id="experiment-workers-0-[experiment] workers"),
+        pytest.param("experiment", "workers", "four", "[experiment] unknown fields: workers",
+                     id="experiment-workers-four-[experiment] workers"),
         ("experiment", "seed", "1.5", "[experiment] seed"),
         ("experiment", "outdir", "x", "[experiment] unknown fields: outdir"),
         ("experiment", "out", "{tmp}/short_row.csv/x", "[experiment] out"),
