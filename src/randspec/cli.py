@@ -208,14 +208,13 @@ _WORKERS = Field(_int, "1", ge=1)
 _SCALE = Field(_float, gt=0)
 _BOUND = Field(_float)
 _ENSEMBLE = {"kind": Field(_kind), "law": Field(_parse_law, None),
-             "profile": Field(_parse_profile, None), "margin": Field(_int, "0", ge=0)}
+             "profile": Field(_parse_profile, None)}
 _BOX = {"size": Field(_int, ge=1), "samples": Field(_int, ge=1, scaled=True)}
 _IDS_BOX = {**_BOX, "size": Field(_int, ge=100)}  # estimate_ids needs L >= 100
 _ENERGY = Field(_float)
 _WIDTHS = Field(_floats, gt=0)
 _IDS_SAMPLES = Field(_int, "2048", ge=8, scaled=True)
-_IDS = {"ids_half_width": Field(_float, "0.75", ge=probes.IDS_DENSITY_HALF_SPAN),
-        "ids_points": Field(_int, "161", ge=2), "ids_samples": _IDS_SAMPLES}
+_IDS = {"ids_points": Field(_int, "161", ge=2), "ids_samples": _IDS_SAMPLES}
 
 
 def _width_curve(header, *stats):
@@ -252,7 +251,7 @@ def _ecdf_curve(name, kwargs, result):
 class ProbeType:
     """A config probe type: the `randspec.probes` function it calls (looked up
     at call time), the claim it tests, its fields (named like the function's
-    parameters; kind/law/profile/margin become `spec`), and its optional
+    parameters; kind/law/profile become `spec`), and its optional
     curve emitter (section name, kwargs, probe result) -> (report, CSVs)."""
 
     function: str
@@ -335,7 +334,6 @@ PROBES = {
         {
             "law": Field(_parse_law, "uniform:0,1"), **_BOX,
             "energy": Field(_float, gt=0), "widths": _WIDTHS,
-            "width_scale": Field(_float, None, gt=0),
         },
         _width_curve(
             ("width", "p1_hat", "p1_lo", "p1_hi", "p2_hat", "p2_lo", "p2_hi"),
@@ -382,11 +380,11 @@ def load_config(path: str):
     return exp["seed"], exp["out"], sections
 
 
-def _ensemble(where, kind, law=None, profile=None, margin=0) -> EnsembleSpec:
+def _ensemble(where, kind, law=None, profile=None) -> EnsembleSpec:
     try:
-        return EnsembleSpec(kind, law=law, profile=profile, margin=margin)
+        return EnsembleSpec(kind, law=law, profile=profile)
     except ValueError as exc:
-        raise ConfigError(f"{where} kind/law/profile/margin: {exc}") from None
+        raise ConfigError(f"{where} kind/law/profile: {exc}") from None
 
 
 def parse_probe(sec: Section, scale: float = 1.0):
@@ -416,7 +414,7 @@ def parse_probe(sec: Section, scale: float = 1.0):
                 raise ConfigError(f"{where} {key}: too large") from None
     if "kind" in kwargs:
         kwargs["spec"] = _ensemble(
-            where, *(kwargs.pop(k) for k in ("kind", "law", "profile", "margin"))
+            where, *(kwargs.pop(k) for k in ("kind", "law", "profile"))
         )
     return probe, kwargs, checks
 
@@ -519,7 +517,7 @@ def cmd_ids(args) -> int:
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():  # checked before the estimate runs
         raise ConfigError(f"--out = {args.out!r}: not a file in an existing directory")
-    spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
+    spec = _ensemble("arguments", args.kind, args.law, args.profile)
     table = estimate_ids(spec, args.size, args.samples, grid, seed=args.seed,
                          workers=args.workers)
     table.to_csv(args.out)
@@ -528,7 +526,7 @@ def cmd_ids(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    spec = _ensemble("arguments", args.kind, args.law, args.profile, args.margin)
+    spec = _ensemble("arguments", args.kind, args.law, args.profile)
     try:
         est = transfer.lyapunov(
             spec, args.energy, steps=args.steps, samples=args.samples, seed=args.seed
@@ -552,7 +550,7 @@ def _flag(p, name: str, field: Field):
 
 def _add_spec_args(p, samples: Field, kinds=KINDS):
     p.add_argument("--kind", required=True, choices=kinds)
-    for key in ("law", "profile", "margin"):
+    for key in ("law", "profile"):
         _flag(p, key, _ENSEMBLE[key])
     _flag(p, "samples", samples)
     _flag(p, "seed", Field(_int, "0", ge=0))

@@ -5,7 +5,8 @@ Ensembles covered:
 * ``hopping``    H u(n) = a(n+1) u(n+1) + a(n) u(n-1), i.i.d. couplings;
 * ``anderson``   H = Delta_a + V with a == 1 and i.i.d. diagonal V;
 * ``alloy``      V(m) = sum_n d(n) omega_{n+m} with a single-site profile d
-                 and i.i.d. omega living on the enlarged box {1-S .. L+S};
+                 of radius r and i.i.d. omega living on the enlarged box
+                 {1-r .. L+r};
 * ``dimer_sign`` V(2i) = omega_i, V(2i+1) = -omega_i (sign-mirrored pairs);
 * ``qgraph``     -Delta + diag(omega), the vertex reduction of a metric-graph
                  Laplacian with delta couplings omega >= 0.
@@ -162,15 +163,6 @@ class FiniteProfile:
     def radius(self) -> int:
         return (len(self.values) - 1) // 2
 
-    def materialize(self, radius: int | None = None) -> np.ndarray:
-        """Values at offsets -radius..radius, zero-padded beyond support."""
-        if radius is None or radius == self.radius:
-            return np.asarray(self.values, dtype=np.float64)
-        if radius < self.radius:
-            raise ValueError("radius smaller than the profile support")
-        pad = radius - self.radius
-        return np.pad(np.asarray(self.values, dtype=np.float64), pad)
-
 
 # ---------------------------------------------------------------------------
 # spectral families V_omega(E) = (V_omega - mu_E) / lambda_E
@@ -299,7 +291,6 @@ class EnsembleSpec:
     kind: str
     law: UniformLaw | PiecewiseLinearLaw | None = None
     profile: FiniteProfile | None = None
-    margin: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -314,20 +305,17 @@ class EnsembleSpec:
         if self.kind == "alloy":
             if not isinstance(self.profile, FiniteProfile):
                 raise ValueError("alloy ensemble requires a FiniteProfile")
-            if self.margin < 1:
-                raise ValueError("alloy ensemble requires margin >= 1")
-            if self.profile.radius > self.margin:
-                raise ValueError("margin must cover the profile support radius")
         elif self.profile is not None:
             raise ValueError("profile is only meaningful for the alloy ensemble")
 
 
 def draw_width(spec: EnsembleSpec, size: int) -> int:
-    """Number of scalar random variables behind one draw on {1..size}."""
+    """Number of scalar random variables behind one draw on {1..size}: the
+    alloy reads omega on {1-r..size+r}, r the profile radius."""
     if size < 1:
         raise ValueError("need size >= 1")
     if spec.kind == "alloy":
-        return size + 2 * spec.margin
+        return size + 2 * spec.profile.radius
     if spec.kind == "dimer_sign":
         return size // 2 + 1
     return size
@@ -359,13 +347,11 @@ def coefficients(
         n = np.arange(1, size + 1)
         sign = np.where(n % 2 == 0, 1.0, -1.0)
         return sign * omega.take(n // 2, axis=1), np.ones(size - 1)
-    # alloy
-    s = spec.margin
-    d = spec.profile.materialize(s)
+    # alloy: column j of omega is site j + 1 - r, so V(m) = sum_k values[k] omega(m + k - r)
     diag = np.zeros((batch, size))
-    for k in range(2 * s + 1):
-        if d[k] != 0.0:
-            diag += d[k] * omega[:, k : k + size]
+    for k, d in enumerate(spec.profile.values):
+        if d != 0.0:
+            diag += d * omega[:, k : k + size]
     return diag, np.ones(size - 1)
 
 

@@ -20,7 +20,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -144,27 +144,18 @@ def poisson_pmf_with_tail(mean: float, kcap: int) -> np.ndarray:
     return np.concatenate([pmf, [tail]])
 
 
-def tv_to_poisson(hist: np.ndarray, mean: float) -> float:
-    """Total variation between an overflow-binned count histogram and
-    Poisson(mean) on the partition {0, 1, ..., kcap-1, >= kcap}."""
+def tv_to_poisson(hist: np.ndarray, *means: float) -> float:
+    """Total variation between an overflow-binned count histogram with one
+    axis per mean and the product of Poisson(mean) laws, each on the
+    partition {0, 1, ..., kcap-1, >= kcap} of its axis."""
     hist = np.asarray(hist, dtype=np.float64)
     n = hist.sum()
     if n == 0:
         return 1.0
-    pi = poisson_pmf_with_tail(mean, hist.size - 1)
+    pi = reduce(np.multiply.outer, [
+        poisson_pmf_with_tail(mean, size - 1) for mean, size in zip(means, hist.shape)
+    ])
     return 0.5 * float(np.abs(hist / n - pi).sum())
-
-
-def tv_to_poisson_product(joint: np.ndarray, mean_a: float, mean_b: float) -> float:
-    """TV between a 2-d overflow-binned histogram and the product of two
-    Poisson laws, on the product partition."""
-    joint = np.asarray(joint, dtype=np.float64)
-    n = joint.sum()
-    if n == 0:
-        return 1.0
-    pa = poisson_pmf_with_tail(mean_a, joint.shape[0] - 1)
-    pb = poisson_pmf_with_tail(mean_b, joint.shape[1] - 1)
-    return 0.5 * float(np.abs(joint / n - np.outer(pa, pb)).sum())
 
 
 def ks_to_exponential(sorted_samples: np.ndarray) -> float:
@@ -231,9 +222,10 @@ def _window_block(job: _WindowJob, block: int):
     for stream, windows in streams:
         if windows:
             diag, off = draw_block(job.spec, job.size, job.seed, block, rows, stream)
-            if job.post_affine is not None:
+            if job.post_affine is not None:  # in place: diag is the block's own omega
                 a, b = job.post_affine
-                diag = a + b * diag
+                diag *= b
+                diag += a
             c = _window_counts(diag, off, *np.array(windows).T)[1]
             counts.append(c[1] - c[0])
     counts = np.concatenate(counts)  # (windows, rows)
@@ -492,11 +484,12 @@ def decorrelation_probe(
 
 
 # The local density at a center is the IDS increment over center +/- this
-# span; ids_half_width must cover it.
+# span, read from a coarse grid over center +/- IDS_COARSE_HALF_WIDTH.
 IDS_DENSITY_HALF_SPAN = 0.2
+IDS_COARSE_HALF_WIDTH = 0.75
 
 
-def _unfolded_windows(spec, size, seed, workers, bands, half_width, points, samples):
+def _unfolded_windows(spec, size, seed, workers, bands, points, samples):
     """(table, windows): an integrated-density table for unfolding near the
     bands' centers, and each band's energy window.
 
@@ -509,23 +502,21 @@ def _unfolded_windows(spec, size, seed, workers, bands, half_width, points, samp
     precision is what limits the count statistics, so the sample budget is
     concentrated on the few relevant spacings around each center.
 
-    The coarse interpolation nodes are 41 points over [c - half_width,
-    c + half_width] per center, but only the two nodes around each of c +/- 0.2
-    are swept: they are all that linear interpolation reads there, and every
-    grid energy is an independent lane of the same draws, so the density is
-    the one the full 41-point table gives.
+    The coarse interpolation nodes are 41 points over [c - 0.75, c + 0.75]
+    per center, but only the two nodes around each of c +/- 0.2 are swept:
+    they are all that linear interpolation reads there, and every grid
+    energy is an independent lane of the same draws, so the density is the
+    one the full 41-point table gives.
     """
-    _check("ids_half_width", half_width, IDS_DENSITY_HALF_SPAN)
     _check("ids_points", points, 2)
     _check("ids_samples", samples, 1)
     centers = list(dict.fromkeys(c for c, _ in bands))
     max_offset = max(abs(x) for _, ab in bands for x in ab)
+    hw = IDS_COARSE_HALF_WIDTH
     for c in centers:
-        if not c - half_width < c + half_width:  # both round to c
+        if not c - hw < c + hw:  # both round to c
             raise ValueError(f"energy {c!r}: too large to tabulate the IDS about it")
-    nodes = np.unique(
-        np.concatenate([np.linspace(c - half_width, c + half_width, 41) for c in centers])
-    )
+    nodes = np.unique(np.concatenate([np.linspace(c - hw, c + hw, 41) for c in centers]))
     queries = np.array([[c - IDS_DENSITY_HALF_SPAN, c + IDS_DENSITY_HALF_SPAN] for c in centers])
     # np.interp reads nodes right - 1 and right; a query on the last node reads it
     right = np.searchsorted(nodes, queries.ravel(), side="right").clip(1, nodes.size - 1)
@@ -565,7 +556,6 @@ def level_statistics_probe(
     seed: int = 0,
     workers: int = 1,
     intervals=((0.0, 1.0), (1.0, 2.0), (0.0, 2.0)),
-    ids_half_width: float = 0.75,
     ids_points: int = 161,
     ids_samples: int = 2048,
     collect: int = 0,
@@ -581,6 +571,7 @@ def level_statistics_probe(
     `collect` draws are returned alongside the report, draw r at position r.
     """
     t0 = time.perf_counter()
+    _check("samples", samples, 1)  # before the IDS estimate, which takes seconds
     _check("collect", collect, 0)
     intervals = [(float(a), float(b)) for a, b in intervals]
     if not intervals:
@@ -590,7 +581,7 @@ def level_statistics_probe(
             raise ValueError("intervals must have positive length")
     table, windows = _unfolded_windows(
         spec, size, seed, workers, [(energy, ab) for ab in intervals],
-        ids_half_width, ids_points, ids_samples,
+        ids_points, ids_samples,
     )
     pair = (0, 1) if len(intervals) >= 2 else None
     job = _WindowJob(spec, size, seed, samples, windows, joint_pair=pair)
@@ -641,7 +632,6 @@ def joint_independence_probe(
     workers: int = 1,
     length_a: float = 1.0,
     length_b: float = 1.0,
-    ids_half_width: float = 0.75,
     ids_points: int = 161,
     ids_samples: int = 2048,
 ) -> ProbeReport:
@@ -654,6 +644,7 @@ def joint_independence_probe(
     the two-point refinement of single-energy Poisson statistics.
     """
     t0 = time.perf_counter()
+    _check("samples", samples, 1)  # before the IDS estimate, which takes seconds
     if energy_a == energy_b:
         raise ValueError("energy_a and energy_b must be distinct")
     _check("length_a", length_a, 0, strict=True)
@@ -661,14 +652,14 @@ def joint_independence_probe(
     _, windows = _unfolded_windows(
         spec, size, seed, workers,
         [(energy_a, (-length_a / 2, length_a / 2)), (energy_b, (-length_b / 2, length_b / 2))],
-        ids_half_width, ids_points, ids_samples,
+        ids_points, ids_samples,
     )
     if windows[0][1] >= windows[1][0] and windows[1][1] >= windows[0][0]:
         raise ValueError("the energy_a and energy_b windows overlap; separate the energies")
     job = _WindowJob(spec, size, seed, samples, windows, kcap=16, joint_pair=(0, 1))
     stats = _run_window_job(job, workers)
     ests = [
-        Estimate("tv_joint", tv_to_poisson_product(stats["joint"], length_a, length_b)),
+        Estimate("tv_joint", tv_to_poisson(stats["joint"], length_a, length_b)),
         Estimate("tv_first", tv_to_poisson(stats["hist"][0], length_a)),
         Estimate("tv_second", tv_to_poisson(stats["hist"][1], length_b)),
         Estimate("corr_z", _pair_corr_z(stats, samples)),
@@ -710,10 +701,11 @@ def spacing_probe(
     n_spacings = 0 and NaN statistics.
     """
     t0 = time.perf_counter()
+    _check("samples", samples, 1)  # before the IDS estimate, which takes seconds
     _check("half_width", half_width, 0, strict=True)
     table, [(lo, hi)] = _unfolded_windows(
         spec, size, seed, workers, [(energy, (-half_width, half_width))],
-        0.75, ids_points, ids_samples,
+        ids_points, ids_samples,
     )
     draws, values = _extract(spec, size, seed, samples, lo, hi, workers)
     unfolded = unfold(values, table, energy, size)
@@ -754,12 +746,11 @@ def qgraph_minami_probe(
     samples: int,
     seed: int = 0,
     workers: int = 1,
-    width_scale: float | None = None,
 ) -> ProbeReport:
     """Occupancy and pair probabilities for the reduced quantum-graph matrix.
 
     Counts eigenvalues of the fixed-energy reduction R(E0) = A(E0) - W/c(E0)
-    in (-eps', eps'] where eps' = width_scale * eps. The default width_scale
+    in (-eps', eps'] where eps' = width_scale * eps. The width_scale
     |sin(sqrt E0)|/sqrt(E0) = 1/|c(E0)| converts vertex-eigenvalue windows to
     the graph-eigenvalue scale; its absolute value keeps the windows the
     right way round where sin(sqrt E0) < 0. Linear/quadratic scaling of p1/p2
@@ -769,9 +760,8 @@ def qgraph_minami_probe(
     family = IntervalGraphFamily()
     lam = family.lambda_at(energy)  # -c(E0); DomainError for E0 <= 0 or at a pole
     mu = family.mu_at(energy)
-    if width_scale is None:
-        root = math.sqrt(energy)
-        width_scale = abs(math.sin(root)) / root
+    root = math.sqrt(energy)
+    width_scale = abs(math.sin(root)) / root
     # diag of R(E0) is (omega - mu)/lam on top of the -1 couplings
     widths, stats = _width_scan(
         EnsembleSpec("qgraph", law=law), 0.0, widths, size, samples, seed,

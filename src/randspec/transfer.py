@@ -183,7 +183,7 @@ def lyapunov(
     profile = None
     carry = 1 if spec.kind == "hopping" else 0
     if spec.kind == "alloy":
-        profile = spec.profile.materialize(spec.margin)
+        profile = np.asarray(spec.profile.values, dtype=np.float64)
         carry = profile.size
     if steps < 1000:
         raise ValueError("need steps >= 1000 for a stable estimate")
@@ -198,17 +198,19 @@ def lyapunov(
     for start in range(0, steps, chunk):
         k = min(chunk, steps - start)
         u = np.concatenate([u[len(u) - carry:], rng.random((k, samples))])
-        m00, m01, m10, m11 = entries(law.transform(u), e, profile)
-        # cols[i, c] is column c of step i's matrix: M v = c0 * v0 + c1 * v1
-        cols = np.empty((k, 2, 2, samples))
-        cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1] = m00, m10, m01, m11
-        for col in cols:
-            w = col[0] * v[0] + col[1] * v[1]
-            nrm = np.hypot(w[0], w[1])
-            if not nrm.all():
-                raise ValueError("replica vanished; singular step matrix")
-            acc += np.log(nrm)
-            v = w / nrm
+        # an overflow leaves inf or NaN in acc, which the check below names
+        with np.errstate(over="ignore", invalid="ignore"):
+            m00, m01, m10, m11 = entries(law.transform(u), e, profile)
+            # cols[i, c] is column c of step i's matrix: M v = c0 * v0 + c1 * v1
+            cols = np.empty((k, 2, 2, samples))
+            cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1] = m00, m10, m01, m11
+            for col in cols:
+                w = col[0] * v[0] + col[1] * v[1]
+                nrm = np.hypot(w[0], w[1])
+                if not nrm.all():
+                    raise ValueError("replica vanished; singular step matrix")
+                acc += np.log(nrm)
+                v = w / nrm
     if not np.isfinite(acc).all():  # a step's entries or the product overflowed
         raise ValueError(f"energy = {e!r}: the transfer-matrix product overflows")
     per = acc / (steps * (2 if spec.kind == "dimer_sign" else 1))

@@ -11,9 +11,7 @@ ACCEPTANCE_LINES = []
 def mixed_spec(kind):
     """EnsembleSpec for each kind, with a small profile for the alloy."""
     if kind == "alloy":
-        return EnsembleSpec(
-            "alloy", profile=FiniteProfile((0.25, 1.0, 0.5)), margin=1
-        )
+        return EnsembleSpec("alloy", profile=FiniteProfile((0.25, 1.0, 0.5)))
     return EnsembleSpec(kind)
 
 

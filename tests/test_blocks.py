@@ -123,7 +123,7 @@ _LAWS = {
        stream=st.integers(0, 3), rows=st.integers(1, 5), data=st.data())
 def test_make_draw_rows_equal_draw_block_rows(kind, law, size, seed, block, stream, rows, data):
     profile = FiniteProfile((0.25, 1.0, 0.5)) if kind == "alloy" else None
-    spec = EnsembleSpec(kind, law=_LAWS[law](kind), profile=profile, margin=int(kind == "alloy"))
+    spec = EnsembleSpec(kind, law=_LAWS[law](kind), profile=profile)
     row = data.draw(st.integers(0, rows - 1))
     index = block * _blocks.block_size(draw_width(spec, size)) + row
     for library in _paths():

@@ -491,9 +491,14 @@ _VALID = {
         ("w", "law", "gaussian:0,1", "[probe:w] law"),
         ("w", "law", "piecewise:no-such-file.csv", "[probe:w] law"),
         ("w", "law", "piecewise:{tmp}/short_row.csv", "[probe:w] law"),
-        ("w", "profile", "finite:1", "[probe:w] kind/law/profile/margin"),
+        # margin, ids_half_width and width_scale are no fields any more (the
+        # alloy margin is the profile radius, the other two are constants);
+        # these rows keep their earlier ids
+        pytest.param("w", "profile", "finite:1", "[probe:w] kind/law/profile: profile",
+                     id="w-profile-finite:1-[probe:w] kind/law/profile/margin"),
         ("w", "profile", "geometric:1.0,0.5", "[probe:w] profile"),
-        ("w", "margin", "-1", "[probe:w] margin"),
+        pytest.param("w", "margin", "-1", "[probe:w] unknown fields: margin",
+                     id="w-margin--1-[probe:w] margin"),
         ("w", "check_slope_min", "nan", "[probe:w] check_slope_min"),
         ("d", "disjoint", "maybe", "[probe:d] disjoint"),
         ("d", "half_width", "0", "[probe:d] half_width"),
@@ -503,11 +508,13 @@ _VALID = {
         ("l", "collect", "-1", "[probe:l] collect"),
         ("l", "ids_points", "1", "[probe:l] ids_points"),
         ("l", "ids_samples", "4", "[probe:l] ids_samples"),
-        ("l", "ids_half_width", "0.1", "[probe:l] ids_half_width"),
+        pytest.param("l", "ids_half_width", "0.1", "[probe:l] unknown fields: ids_half_width",
+                     id="l-ids_half_width-0.1-[probe:l] ids_half_width"),
         ("s", "ids_half_width", "0.5", "[probe:s] unknown fields: ids_half_width"),
         ("q", "kind", "anderson", "[probe:q] unknown fields: kind"),
         ("q", "energy", "-1", "[probe:q] energy"),
-        ("q", "width_scale", "-0.5", "[probe:q] width_scale"),
+        pytest.param("q", "width_scale", "-0.5", "[probe:q] unknown fields: width_scale",
+                     id="q-width_scale--0.5-[probe:q] width_scale"),
         ("argv", "--scale", "-1", "--scale"),
         ("argv", "--scale", "nan", "--scale"),
         ("argv", "--scale", "0", "--scale"),
@@ -556,11 +563,11 @@ def test_list_probes_prints_registry(capsys):
 
 # a valid value for every field name any probe type takes
 _EXAMPLES = {
-    "kind": "alloy", "law": "uniform:0,1", "profile": "finite:1", "margin": "1",
+    "kind": "alloy", "law": "uniform:0,1", "profile": "finite:1",
     "size": "100", "samples": "10", "energy": "4.0", "widths": "0.1,0.2",
     "energy_a": "0.5", "energy_b": "-0.5", "half_width": "0.5", "disjoint": "true",
-    "intervals": "0:1", "collect": "2", "ids_half_width": "0.5", "ids_points": "11",
-    "ids_samples": "16", "length_a": "1", "length_b": "2", "width_scale": "0.5",
+    "intervals": "0:1", "collect": "2", "ids_points": "11",
+    "ids_samples": "16", "length_a": "1", "length_b": "2",
 }
 
 
@@ -649,6 +656,9 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
         ([*_IDS_ARGV, "--min=-1e308"], "--max", "1e308", "--max = 1e+308, --points = 21: the grid"),
         # draws this large overflow the transfer-matrix product
         (_LYAPUNOV_ARGV, "--law", "uniform:-1e308,1e308", "--law and --energy: energy = 0.0"),
+        # the alloy's draw margin is its profile radius
+        (_LYAPUNOV_ARGV, "--margin", "1", "unrecognized arguments: --margin"),
+        (_IDS_ARGV, "--margin", "1", "unrecognized arguments: --margin"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):
@@ -742,7 +752,7 @@ _ODD_FLOAT = st.one_of(
 
 def _valid_text(field):
     """A text of the field's type inside its range. Integers (sizes, counts,
-    steps, margins) stay within 12 of the field's minimum, so that every
+    steps) stay within 12 of the field's minimum, so that every
     probe that runs is small."""
     parse = field.parse
     low = field.gt if field.gt is not None else field.ge
@@ -791,13 +801,10 @@ def _field_text(field):
 
 def _consistent(chosen):
     """Most of the time, make the drawn fields fit together as a valid run
-    needs: a profile and a margin of at least 1 for the alloy only, and
-    min below max."""
+    needs: a profile for the alloy only, and min below max."""
     chosen = dict(chosen)
     if chosen.get("kind") == "alloy":
         chosen.setdefault("profile", "finite:0.25,1,0.5")
-        if chosen.get("margin", "0") in ("-1", "0"):
-            chosen["margin"] = "1"
     else:
         chosen.pop("profile", None)
     try:

@@ -115,14 +115,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec("alloy")  # profile required
     with pytest.raises(ValueError, match="FiniteProfile"):
-        EnsembleSpec("alloy", profile=(0.5, 1.0, 0.5), margin=1)
-    with pytest.raises(ValueError):
-        EnsembleSpec("alloy", profile=FiniteProfile((1.0,)), margin=0)
+        EnsembleSpec("alloy", profile=(0.5, 1.0, 0.5))
     with pytest.raises(ValueError):
         EnsembleSpec("anderson", profile=FiniteProfile((1.0,)))
-    with pytest.raises(ValueError):
-        # margin must cover the profile radius
-        EnsembleSpec("alloy", profile=FiniteProfile((0.5, 1.0, 0.5)), margin=0)
+    with pytest.raises(TypeError):  # the draw margin is the profile radius
+        EnsembleSpec("alloy", profile=FiniteProfile((0.5, 1.0, 0.5)), margin=1)
 
 
 def test_default_laws():
@@ -135,8 +132,11 @@ def test_draw_width_per_kind():
     assert draw_width(EnsembleSpec("hopping"), 10) == 10
     assert draw_width(EnsembleSpec("dimer_sign"), 10) == 6
     assert draw_width(EnsembleSpec("dimer_sign"), 9) == 5
-    alloy = EnsembleSpec("alloy", profile=FiniteProfile((1.0,)), margin=3)
+    # the alloy reads omega on {1 - r..L + r}, r the profile radius
+    alloy = EnsembleSpec("alloy", profile=FiniteProfile((0.0, 0.0, 0.5, 1.0, 0.5, 0.0, 0.0)))
     assert draw_width(alloy, 10) == 16
+    single_site = EnsembleSpec("alloy", profile=FiniteProfile((1.0,)))
+    assert draw_width(single_site, 10) == 10
 
 
 def test_coefficients_hopping():
@@ -170,8 +170,8 @@ def test_coefficients_dimer_sign_pattern():
 
 def test_coefficients_alloy_convolution():
     prof = FiniteProfile((0.5, 1.0, 0.25))
-    spec = EnsembleSpec("alloy", profile=prof, margin=1)
-    w = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])  # size 3 + 2 margin
+    spec = EnsembleSpec("alloy", profile=prof)
+    w = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])  # size 3 + 2 * radius
     diag, off = coefficients(spec, 3, w)
     expected = [
         0.5 * 1.0 + 1.0 * 2.0 + 0.25 * 3.0,
@@ -183,15 +183,15 @@ def test_coefficients_alloy_convolution():
 
 
 def test_alloy_delta_profile_equals_anderson():
-    spec = EnsembleSpec("alloy", profile=FiniteProfile((1.0,)), margin=1)
-    w = np.arange(1.0, 8.0)[None, :]  # size 5 + 2
+    spec = EnsembleSpec("alloy", profile=FiniteProfile((1.0,)))
+    w = np.arange(1.0, 6.0)[None, :]  # radius 0: width = size
     diag, _ = coefficients(spec, 5, w)
-    assert np.array_equal(diag, w[:, 1:6])
+    assert np.array_equal(diag, w)
 
 
 @pytest.mark.parametrize("spec", [
     EnsembleSpec("hopping"), EnsembleSpec("anderson"), EnsembleSpec("qgraph"),
-    EnsembleSpec("dimer_sign"), EnsembleSpec("alloy", profile=FiniteProfile((0.5, 1.0, 0.25)), margin=1),
+    EnsembleSpec("dimer_sign"), EnsembleSpec("alloy", profile=FiniteProfile((0.5, 1.0, 0.25))),
 ], ids=lambda spec: spec.kind)
 def test_coefficients_are_c_contiguous(spec):
     """Every kind returns C-contiguous arrays: the compiled sweep copies a
@@ -219,7 +219,7 @@ def test_coefficients_shape_validation():
 def test_finite_profile_helpers():
     prof = FiniteProfile((0.1, 0.4, 1.0, 0.4, 0.1))
     assert prof.radius == 2
-    assert np.array_equal(prof.materialize(3), [0, 0.1, 0.4, 1.0, 0.4, 0.1, 0])
+    assert FiniteProfile((1.0,)).radius == 0
     with pytest.raises(ValueError):
         FiniteProfile((1.0, 2.0))  # even length
 

@@ -35,7 +35,6 @@ from randspec.probes import (
     normal_ci,
     poisson_pmf_with_tail,
     tv_to_poisson,
-    tv_to_poisson_product,
     wilson_ci,
 )
 
@@ -96,11 +95,11 @@ def test_tv_to_poisson_product():
     pa = poisson_pmf_with_tail(0.7, 5)
     pb = poisson_pmf_with_tail(1.3, 5)
     joint = np.round(np.outer(pa, pb) * 10_000_000)
-    assert tv_to_poisson_product(joint, 0.7, 1.3) <= 1e-6
+    assert tv_to_poisson(joint, 0.7, 1.3) <= 1e-6
     skewed = np.zeros((6, 6))
     skewed[0, 0] = 100
     want = 0.5 * np.abs(skewed / 100 - np.outer(pa, pb)).sum()
-    assert tv_to_poisson_product(skewed, 0.7, 1.3) == pytest.approx(
+    assert tv_to_poisson(skewed, 0.7, 1.3) == pytest.approx(
         want, abs=1e-15
     )
 
@@ -360,7 +359,7 @@ def _unfolded_probe_outputs(samples, seed, workers):
     joint = joint_independence_probe(spec, 0.5, 0.45, **common)
     points = [c.tobytes() for c in configs]
     table, windows = probes._unfolded_windows(
-        spec, 2000, seed, workers, [(0.5, (-0.5, 0.5)), (0.45, (-0.5, 0.5))], 0.75, 21, 64
+        spec, 2000, seed, workers, [(0.5, (-0.5, 0.5)), (0.45, (-0.5, 0.5))], 21, 64
     )
     return ([_strip_runtime(r) for r in (spacing, levels, joint)],
             spacings.tobytes(), points, _table_bytes(table), windows)
@@ -393,7 +392,7 @@ def test_level_statistics_worker_invariance():
     assert _blocks.n_blocks(3000, 400) >= 2
     # the IDS estimate the windows are read from, at either worker count
     bands = [(0.0, (0.0, 1.0)), (0.0, (1.0, 2.0))]
-    tables = [probes._unfolded_windows(spec, 400, 12, w, bands, 0.75, 41, 128) for w in (1, 2)]
+    tables = [probes._unfolded_windows(spec, 400, 12, w, bands, 41, 128) for w in (1, 2)]
     assert _table_bytes(tables[0][0]) == _table_bytes(tables[1][0])
     assert tables[0][1] == tables[1][1] == tuple(map(tuple, one.params["windows"]))
 
@@ -474,13 +473,12 @@ def test_spacing_probe_empty_marker():
     assert d["estimates"][1]["value"] is None
 
 
-def _ids_for_full_coarse(spec, size, centers, seed, half_width, points, samples, max_offset):
-    """Reference unfolding table whose coarse pass sweeps all 41 nodes per center."""
+def _ids_for_full_coarse(spec, size, centers, seed, points, samples, max_offset):
+    """Reference unfolding table whose coarse pass sweeps all 41 nodes per
+    center, over center +/- 0.75."""
     coarse = estimate_ids(
         spec, size, 64,
-        np.unique(np.concatenate(
-            [np.linspace(c - half_width, c + half_width, 41) for c in centers]
-        )),
+        np.unique(np.concatenate([np.linspace(c - 0.75, c + 0.75, 41) for c in centers])),
         seed=seed, stream=_blocks.STREAM_IDS,
     )
     fine = []
@@ -495,35 +493,36 @@ def _ids_for_full_coarse(spec, size, centers, seed, half_width, points, samples,
     )
 
 
+# the ids name the coarse half-width 0.75, which was once a parameter
 @pytest.mark.parametrize(
-    "kind, centers, half_width",
+    "kind, centers",
     [
-        ("anderson", (0.0,), 0.75),
-        ("anderson", (0.1,), 0.2),  # c + 0.2 is the last node
-        ("hopping", (0.4, -0.3), 0.75),  # overlapping node sets
-        ("anderson", (-1.0, 1.3), 0.2),
+        pytest.param("anderson", (0.0,), id="anderson-centers0-0.75"),
+        pytest.param("hopping", (0.4, -0.3), id="hopping-centers2-0.75"),  # overlapping nodes
     ],
 )
-def test_ids_for_matches_full_coarse_grid(kind, centers, half_width):
+def test_ids_for_matches_full_coarse_grid(kind, centers):
     spec = EnsembleSpec(kind)
     # bands of +-2 mean spacings about each center: a fine span of 2.0
     got, _ = probes._unfolded_windows(
-        spec, 100, 5, 1, [(c, (-2.0, 2.0)) for c in centers], half_width, 11, 8,
+        spec, 100, 5, 1, [(c, (-2.0, 2.0)) for c in centers], 11, 8,
     )
-    want = _ids_for_full_coarse(spec, 100, centers, 5, half_width, 11, 8, 2.0)
+    want = _ids_for_full_coarse(spec, 100, centers, 5, 11, 8, 2.0)
     for name in ("energies", "values", "stderr"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-def test_ids_for_rejects_half_width_below_density_span(monkeypatch):
+def test_unfolded_probes_check_samples_before_the_ids(monkeypatch):
     def no_sweep(*args, **kwargs):
-        raise AssertionError("swept before checking ids_half_width")
+        raise AssertionError("estimated the IDS before checking samples")
 
     monkeypatch.setattr(probes, "estimate_ids", no_sweep)
-    with pytest.raises(ValueError, match="ids_half_width"):
-        probes._unfolded_windows(
-            EnsembleSpec("anderson"), 100, 0, 1, [(0.0, (0.0, 1.0))], 0.1, 11, 8
-        )
+    spec = EnsembleSpec("anderson")
+    for call in (lambda: spacing_probe(spec, 0.0, 2000, 0),
+                 lambda: joint_independence_probe(spec, 0.5, 0.0, 2000, 0),
+                 lambda: level_statistics_probe(spec, 0.0, 2000, 0)):
+        with pytest.raises(ValueError, match=r"samples = 0: must be >= 1"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +577,6 @@ def test_probe_width_validation():
 
 @pytest.mark.parametrize("energy", [0.0, -1.0, math.pi**2])
 def test_qgraph_minami_rejects_energies_outside_the_domain(energy):
-    # the default width scale sin(sqrt E)/sqrt(E) is undefined there too
+    # the width scale sin(sqrt E)/sqrt(E) is undefined there too
     with pytest.raises(DomainError):
         qgraph_minami_probe(UniformLaw(0.0, 1.0), energy, (0.1,), 20, 5)

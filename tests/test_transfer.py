@@ -146,9 +146,7 @@ def test_lyapunov_hopping_runs():
 
 
 def test_lyapunov_alloy_profiles():
-    fin = EnsembleSpec(
-        "alloy", profile=FiniteProfile((0.25, 1.0, 0.5)), margin=1
-    )
+    fin = EnsembleSpec("alloy", profile=FiniteProfile((0.25, 1.0, 0.5)))
     est = lyapunov(fin, 0.5, steps=1500, samples=4, seed=6)
     assert math.isfinite(est.gamma)
 
@@ -158,10 +156,12 @@ def test_lyapunov_qgraph_unsupported():
         lyapunov(EnsembleSpec("qgraph"), 4.0, steps=1500, samples=4)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind, law", [("anderson", UniformLaw(-1e308, 1e308)),
                                        ("dimer_sign", UniformLaw(0.0, 1e200))])
 def test_lyapunov_names_an_overflowing_product(kind, law):
-    # a step's entries or the renormalized product overflow: gamma would be NaN
+    # a step's entries or the renormalized product overflow: gamma would be
+    # NaN; the named error comes with no numpy RuntimeWarning before it
     with pytest.raises(ValueError, match="energy = 0.0: the transfer-matrix product overflows"):
         lyapunov(EnsembleSpec(kind, law=law), 0.0, steps=1000, samples=2)
 
@@ -176,11 +176,13 @@ def test_lyapunov_rejects_non_finite_energy(energy):
 # drew one row of uniforms per step; the chunked draws must keep every bit.
 # Samples 64 run 1024 steps per chunk and samples 2 run 32768, so the cases
 # cover products shorter than one chunk and ones ending mid-chunk, with the
-# hopping and alloy draws carried across chunk boundaries.
-_PW = PiecewiseLinearLaw((-1.0, 0.0, 2.0), (0.5, 2.0, 0.25))
+# hopping and alloy draws carried across chunk boundaries. The alloy rows
+# carry the profile's own radius of draws on each side (1 and 2); the two
+# radius-2 rows were recorded with the step-by-step product at that radius.
+_PW =PiecewiseLinearLaw((-1.0, 0.0, 2.0), (0.5, 2.0, 0.25))
 _PW_HOP = PiecewiseLinearLaw((1.0, 1.25, 2.0), (2.0, 0.5, 1.0))
-_ALLOY = dict(profile=FiniteProfile((0.25, 1.0, 0.5)), margin=1)
-_ALLOY_WIDE = dict(profile=FiniteProfile((0.5, -0.25, 1.0, 0.75, 0.1)), margin=3)
+_ALLOY = dict(profile=FiniteProfile((0.25, 1.0, 0.5)))
+_ALLOY_WIDE = dict(profile=FiniteProfile((0.5, -0.25, 1.0, 0.75, 0.1)))
 _GOLDEN = {
     "anderson-uniform-1000x2": (
         (EnsembleSpec("anderson"), 0.3, 1000, 2, 1),
@@ -224,13 +226,13 @@ _GOLDEN = {
     ),
     "alloy-piecewise-2500x64": (
         (EnsembleSpec("alloy", law=_PW, **_ALLOY_WIDE), 1.2, 2500, 64, 9),
-        ("0x1.57c6109f4a99ep-4", "0x1.71554b57c3487p-11",
-         "0x1.505762efb8f10p-4", "0x1.5f34be4edc42cp-4"),
+        ("0x1.577f35bb5dd3dp-4", "0x1.73c8023e2986dp-11",
+         "0x1.5003eb6d5b818p-4", "0x1.5efa800960262p-4"),
     ),
     "alloy-uniform-33000x2": (
         (EnsembleSpec("alloy", **_ALLOY_WIDE), -0.3, 33000, 2, 10),
-        ("0x1.f2846beeecb2cp-6", "0x1.ecca1b8b664bfp-13",
-         "0x1.e899bd0a014f5p-6", "0x1.fc6f1ad3d8163p-6"),
+        ("0x1.f2e92d4d9fef8p-6", "0x1.f4b91b9ec3cc0p-13",
+         "0x1.e8d59f638bc82p-6", "0x1.fcfcbb37b416ep-6"),
     ),
 }
 
