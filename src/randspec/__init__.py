@@ -22,7 +22,6 @@ from .ids import (
     IdsTable,
     OutsideGridError,
     estimate_ids,
-    free_laplacian_ids,
     holder_exponent_fit,
     unfold,
 )
@@ -63,10 +62,7 @@ from .pruefer import (
 )
 from .qgraph import (
     QGraphInstance,
-    c_factor,
-    free_graph_eigenvalues,
     graph_eigenvalues,
-    m_matrix,
     reduced_operator,
 )
 from .transfer import (

@@ -213,7 +213,8 @@ class _WindowJob:
 def _window_block(job: _WindowJob, block: int):
     """One block's integer accumulators, from which `_run_window_job` derives
     the rest: count histograms (counts above kcap in the last bin), count
-    sums, sums of squares, pair products and the joint histogram."""
+    sums, sums of squares and, for `joint_pair` (i, j), the pair product
+    sum(count_i * count_j) and the joint histogram."""
     rows = _blocks.block_rows(job.total, draw_width(job.spec, job.size), block)
     split = len(job.windows) if job.split is None else job.split
     streams = ((_blocks.STREAM_PRIMARY, job.windows[:split]),
@@ -231,16 +232,17 @@ def _window_block(job: _WindowJob, block: int):
     counts = np.concatenate(counts)  # (windows, rows)
     kcap = job.kcap
     clipped = np.minimum(counts, kcap)
-    joint = None
+    joint = pair_prod = None
     if job.joint_pair is not None:
         i, j = job.joint_pair
         idx = clipped[i] * (kcap + 1) + clipped[j]
         joint = np.bincount(idx, minlength=(kcap + 1) ** 2).reshape(kcap + 1, kcap + 1)
+        pair_prod = (counts[i] * counts[j]).sum()
     return {
         "hist": np.array([np.bincount(c, minlength=kcap + 1) for c in clipped]),
         "count_sum": counts.sum(axis=1),
         "count_sq": (counts * counts).sum(axis=1),
-        "pair_prod": counts @ counts.T,
+        "pair_prod": pair_prod,
         "joint": joint,
     }
 
@@ -618,7 +620,7 @@ def _pair_corr_z(stats, n):
     v2 = stats["count_sq"][1] / n - m2**2
     if v1 <= 0 or v2 <= 0:
         return math.nan
-    cov = stats["pair_prod"][0, 1] / n - m1 * m2
+    cov = stats["pair_prod"] / n - m1 * m2
     return float(cov / math.sqrt(v1 * v2) * math.sqrt(n))
 
 

@@ -8,8 +8,8 @@ when the reduced discrete operator
                                       - (sin sqrt(E)/sqrt(E)) omega_n
 
 is singular. The dense vertex matrix satisfies
-M(E) - A_omega = c(E) R(E) with c(E) = sqrt(E)/sin(sqrt(E)); both sides are
-built independently here so the identity can be cross-checked.
+M(E) - A_omega = c(E) R(E) with c(E) = sqrt(E)/sin(sqrt(E)); the tests build
+M(E) independently and cross-check the identity.
 
 Graph eigenvalues in a window are found by scanning the negative-eigenvalue
 count of R(E), bisecting each sign change, and certifying each root by the
@@ -49,11 +49,6 @@ class QGraphInstance:
         return self.omega.size
 
 
-def c_factor(energy: float) -> float:
-    """c(E) = sqrt(E)/sin(sqrt(E)) = -lambda_E, the vertex-reduction scale factor."""
-    return -IntervalGraphFamily().lambda_at(energy)
-
-
 def reduced_operator(inst: QGraphInstance, energy: float) -> TridiagonalOperator:
     """R(E) = -Delta + V_omega(E) as a tridiagonal box operator."""
     fam = IntervalGraphFamily()
@@ -61,21 +56,6 @@ def reduced_operator(inst: QGraphInstance, energy: float) -> TridiagonalOperator
     mu = fam.mu_at(energy)
     diag = (inst.omega - mu) / lam
     return TridiagonalOperator(diag, -np.ones(inst.size - 1))
-
-
-def m_matrix(inst: QGraphInstance, energy: float) -> np.ndarray:
-    """Dense M(E) - A_omega built from the closed form
-    c(E) (-Delta + cos(sqrt E) I) - diag(omega); independent of
-    reduced_operator, for cross-checking c(E) R(E) = M(E) - A_omega."""
-    c = c_factor(energy)
-    s = math.sqrt(float(energy))
-    size = inst.size
-    m = np.zeros((size, size))
-    idx = np.arange(size - 1)
-    m[idx, idx + 1] = -c
-    m[idx + 1, idx] = -c
-    m[np.arange(size), np.arange(size)] = c * math.cos(s) - inst.omega
-    return m
 
 
 def _secular_value(inst: QGraphInstance, energy: float) -> float:
@@ -199,21 +179,3 @@ def graph_eigenvalues(inst: QGraphInstance, window, tol: float = 1e-10) -> np.nd
                 stack.append((mid, x1))
     return np.array(sorted(roots))
 
-
-def free_graph_eigenvalues(size: int, window) -> np.ndarray:
-    """Analytic roots for omega = 0: cos sqrt(E) = 2 cos(k pi / (L+1)).
-
-    Valid on windows inside (0, pi^2); each admissible k with
-    |2 cos(k pi/(L+1))| < 1 contributes the single root arccos(...)^2.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not 0.0 < lo < hi <= math.pi**2:
-        raise ValueError("analytic form implemented on (0, pi^2] windows only")
-    out = []
-    for k in range(1, size + 1):
-        target = 2.0 * math.cos(k * math.pi / (size + 1))
-        if abs(target) < 1.0:
-            e = math.acos(target) ** 2
-            if lo < e <= hi:
-                out.append(e)
-    return np.array(sorted(out))

@@ -19,21 +19,18 @@ from randspec import (
     QGraphInstance,
     TridiagonalOperator,
     UniformLaw,
-    c_factor,
     consecutive_sine_floor,
     decorrelation_probe,
     eigenvector,
     eigenvalues_in,
     ellipticity_report,
     estimate_ids,
-    free_laplacian_ids,
     graph_eigenvalues,
     hellmann_feynman_check,
     holder_exponent_fit,
     joint_independence_probe,
     level_statistics_probe,
     lyapunov,
-    m_matrix,
     make_draw,
     minami_probe,
     pruefer_trace,
@@ -48,6 +45,7 @@ from randspec import (
 from randspec import cli
 
 from conftest import random_operator, record_criterion
+from oracles import c_factor, free_laplacian_ids, m_matrix
 
 # the slow tier: `pytest -m "not accept"` runs everything else in under a minute
 pytestmark = pytest.mark.accept

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randspec
-from randspec import FiniteProfile, IdsTable, UniformLaw, _native, cli, probes
+from randspec import FiniteProfile, UniformLaw, _native, cli, probes
 from randspec.cli import (
     PROBES,
     ConfigError,
@@ -603,10 +603,10 @@ def test_ids_subcommand_writes_table(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    table = IdsTable.from_csv(out)
-    assert table.energies.size == 21
-    assert table.energies[0] == -2.0 and table.energies[-1] == 3.0
-    assert np.all(np.diff(table.values) >= 0)
+    table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == (21, 3)
+    assert table[0, 0] == -2.0 and table[-1, 0] == 3.0
+    assert np.all(np.diff(table[:, 1]) >= 0)
 
 
 def test_lyapunov_subcommand_prints_json(capsys):
@@ -631,34 +631,52 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
 @pytest.mark.parametrize(
     "base, flag, text, label",
     [
-        (_LYAPUNOV_ARGV, "--steps", "100", "--steps"),
-        (_LYAPUNOV_ARGV, "--steps", "2e3", "--steps"),
-        (_LYAPUNOV_ARGV, "--samples", "1", "--samples"),
-        (_LYAPUNOV_ARGV, "--seed", "-1", "--seed"),
-        (_LYAPUNOV_ARGV, "--energy", "nan", "--energy"),
-        (_LYAPUNOV_ARGV, "--workers", "2", "unrecognized arguments: --workers"),
-        (_IDS_ARGV, "--samples", "0", "--samples"),
-        (_IDS_ARGV, "--size", "99", "--size"),
-        (_IDS_ARGV, "--points", "1", "--points"),
-        (_IDS_ARGV, "--seed", "-1", "--seed"),
-        (_IDS_ARGV, "--workers", "0", "--workers"),
-        (_IDS_ARGV, "--min", "inf", "--min"),
-        (_IDS_ARGV, "--max", "-2", "--min = -2, --max = -2"),
-        (_IDS_ARGV, "--out", "no_such_dir/ids.csv", "--out = 'no_such_dir/ids.csv'"),
-        (_LYAPUNOV_ARGV, "--kind", "qgraph", "--kind"),  # no transfer step table
-        (_LYAPUNOV_ARGV, "--profile", "geometric:1,0.5", "--profile"),
-        (_IDS_ARGV, "--profile", "geometric:1,0.5", "--profile"),
-        (_IDS_ARGV, "--law", "piecewise:{tmp}/short_row.csv", "--law"),
-        (_LYAPUNOV_ARGV, "--law", "piecewise:{tmp}/word.csv", "--law"),
+        pytest.param(_LYAPUNOV_ARGV, "--steps", "100", "--steps", id="base0---steps-100---steps"),
+        pytest.param(_LYAPUNOV_ARGV, "--steps", "2e3", "--steps", id="base1---steps-2e3---steps"),
+        pytest.param(_LYAPUNOV_ARGV, "--samples", "1", "--samples",
+                     id="base2---samples-1---samples"),
+        pytest.param(_LYAPUNOV_ARGV, "--seed", "-1", "--seed", id="base3---seed--1---seed"),
+        pytest.param(_LYAPUNOV_ARGV, "--energy", "nan", "--energy",
+                     id="base4---energy-nan---energy"),
+        pytest.param(_LYAPUNOV_ARGV, "--workers", "2", "unrecognized arguments: --workers",
+                     id="base5---workers-2-unrecognized arguments: --workers"),
+        pytest.param(_IDS_ARGV, "--samples", "0", "--samples", id="base6---samples-0---samples"),
+        pytest.param(_IDS_ARGV, "--size", "99", "--size", id="base7---size-99---size"),
+        pytest.param(_IDS_ARGV, "--points", "1", "--points", id="base8---points-1---points"),
+        pytest.param(_IDS_ARGV, "--seed", "-1", "--seed", id="base9---seed--1---seed"),
+        pytest.param(_IDS_ARGV, "--workers", "0", "--workers", id="base10---workers-0---workers"),
+        pytest.param(_IDS_ARGV, "--min", "inf", "--min", id="base11---min-inf---min"),
+        pytest.param(_IDS_ARGV, "--max", "-2", "--min = -2, --max = -2",
+                     id="base12---max--2---min = -2, --max = -2"),
+        pytest.param(_IDS_ARGV, "--out", "no_such_dir/ids.csv", "--out = 'no_such_dir/ids.csv'",
+                     id="base13---out-no_such_dir/ids.csv---out = 'no_such_dir/ids.csv'"),
+        pytest.param(_LYAPUNOV_ARGV, "--kind", "qgraph", "--kind",  # no transfer step table
+                     id="base14---kind-qgraph---kind"),
+        pytest.param(_LYAPUNOV_ARGV, "--profile", "geometric:1,0.5", "--profile",
+                     id="base15---profile-geometric:1,0.5---profile"),
+        pytest.param(_IDS_ARGV, "--profile", "geometric:1,0.5", "--profile",
+                     id="base16---profile-geometric:1,0.5---profile"),
+        pytest.param(_IDS_ARGV, "--law", "piecewise:{tmp}/short_row.csv", "--law",
+                     id="base17---law-piecewise:{tmp}/short_row.csv---law"),
+        pytest.param(_LYAPUNOV_ARGV, "--law", "piecewise:{tmp}/word.csv", "--law",
+                     id="base18---law-piecewise:{tmp}/word.csv---law"),
         # 21 points do not fit between -DBL_TRUE_MIN and 0; the step of
         # +-1e308 overflows
-        ([*_IDS_ARGV, "--min=-5e-324"], "--max", "0.0", "--max = 0, --points = 21: the grid"),
-        ([*_IDS_ARGV, "--min=-1e308"], "--max", "1e308", "--max = 1e+308, --points = 21: the grid"),
+        pytest.param([*_IDS_ARGV, "--min=-5e-324"], "--max", "0.0",
+                     "--max = 0, --points = 21: the grid",
+                     id="base19---max-0.0---max = 0, --points = 21: the grid"),
+        pytest.param([*_IDS_ARGV, "--min=-1e308"], "--max", "1e308",
+                     "--max = 1e+308, --points = 21: the grid",
+                     id="base20---max-1e308---max = 1e+308, --points = 21: the grid"),
         # draws this large overflow the transfer-matrix product
-        (_LYAPUNOV_ARGV, "--law", "uniform:-1e308,1e308", "--law and --energy: energy = 0.0"),
+        pytest.param(_LYAPUNOV_ARGV, "--law", "uniform:-1e308,1e308",
+                     "--law and --energy: energy = 0.0",
+                     id="base21---law-uniform:-1e308,1e308---law and --energy: energy = 0.0"),
         # the alloy's draw margin is its profile radius
-        (_LYAPUNOV_ARGV, "--margin", "1", "unrecognized arguments: --margin"),
-        (_IDS_ARGV, "--margin", "1", "unrecognized arguments: --margin"),
+        pytest.param(_LYAPUNOV_ARGV, "--margin", "1", "unrecognized arguments: --margin",
+                     id="base22---margin-1-unrecognized arguments: --margin"),
+        pytest.param(_IDS_ARGV, "--margin", "1", "unrecognized arguments: --margin",
+                     id="base23---margin-1-unrecognized arguments: --margin"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):

@@ -15,11 +15,12 @@ from randspec import (
     OutsideGridError,
     UniformLaw,
     estimate_ids,
-    free_laplacian_ids,
     holder_exponent_fit,
     unfold,
 )
 from randspec.ids import _holder_modulus
+
+from oracles import free_laplacian_ids
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,15 @@ def test_evaluate_and_inverse():
         t.inverse(1.1)
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.2, math.nan]])
+def test_nan_is_outside_the_grid(x):
+    t = _toy_table()
+    with pytest.raises(OutsideGridError):
+        t.evaluate(x)
+    with pytest.raises(OutsideGridError):
+        t.inverse(x)
+
+
 def test_unfold_linear_and_grid_checked():
     t = IdsTable(
         np.array([0.0, 4.0]), np.array([0.0, 1.0]), np.zeros(2)
@@ -114,25 +124,10 @@ def test_csv_roundtrip_exact(tmp_path):
     t = IdsTable(e, v, s)
     path = tmp_path / "ids.csv"
     t.to_csv(path)
-    back = IdsTable.from_csv(path)
-    assert np.array_equal(back.energies, t.energies)
-    assert np.array_equal(back.values, t.values)
-    assert np.array_equal(back.stderr, t.stderr)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("", "line 1 is not the header"),
-    ("energy,ids,stderr\n", "no rows below the header"),
-    ("energy,ids,stderr\n0,0,0\n1,0.5\n", "line 3 has 2 fields, the header 3"),
-    ("energy,ids,stderr\n0,0,x\n1,0.5,0\n", "line 2 holds a field that is not a number"),
-    pytest.param("energy,ids,stderr\n0,0," + "1" * 200_000 + "\n",
-                 "line 2: field larger than field limit", id="field above the csv limit"),
-])
-def test_from_csv_rejects_malformed_file(tmp_path, text, message):
-    path = tmp_path / "ids.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"ids.csv: {message}"):
-        IdsTable.from_csv(path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back[:, 0], t.energies)
+    assert np.array_equal(back[:, 1], t.values)
+    assert np.array_equal(back[:, 2], t.stderr)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -154,9 +149,9 @@ def test_csv_roundtrip_is_bit_exact(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ids.csv"
         table.to_csv(path)
-        back = IdsTable.from_csv(path)
-    for name in ("energies", "values", "stderr"):
-        assert getattr(back, name).tobytes() == getattr(table, name).tobytes()
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    for k, name in enumerate(("energies", "values", "stderr")):
+        assert back[:, k].tobytes() == getattr(table, name).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ worker invariance, and report serialization."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,18 @@ def test_wegner_worker_invariance():
     three = wegner_probe(spec, workers=3, **kwargs)
     assert _strip_runtime(one) == _strip_runtime(three)
     assert _blocks.n_blocks(2500, 1000) >= 2  # the merge order is exercised
+
+
+def test_window_engine_allocates_nothing_quadratic_in_windows():
+    # a 3000 x 3000 int64 array alone is 72 MB
+    widths = np.geomspace(1e-4, 1, 3000)
+    tracemalloc.start()
+    try:
+        wegner_probe(EnsembleSpec("anderson"), 0.0, widths, 4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _count_probe_reports(samples, seed, workers):

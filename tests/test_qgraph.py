@@ -9,14 +9,13 @@ from randspec import (
     DomainError,
     IntervalGraphFamily,
     QGraphInstance,
-    c_factor,
-    free_graph_eigenvalues,
     graph_eigenvalues,
-    m_matrix,
     nearest_eigenvalue_distance,
     reduced_operator,
 )
 from randspec.qgraph import _potential_lipschitz, _secular_value
+
+from oracles import c_factor, free_graph_eigenvalues, m_matrix
 
 
 def _instance(rng, size):
