@@ -34,8 +34,6 @@ from .operators import (
     PiecewiseLinearLaw,
     TridiagonalOperator,
     UniformLaw,
-    coefficients,
-    draw_width,
     make_draw,
 )
 from .probes import (

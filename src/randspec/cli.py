@@ -222,10 +222,11 @@ def _width_curve(header, *stats):
 
     def emit(name, kwargs, report):
         rows = [header]
+        by_name = {e.name: e for e in reversed(report.estimates)}  # first match, as estimate()
         for w in kwargs["widths"]:
             row = [w]
             for stat in stats:
-                e = report.estimate(f"{stat}[{w:.6g}]")
+                e = by_name[f"{stat}[{w:.6g}]"]
                 row += [e.value, *e.ci]
             rows.append(row)
         return report, {f"{name}_curve.csv": rows}
@@ -365,8 +366,13 @@ def load_config(path: str):
         cfg = importlib.resources.files("randspec") / "configs/paper_suite.cfg"
         parser.read_string(cfg.read_text(), source="paper-suite")
     else:
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path!r}")
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"cannot read config file {path!r}")
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path!r}: not UTF-8 text") from None
+        except configparser.Error as exc:  # its message names the file and the line
+            raise ConfigError(" ".join(str(exc).split())) from None
     if "experiment" not in parser:
         raise ConfigError("config needs an [experiment] section")
     exp = _parse_fields("[experiment]", parser["experiment"], _EXPERIMENT)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _blocks
 from .eigensolve import sturm_counts
-from .operators import EnsembleSpec, draw_block, draw_width
+from .operators import EnsembleSpec, map_draws
 
 
 class OutsideGridError(ValueError):
@@ -93,11 +93,8 @@ class IdsTable:
                 writer.writerow([f"{e:.17g}", f"{v:.17g}", f"{s:.17g}"])
 
 
-def _ids_block(args, block: int):
-    spec, size, seed, grid, total, stream = args
-    rows = _blocks.block_rows(total, draw_width(spec, size), block)
-    diag, off = draw_block(spec, size, seed, block, rows, stream)
-    counts = sturm_counts(diag, off, grid[:, None])  # (grid, rows)
+def _grid_moments(grid, first, draw):
+    counts = sturm_counts(*draw, grid[:, None])  # (grid, rows)
     return counts.sum(axis=1), (counts * counts).sum(axis=1)
 
 
@@ -121,9 +118,7 @@ def estimate_ids(
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
-    blocks = _blocks.n_blocks(samples, draw_width(spec, size))
-    fn = partial(_ids_block, (spec, size, seed, grid, samples, stream))
-    parts = _blocks.map_blocks(fn, blocks, workers)
+    parts = map_draws(partial(_grid_moments, grid), spec, size, seed, samples, workers, (stream,))
     sums = np.zeros(grid.size, dtype=np.int64)
     sqs = np.zeros(grid.size, dtype=np.int64)
     for s, q in parts:

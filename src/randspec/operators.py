@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -373,6 +374,23 @@ def draw_block(
     else:
         omega = law.transform(_blocks.uniform_block(seed, block, rows, width, stream))
     return coefficients(spec, size, omega)
+
+
+def _reduce_block(fn, spec, size, seed, total, streams, block):
+    width = draw_width(spec, size)
+    rows = _blocks.block_rows(total, width, block)
+    draws = [draw_block(spec, size, seed, block, rows, stream) for stream in streams]
+    return fn(block * _blocks.block_size(width), *draws)
+
+
+def map_draws(fn, spec, size, seed, total, workers, streams=(_blocks.STREAM_PRIMARY,)):
+    """[fn(first, *draws)] over the blocks of the first `total` draws, in
+    block order: `first` is the block's first draw index and `draws` holds
+    one `draw_block` (diag, offdiag) pair per stream. `fn` must pickle (a
+    module-level function or a partial of one) when workers > 1."""
+    blocks = _blocks.n_blocks(total, draw_width(spec, size))
+    job = partial(_reduce_block, fn, spec, size, seed, total, streams)
+    return _blocks.map_blocks(job, blocks, workers)
 
 
 def make_draw(

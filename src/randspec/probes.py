@@ -27,10 +27,11 @@ import numpy as np
 from . import _blocks
 from .eigensolve import _window_counts, batched_eigenvalues_in
 from .ids import OutsideGridError, estimate_ids, unfold
-from .operators import EnsembleSpec, IntervalGraphFamily, draw_block, draw_width
+from .operators import EnsembleSpec, IntervalGraphFamily, map_draws
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
+_KCAP, _JOINT_KCAP = 64, 16  # count histograms put every count >= kcap in their last bin
 
 
 # ---------------------------------------------------------------------------
@@ -197,44 +198,26 @@ def log_slope(widths, values) -> tuple[float, float, int]:
 # block engine: window counts and eigenvalue extraction
 
 
-@dataclass(frozen=True)
-class _WindowJob:
-    spec: EnsembleSpec
-    size: int
-    seed: int
-    total: int
-    windows: tuple  # ((lo, hi), ...): the half-open windows (lo, hi]
-    kcap: int = 64
-    joint_pair: tuple[int, int] | None = None
-    split: int | None = None  # windows[split:] evaluated on an independent draw
-    post_affine: tuple[float, float] | None = None  # diag -> a + b * diag
-
-
-def _window_block(job: _WindowJob, block: int):
-    """One block's integer accumulators, from which `_run_window_job` derives
+def _window_block(groups, kcap, joint_pair, post_affine, first, *draws):
+    """One block's integer accumulators, from which `_window_stats` derives
     the rest: count histograms (counts above kcap in the last bin), count
     sums, sums of squares and, for `joint_pair` (i, j), the pair product
-    sum(count_i * count_j) and the joint histogram."""
-    rows = _blocks.block_rows(job.total, draw_width(job.spec, job.size), block)
-    split = len(job.windows) if job.split is None else job.split
-    streams = ((_blocks.STREAM_PRIMARY, job.windows[:split]),
-               (_blocks.STREAM_SECONDARY, job.windows[split:]))
+    sum(count_i * count_j) and the joint histogram. `groups` holds one tuple
+    of half-open windows (lo, hi] per draw stream; `post_affine` (a, b) maps
+    each diagonal to a + b * diag first."""
     counts = []
-    for stream, windows in streams:
-        if windows:
-            diag, off = draw_block(job.spec, job.size, job.seed, block, rows, stream)
-            if job.post_affine is not None:  # in place: diag is the block's own omega
-                a, b = job.post_affine
-                diag *= b
-                diag += a
-            c = _window_counts(diag, off, *np.array(windows).T)[1]
-            counts.append(c[1] - c[0])
+    for windows, (diag, off) in zip(groups, draws):
+        if post_affine is not None:  # in place: diag is the block's own omega
+            a, b = post_affine
+            diag *= b
+            diag += a
+        c = _window_counts(diag, off, *np.array(windows).T)[1]
+        counts.append(c[1] - c[0])
     counts = np.concatenate(counts)  # (windows, rows)
-    kcap = job.kcap
     clipped = np.minimum(counts, kcap)
     joint = pair_prod = None
-    if job.joint_pair is not None:
-        i, j = job.joint_pair
+    if joint_pair is not None:
+        i, j = joint_pair
         idx = clipped[i] * (kcap + 1) + clipped[j]
         joint = np.bincount(idx, minlength=(kcap + 1) ** 2).reshape(kcap + 1, kcap + 1)
         pair_prod = (counts[i] * counts[j]).sum()
@@ -247,41 +230,38 @@ def _window_block(job: _WindowJob, block: int):
     }
 
 
-def _run_window_job(job: _WindowJob, workers: int) -> dict:
-    """`_window_block`'s accumulators summed in block order, plus per window
-    `occupancy` (draws with a count >= 1), `excess_sum` and `excess_sq` (sums
-    of max(count - 1, 0) and its square) and `k2` (draws with a count >= 2)."""
-    blocks = _blocks.n_blocks(job.total, draw_width(job.spec, job.size))
-    parts = _blocks.map_blocks(partial(_window_block, job), blocks, workers)
+def _window_stats(spec, size, seed, total, workers, groups, kcap=_KCAP, joint_pair=None,
+                  post_affine=None):
+    """`_window_block`'s accumulators summed in block order, a second window
+    group counted on an independent draw (the secondary stream), plus per
+    window `occupancy` (draws with a count >= 1), `excess_sum` and `excess_sq`
+    (sums of max(count - 1, 0) and its square) and `k2` (draws with a count >= 2)."""
+    streams = (_blocks.STREAM_PRIMARY, _blocks.STREAM_SECONDARY)[:len(groups)]
+    fn = partial(_window_block, groups, kcap, joint_pair, post_affine)
+    parts = map_draws(fn, spec, size, seed, total, workers, streams)
     out = parts[0]
     for p in parts[1:]:
         for key, val in p.items():
             if val is not None:
                 out[key] = out[key] + val
-    n, hist, count_sum = job.total, out["hist"], out["count_sum"]
-    out["occupancy"] = n - hist[:, 0]
+    hist, count_sum = out["hist"], out["count_sum"]
+    out["occupancy"] = total - hist[:, 0]
     out["excess_sum"] = count_sum - out["occupancy"]
     out["excess_sq"] = out["count_sq"] - 2 * count_sum + out["occupancy"]
-    out["k2"] = n - hist[:, 0] - hist[:, 1]
+    out["k2"] = total - hist[:, 0] - hist[:, 1]
     return out
 
 
-def _extract_block(spec, size, seed, total, e_lo, e_hi, block):
+def _extract_block(e_lo, e_hi, first, draw):
     """Eigenvalues in (e_lo, e_hi] of one block's draws, as (global draw
     index, value) arrays sorted by draw then value."""
-    width = draw_width(spec, size)
-    diag, off = draw_block(
-        spec, size, seed, block, _blocks.block_rows(total, width, block)
-    )
-    draws, values = batched_eigenvalues_in(diag, off, e_lo, e_hi)
-    return draws + block * _blocks.block_size(width), values
+    draws, values = batched_eigenvalues_in(*draw, e_lo, e_hi)
+    return draws + first, values
 
 
 def _extract(spec, size, seed, total, e_lo, e_hi, workers):
     """Eigenvalues in (e_lo, e_hi] of the first `total` draws, block by block."""
-    blocks = _blocks.n_blocks(total, draw_width(spec, size))
-    fn = partial(_extract_block, spec, size, seed, total, e_lo, e_hi)
-    parts = _blocks.map_blocks(fn, blocks, workers)
+    parts = map_draws(partial(_extract_block, e_lo, e_hi), spec, size, seed, total, workers)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -293,8 +273,8 @@ def _width_scan(spec, center, widths, size, samples, seed, workers,
         raise ValueError("need positive finite window half-widths")
     widths.sort()
     windows = tuple((center - w * scale, center + w * scale) for w in widths)
-    job = _WindowJob(spec, size, seed, samples, windows, post_affine=post_affine)
-    return widths, _run_window_job(job, workers)
+    return widths, _window_stats(spec, size, seed, samples, workers, (windows,),
+                                 post_affine=post_affine)
 
 
 def _check(name, value, low, strict=False):
@@ -417,16 +397,8 @@ def decorrelation_probe(
     _check("half_width", half_width, 0, strict=True)
     wa = (energy_a - half_width, energy_a + half_width)
     wb = (energy_b - half_width, energy_b + half_width)
-    job = _WindowJob(
-        spec,
-        size,
-        seed,
-        samples,
-        (wa, wb),
-        joint_pair=(0, 1),
-        split=1 if disjoint else None,
-    )
-    stats = _run_window_job(job, workers)
+    groups = ((wa,), (wb,)) if disjoint else ((wa, wb),)
+    stats = _window_stats(spec, size, seed, samples, workers, groups, joint_pair=(0, 1))
     joint = stats["joint"]
     n = samples
     n_both = int(joint[1:, 1:].sum())
@@ -586,8 +558,7 @@ def level_statistics_probe(
         ids_points, ids_samples,
     )
     pair = (0, 1) if len(intervals) >= 2 else None
-    job = _WindowJob(spec, size, seed, samples, windows, joint_pair=pair)
-    stats = _run_window_job(job, workers)
+    stats = _window_stats(spec, size, seed, samples, workers, (windows,), joint_pair=pair)
     ests = []
     for i, (a, b) in enumerate(intervals):
         tag = f"{a:.6g},{b:.6g}"
@@ -599,7 +570,7 @@ def level_statistics_probe(
     report = _report(
         "level_statistics", spec,
         {"size": size, "energy": energy, "intervals": intervals, "windows": windows,
-         "kcap": job.kcap},
+         "kcap": _KCAP},
         ests, samples, seed, t0,
     )
     configs = []
@@ -658,8 +629,7 @@ def joint_independence_probe(
     )
     if windows[0][1] >= windows[1][0] and windows[1][1] >= windows[0][0]:
         raise ValueError("the energy_a and energy_b windows overlap; separate the energies")
-    job = _WindowJob(spec, size, seed, samples, windows, kcap=16, joint_pair=(0, 1))
-    stats = _run_window_job(job, workers)
+    stats = _window_stats(spec, size, seed, samples, workers, (windows,), _JOINT_KCAP, (0, 1))
     ests = [
         Estimate("tv_joint", tv_to_poisson(stats["joint"], length_a, length_b)),
         Estimate("tv_first", tv_to_poisson(stats["hist"][0], length_a)),
@@ -672,7 +642,7 @@ def joint_independence_probe(
         "joint_independence", spec,
         {"size": size, "energy_a": energy_a, "energy_b": energy_b,
          "length_a": length_a, "length_b": length_b,
-         "windows": [list(windows[0]), list(windows[1])], "kcap": job.kcap},
+         "windows": [list(windows[0]), list(windows[1])], "kcap": _JOINT_KCAP},
         ests, samples, seed, t0,
     )
 

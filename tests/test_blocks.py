@@ -8,12 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randspec import EnsembleSpec, FiniteProfile, PiecewiseLinearLaw, UniformLaw, _blocks, _native
-from randspec.operators import KINDS, draw_block, draw_width, make_draw
+from randspec.operators import KINDS, draw_block, draw_width, make_draw, map_draws
 
 
 def _square_block(b):
     # module-level so ProcessPoolExecutor can pickle it
     return b * b
+
+
+def _picked_rows(first, *draws):
+    # module-level so ProcessPoolExecutor can pickle it: a few rows per stream
+    rows = len(draws[0][0])
+    picks = sorted({0, 1, rows // 2, rows - 1})
+    return first, rows, [[(r, diag[r], off[r] if off.ndim == 2 else off) for r in picks]
+                         for diag, off in draws]
 
 
 def test_block_partition_covers_total():
@@ -132,3 +140,21 @@ def test_make_draw_rows_equal_draw_block_rows(kind, law, size, seed, block, stre
             draw = make_draw(spec, size, seed, index, stream)
         assert draw.diag.tobytes() == diag[row].tobytes()
         assert draw.offdiag.tobytes() == (off[row] if off.ndim == 2 else off).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["anderson", "hopping"])
+def test_map_draws_gives_each_block_its_first_index_and_rows(kind, workers):
+    """The block driver hands block b its first draw index b * B and, per
+    stream, the draws whose row r is draw first + r of that stream."""
+    spec, size, seed = EnsembleSpec(kind), 2000, 3
+    assert _blocks.block_size(draw_width(spec, size)) == 524
+    streams = (_blocks.STREAM_PRIMARY, _blocks.STREAM_SECONDARY)
+    parts = map_draws(_picked_rows, spec, size, seed, 2 * 524 + 7, workers, streams)
+    assert [(first, rows) for first, rows, _ in parts] == [(0, 524), (524, 524), (1048, 7)]
+    for first, _, per_stream in parts:
+        for stream, picked in zip(streams, per_stream):
+            for r, diag, off in picked:
+                draw = make_draw(spec, size, seed, first + r, stream)
+                assert draw.diag.tobytes() == diag.tobytes()
+                assert draw.offdiag.tobytes() == off.tobytes()

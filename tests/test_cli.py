@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -146,7 +147,7 @@ check_slope_min = 0.5
     assert parse_probe(sec, scale=0.1)[1]["samples"] == 5
 
 
-def test_load_config_defaults_and_errors(tmp_path):
+def test_load_config_defaults_and_errors(tmp_path, capsys):
     path = _write_config(tmp_path, "[experiment]\nseed = 7\n")
     seed, out, sections = load_config(path)
     assert (seed, out, sections) == (7, "results", [])
@@ -162,6 +163,24 @@ def test_load_config_defaults_and_errors(tmp_path):
         load_config(
             _write_config(tmp_path, "[experiment]\nseed = 1\n\n[extras]\nx = 1\n")
         )
+    # files configparser cannot read: a config error naming the file, and the line
+    # where configparser gives one, so the run exits 2 with one line and no traceback
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"[experiment]\nseed = 1\n# caf\xe9\n")
+    for text, want in (
+        ("[experiment]\nseed = 1\nseed = 2\n", r"line:? +3\b"),  # a duplicate option
+        ("[experiment]\nseed = 1\n[experiment]\nout = x\n", r"line:? +3\b"),  # a duplicate section
+        ("seed = 1\n[experiment]\n", r"line:? +1\b"),  # a line before any section header
+        ("[experiment]\nseed = 1\n[probe:a]\n  stray\n", r"line:? +4\b"),  # continues no option
+        (None, "not UTF-8"),
+    ):
+        path = _write_config(tmp_path, text) if text else str(latin1)
+        with pytest.raises(ConfigError, match=rf"{re.escape(path)}.*{want}"):
+            load_config(path)
+        capsys.readouterr()
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_section_accessors(tmp_path):

@@ -14,7 +14,6 @@ from conftest import random_operator
 from randspec import _native, probes
 from randspec import eigensolve as es
 from randspec import (
-    EnsembleSpec,
     TridiagonalOperator,
     batched_eigenvalues_in,
     count_in_interval,
@@ -76,9 +75,8 @@ def test_count_in_interval_half_open():
     cases = [((1.0, 2.0), 1), ((0.5, 1.0), 1), ((1.0, 1.0), 0), ((0.0, 3.0), 2),
              ((2.0, 2.0), 0), ((1.5, 2.0), 1), ((1.0, 1.5), 0)]  # (1, 2] holds 2 only
     rows = np.stack([op.diag, op.diag])
-    job = probes._WindowJob(EnsembleSpec("anderson"), 2, 0, 2, tuple(w for w, _ in cases))
-    with mock.patch.object(probes, "draw_block", return_value=(rows, op.offdiag)):
-        engine = probes._window_block(job, 0)["count_sum"]
+    windows = tuple(w for w, _ in cases)
+    engine = probes._window_block((windows,), 64, None, None, 0, (rows, op.offdiag))["count_sum"]
     assert engine.tolist() == [2 * want for _, want in cases]
     for (lo, hi), want in cases:
         inside = [e for e in (1.0, 2.0) if lo < e <= hi]

@@ -14,12 +14,10 @@ from randspec import (
     PiecewiseLinearLaw,
     TridiagonalOperator,
     UniformLaw,
-    coefficients,
-    draw_width,
     make_draw,
 )
 from randspec import _blocks
-from randspec.operators import draw_block
+from randspec.operators import coefficients, draw_block, draw_width
 
 
 # ---------------------------------------------------------------------------
