@@ -19,7 +19,6 @@ same bits either way.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 
 import numpy as np
@@ -102,6 +101,8 @@ def map_blocks(fn, count: int, workers: int = 1) -> list:
         return []
     if workers <= 1 or count == 1:
         return [fn(b) for b in range(count)]
+    import concurrent.futures  # here, not at import: it loads logging, about 6 ms
+
     workers = min(workers, count, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))

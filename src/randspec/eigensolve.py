@@ -162,14 +162,26 @@ def _site_major_counts(diag, offdiag, shifts):
         order = only + rows
     else:
         order = rows + only
-    lanes = tuple(shape[i] for i in order)
     dsite = dal.transpose([ndim] + order)  # views: sites first, then lanes
-    shifts = np.ascontiguousarray(shifts.transpose(order))
-    tile = max(1, min(size, 255, _TILE_BYTES // (8 * shifts.size)))
     if offdiag.size == size - 1:  # shared couplings: Python floats per site
-        offsq, osite = np.square(offdiag).ravel().tolist(), None
+        osite = np.square(offdiag).ravel().tolist()
     else:
         osite = oal.transpose([ndim] + order)
+    count = _sweep_sites(dsite, osite, np.ascontiguousarray(shifts.transpose(order)))
+    return count.transpose(np.argsort(order))
+
+
+def _sweep_sites(dsite, osite, shifts):
+    """Counts of the lanes of the C-ordered array `shifts`, swept one tile
+    of sites at a time (see `_site_major_counts`). dsite[k0:k1] is the
+    diagonal at sites k0 .. k1 - 1, broadcastable to (k1 - k0, *lanes), and
+    osite[k0:k1] likewise the couplings into sites k0 + 1 .. k1; or osite is
+    the list of the squares of one coupling row that every lane reads, as
+    Python floats."""
+    size = dsite.shape[0]
+    lanes = shifts.shape
+    tile = max(1, min(size, 255, _TILE_BYTES // (8 * shifts.size)))
+    if not isinstance(osite, list):
         obuf = np.empty((tile,) + osite.shape[1:])
         orows = list(obuf)
     piv = np.empty((tile + 1,) + lanes)  # piv[0]: the pivot before the tile
@@ -185,8 +197,8 @@ def _site_major_counts(diag, offdiag, shifts):
             n = min(tile, size - k0)
             first = int(k0 == 0)
             a = np.add(dsite[k0 : k0 + n], 0.0, out=abuf[:n])
-            if osite is None:
-                bs = offsq[k0 - 1 + first : k0 + n - 1]
+            if isinstance(osite, list):
+                bs = osite[k0 - 1 + first : k0 + n - 1]
             else:
                 np.square(osite[k0 - 1 + first : k0 + n - 1], out=obuf[: n - first])
                 bs = orows[: n - first]
@@ -197,7 +209,20 @@ def _site_major_counts(diag, offdiag, shifts):
             np.less(sweep, 0.0, out=negative[:n])
             count += np.add.reduce(negative[:n], axis=0, dtype=np.uint8, out=tile_count)
             piv[0] = piv[n]
-    return count.transpose(np.argsort(order))
+    return count
+
+
+class _RowTiles:
+    """Site-major tiles of the rows that lanes read: [k0:k1] gathers sites
+    k0 .. k1 - 1 of row rows[l] for every lane l, as a (k1 - k0, lanes)
+    array, so a tile holds O(lanes) values and no row is copied whole."""
+
+    def __init__(self, x, rows):
+        self.x, self.rows = x, rows
+        self.shape = (x.shape[-1], rows.size)
+
+    def __getitem__(self, sites):
+        return self.x[self.rows, sites].T
 
 
 def _tile_pivots(sweep, sites, a, shifts, bs, first, q, clamp):
@@ -225,6 +250,87 @@ def sturm_count(op: TridiagonalOperator, energy: float) -> int:
     """#{eigenvalues of op strictly below energy}."""
     _check_inputs(energy=energy)
     return int(sturm_counts(op.diag, op.offdiag, float(energy)))
+
+
+def _row_counts(diag, offdiag, rows, shifts):
+    """Counts of lane l of 1-D `rows` and `shifts`: #{eigenvalues < shifts[l]}
+    of row rows[l] of diag (rows, L) and of offdiag, (rows, L - 1) or one
+    row shared by every lane. The lanes of one `sturm_counts` call, with the
+    row of each given instead of broadcast: the C path passes `rows` as the
+    kernel's diag and coupling rows, and the numpy path gathers the rows one
+    site tile at a time (`_RowTiles`). Both raise `sturm_counts`'s errors."""
+    shifts = np.asarray(shifts, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
+    drow = None if diag.size == diag.shape[-1] else rows
+    orow = None if offdiag.size == offdiag.shape[-1] else rows
+    kernel = _native.kernel()
+    if kernel is None:
+        if np.isnan(shifts).any():
+            raise ValueError("shifts must not be NaN")
+        _check_couplings(offdiag)
+        if shifts.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        dsite = _RowTiles(diag, drow) if drow is not None else diag.reshape(-1)[:, None]
+        if orow is not None:
+            osite = _RowTiles(offdiag, orow)
+        else:  # one row, as in `_site_major_counts`
+            osite = np.square(offdiag).ravel().tolist()
+        return _sweep_sites(dsite, osite, shifts)
+    counts = (ctypes.c_int64 * shifts.size)()
+    _check_status(kernel(_pointer(diag), _pointer(offdiag), diag.shape[-1], _pointer(drow),
+                         _pointer(orow), _pointer(shifts), shifts.size, counts))
+    return np.frombuffer(counts, dtype=np.int64)
+
+
+def _grid_counts(diag, offdiag, shifts):
+    """`sturm_counts(diag, offdiag, shifts[:, None])`, the (shifts, rows)
+    counts of every row of diag (rows, L) and offdiag ((L - 1,) or (rows,
+    L - 1)) at every shift of a strictly increasing 1-D grid, from fewer
+    sweeps.
+
+    The IEEE Sturm count with clamped pivots does not decrease as the shift
+    grows (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995) wherever no
+    diagonal entry minus a shift overflows: every operation of the sweep is
+    then monotone in its inputs, and no pivot is an inf - inf NaN. So a row
+    whose counts at the two ends of a grid interval agree has that count at
+    every shift between them. The two end shifts are swept in one plain
+    `sturm_counts` call. Then each level sweeps, in one `_row_counts` call,
+    the middle shift of every (row, interval) whose end counts differ, and
+    gives every other (row, interval) its end count there without a sweep.
+    No (row, shift) is swept twice: the worst case is the full sweep split
+    over about log2(shifts) calls. A grid whose end shifts minus some
+    diagonal entry overflow, or meet a NaN entry, is swept whole.
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    offdiag = np.asarray(offdiag, dtype=np.float64)
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if np.isnan(shifts).any():
+        raise ValueError("shifts must not be NaN")
+    if not np.all(shifts[1:] > shifts[:-1]):
+        raise ValueError("shifts must be strictly increasing")
+    n = shifts.size
+    if n > 2:  # a - s lies between these for every entry a and grid shift s
+        reach = (float(np.max(diag, initial=-math.inf)) - float(shifts[0]),
+                 float(np.min(diag, initial=math.inf)) - float(shifts[-1]))
+    if n <= 2 or not all(map(math.isfinite, reach)):
+        return sturm_counts(diag, offdiag, shifts[:, None])
+    ends = sturm_counts(diag, offdiag, shifts[[0, -1], None])
+    counts = np.empty((n,) + ends.shape[1:], dtype=np.int64)
+    counts[[0, -1]] = ends
+    bounds = np.array([0, n - 1])
+    while bounds.size < n:
+        lo, hi = bounds[:-1], bounds[1:]
+        split = hi - lo > 1
+        lo, hi = lo[split], hi[split]
+        mid = (lo + hi) // 2
+        c_lo = counts[lo]
+        counts[mid] = c_lo
+        interval, row = np.nonzero(c_lo != counts[hi])
+        if interval.size:
+            at = mid[interval]
+            counts[at, row] = _row_counts(diag, offdiag, row, shifts[at])
+        bounds = np.sort(np.concatenate([bounds, mid]))
+    return counts
 
 
 def _window_counts(diag, offdiag, lo, hi):

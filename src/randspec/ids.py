@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import _blocks
-from .eigensolve import sturm_counts
+from .eigensolve import _grid_counts
 from .operators import EnsembleSpec, map_draws
 
 
@@ -94,7 +94,7 @@ class IdsTable:
 
 
 def _grid_moments(grid, first, draw):
-    counts = sturm_counts(*draw, grid[:, None])  # (grid, rows)
+    counts = _grid_counts(*draw, grid)  # (grid, rows)
     return counts.sum(axis=1), (counts * counts).sum(axis=1)
 
 
@@ -112,6 +112,13 @@ def estimate_ids(
     Requires size >= 100 (finite-size bias dominates below that) and
     samples >= 1. Deterministic for fixed (seed, grid): counts are integer
     sums merged in block order, so the result is independent of `workers`.
+
+    Each block counts its rows with `eigensolve._grid_counts`, which sweeps
+    only where a count can change: the Sturm count does not decrease as the
+    energy grows, so a row whose counts at the two ends of a stretch of the
+    grid agree has that count at every grid energy between, unswept. The
+    counts, hence the table, are those of a sweep of every row at every
+    grid energy.
     """
     if size < 100:
         raise ValueError("need size >= 100")

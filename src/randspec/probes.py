@@ -25,7 +25,7 @@ from functools import partial, reduce
 import numpy as np
 
 from . import _blocks
-from .eigensolve import _window_counts, batched_eigenvalues_in
+from .eigensolve import _grid_counts, batched_eigenvalues_in
 from .ids import OutsideGridError, estimate_ids, unfold
 from .operators import EnsembleSpec, IntervalGraphFamily, map_draws
 
@@ -198,20 +198,37 @@ def log_slope(widths, values) -> tuple[float, float, int]:
 # block engine: window counts and eigenvalue extraction
 
 
+def _sorted_set(x):
+    """The distinct values of array x, sorted, as np.unique gives them, from
+    a sort and a compare of neighbours: np.unique imports numpy.ma on its
+    first call, 10-16 ms."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _window_block(groups, kcap, joint_pair, post_affine, first, *draws):
     """One block's integer accumulators, from which `_window_stats` derives
     the rest: count histograms (counts above kcap in the last bin), count
     sums, sums of squares and, for `joint_pair` (i, j), the pair product
     sum(count_i * count_j) and the joint histogram. `groups` holds one tuple
     of half-open windows (lo, hi] per draw stream; `post_affine` (a, b) maps
-    each diagonal to a + b * diag first."""
+    each diagonal to a + b * diag first.
+
+    A window (lo, hi] holds count(hi') - count(lo') eigenvalues, with the
+    edges moved up one ulp. A group's distinct edges, sorted, are one grid
+    for `eigensolve._grid_counts`, so an edge that windows share is swept
+    once, and, since the count does not decrease as the edge grows, a row
+    with equal counts at the outermost edges of nested windows is empty in
+    all of them and is not swept between those edges."""
     counts = []
     for windows, (diag, off) in zip(groups, draws):
         if post_affine is not None:  # in place: diag is the block's own omega
             a, b = post_affine
             diag *= b
             diag += a
-        c = _window_counts(diag, off, *np.array(windows).T)[1]
+        edges = np.nextafter(np.array(windows, dtype=np.float64).T, np.inf)  # (lo/hi, window)
+        grid = _sorted_set(edges)
+        c = _grid_counts(diag, off, grid)[np.searchsorted(grid, edges)]
         counts.append(c[1] - c[0])
     counts = np.concatenate(counts)  # (windows, rows)
     clipped = np.minimum(counts, kcap)
@@ -481,6 +498,14 @@ def _unfolded_windows(spec, size, seed, workers, bands, points, samples):
     they are all that linear interpolation reads there, and every grid
     energy is an independent lane of the same draws, so the density is the
     one the full 41-point table gives.
+
+    Both passes count through `estimate_ids`, which sweeps a row only where
+    its count can change: the Sturm count does not decrease as the energy
+    grows, so between two grid energies where a row's counts agree, no
+    energy of the grid is swept for that row. On the fine grid of a few
+    mean spacings most rows hold no eigenvalue in most of the grid's
+    intervals; on the coarse nodes, whose intervals each hold many
+    eigenvalues, every lane is swept.
     """
     _check("ids_points", points, 2)
     _check("ids_samples", samples, 1)
@@ -490,12 +515,12 @@ def _unfolded_windows(spec, size, seed, workers, bands, points, samples):
     for c in centers:
         if not c - hw < c + hw:  # both round to c
             raise ValueError(f"energy {c!r}: too large to tabulate the IDS about it")
-    nodes = np.unique(np.concatenate([np.linspace(c - hw, c + hw, 41) for c in centers]))
+    nodes = _sorted_set(np.concatenate([np.linspace(c - hw, c + hw, 41) for c in centers]))
     queries = np.array([[c - IDS_DENSITY_HALF_SPAN, c + IDS_DENSITY_HALF_SPAN] for c in centers])
     # np.interp reads nodes right - 1 and right; a query on the last node reads it
     right = np.searchsorted(nodes, queries.ravel(), side="right").clip(1, nodes.size - 1)
     coarse = estimate_ids(
-        spec, size, 64, nodes[np.unique(np.concatenate([right - 1, right]))],
+        spec, size, 64, nodes[_sorted_set(np.concatenate([right - 1, right]))],
         seed=seed, workers=workers, stream=_blocks.STREAM_IDS,
     )
     fine = []
@@ -505,7 +530,7 @@ def _unfolded_windows(spec, size, seed, workers, bands, points, samples):
         span = 2.5 * (max_offset + 2.0) / (size * density)
         fine.append(np.linspace(c - span, c + span, points))
     table = estimate_ids(
-        spec, size, samples, np.unique(np.concatenate(fine)), seed=seed,
+        spec, size, samples, _sorted_set(np.concatenate(fine)), seed=seed,
         workers=workers, stream=_blocks.STREAM_IDS,
     )
     windows = []

@@ -49,18 +49,19 @@ def test_probe_seed_derivation():
     assert 0 <= probe_seed(2**62, "x") < 2**63
 
 
-def _scipy_modules_after(code):
-    """scipy modules loaded by a fresh interpreter that runs `code`."""
+def _modules_after(code, prefixes=("scipy",)):
+    """Modules named with one of `prefixes` (scipy's by default) that a
+    fresh interpreter running `code` has loaded, as the printed sorted list."""
     src = str(Path(randspec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += f"\nimport sys; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; no process pays its start-up cost
-    assert _scipy_modules_after("import randspec.cli") == "[]"
+    assert _modules_after("import randspec.cli") == "[]"
 
 
 def test_library_calls_leave_scipy_unloaded():
@@ -74,7 +75,20 @@ def test_library_calls_leave_scipy_unloaded():
         "eigensolve.nearest_eigenvalue_distance(op, 0.3)",
         "qgraph.graph_eigenvalues(qgraph.QGraphInstance(np.full(6, 0.25)), (3.0, 4.2))",
     ])
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
+
+
+def test_unfolded_run_at_one_worker_leaves_numpy_ma_and_the_pool_unloaded(tmp_path):
+    """A level_statistics section at workers 1 loads neither numpy.ma, which
+    np.unique imports on its first call (10-16 ms), nor concurrent.futures
+    and logging, which only a process pool needs (about 6 ms)."""
+    cfg = tmp_path / "levels.cfg"
+    cfg.write_text("[experiment]\nseed = 3\n[probe:levels]\ntype = level_statistics\n"
+                   "kind = anderson\nsize = 200\nsamples = 20\nenergy = 0.0\n"
+                   "ids_points = 21\nids_samples = 16\n")
+    code = f"from randspec.cli import main\nassert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0"
+    assert _modules_after(code, ("numpy.ma.", "concurrent", "logging")) == "[]"
+    assert (tmp_path / "out" / "levels.json").exists()
 
 
 def test_fmt_roundtrips_floats():
@@ -311,18 +325,37 @@ _COUNT_PREFIXES = ("p_hat[", "m_hat[", "p2_hat[", "p1_hat[", "p_joint", "p_first
                    "event_mismatch", "mean_count[", "mean_first", "mean_second", "n_spacings")
 
 
-def test_paper_suite_counts_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def paper_suite_out(tmp_path_factory):
+    """The output directory of one `run paper-suite --scale 0.02`."""
+    out = tmp_path_factory.mktemp("paper_suite")
+    assert main(["run", "paper-suite", "--scale", "0.02", "--out", str(out)]) == 0
+    return out
+
+
+def test_paper_suite_counts_pinned(paper_suite_out):
     """`run paper-suite --scale 0.02` gives the counts in paper_suite_counts.json.
     They do not depend on the SIMD exp or log of the CPU, so every sweep body
     and draw path (AVX2, scalar, numpy) is held to the same file."""
-    assert main(["run", "paper-suite", "--scale", "0.02", "--out", str(tmp_path)]) == 0
     got = {}
-    for path in sorted(tmp_path.glob("*.json")):
+    for path in sorted(paper_suite_out.glob("*.json")):
         estimates = json.loads(path.read_text())["estimates"]
         counts = {e["name"]: e["value"] for e in estimates if e["name"].startswith(_COUNT_PREFIXES)}
         if counts:
             got[path.stem] = counts
     assert got == json.loads(Path(__file__).with_name("paper_suite_counts.json").read_text())
+
+
+def test_paper_suite_windows_pinned(paper_suite_out):
+    """The energy windows the unfolded sections read off their IDS tables
+    at `--scale 0.02`, bit for bit (`repr` strings in
+    paper_suite_windows.json): a one-ulp move of a window can leave every
+    count above unchanged."""
+    want = json.loads(Path(__file__).with_name("paper_suite_windows.json").read_text())
+    for name, fields in want.items():
+        params = json.loads((paper_suite_out / f"{name}.json").read_text())["params"]
+        for key, windows in fields.items():
+            assert [repr(float(x)) for x in np.ravel(params[key])] == np.ravel(windows).tolist(), name
 
 
 def _lines_but_runtime(out):

@@ -92,6 +92,120 @@ def test_count_in_interval_half_open():
         count_in_interval(op, 2.0, 1.0)
 
 
+def _grid_case(name):
+    """(diag, offdiag, grid) of one `_grid_counts` contract case."""
+    rng = np.random.default_rng(len(name))
+    size, rows = 50, 37
+    grid = np.linspace(-3.0, 3.0, 41)
+    if name == "anderson":  # rows sharing one coupling row
+        return rng.uniform(-2.5, 2.5, (rows, size)), np.ones(size - 1), grid
+    if name == "hopping":  # couplings per row, zero diagonal
+        return np.zeros((rows, size)), rng.uniform(0.5, 1.5, (rows, size - 1)), grid
+    if name == "one-row":
+        return rng.uniform(-2.5, 2.5, (1, size)), np.ones(size - 1), grid
+    if name == "two-points":
+        return rng.uniform(-2.5, 2.5, (rows, size)), np.ones(size - 1), np.array([-0.5, 0.5])
+    if name == "no-change":  # the grid lies above every row's spectrum
+        return rng.uniform(-2.5, 2.5, (rows, size)), np.ones(size - 1), np.linspace(5.0, 6.0, 30)
+    # every-change: uncoupled rows with one eigenvalue k + 1/2 between each
+    # grid pair (k, k + 1), in a different site order per row
+    diag = np.stack([rng.permutation(size) + 0.5 for _ in range(rows)])
+    return diag, np.zeros(size - 1), np.arange(size + 1.0)
+
+
+def _grid_counts_logged(diag, off, grid):
+    """`_grid_counts` and the (row, shift) of every lane it swept, through
+    the plain `sturm_counts` end sweep or through `_row_counts`."""
+    swept = []
+    sweep, rows_sweep = es.sturm_counts, es._row_counts
+
+    def ends(d, o, shifts):
+        counts = sweep(d, o, shifts)
+        swept.extend((r, s) for s in np.ravel(shifts).tolist() for r in range(counts.shape[1]))
+        return counts
+
+    def lanes(d, o, rows, shifts):
+        swept.extend(zip(np.asarray(rows).tolist(), np.asarray(shifts).tolist()))
+        return rows_sweep(d, o, rows, shifts)
+
+    with mock.patch.object(es, "sturm_counts", ends), mock.patch.object(es, "_row_counts", lanes):
+        return es._grid_counts(diag, off, grid), swept
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+@pytest.mark.parametrize("name", ["anderson", "hopping", "one-row", "two-points", "no-change",
+                                  "every-change"])
+def test_grid_counts_equal_the_full_sweep(name, compiled):
+    """`_grid_counts` gives the counts of one sweep of every row at every
+    grid shift, and sweeps no (row, shift) twice: only the two end shifts
+    where no row changes, every lane where every interval changes."""
+    if compiled and _native.kernel() is None:
+        pytest.skip("no compiled kernel")
+    diag, off, grid = _grid_case(name)
+    with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+        want = sturm_counts(diag, off, grid[:, None])
+        got, swept = _grid_counts_logged(diag, off, grid)
+    assert got.dtype == want.dtype and got.shape == want.shape == (grid.size, diag.shape[0])
+    assert np.array_equal(got, want)
+    assert len(set(swept)) == len(swept)
+    rows = diag.shape[0]
+    if name == "no-change":
+        assert len(swept) == 2 * rows
+    if name == "every-change":
+        assert np.array_equal(want, np.broadcast_to(np.arange(grid.size)[:, None], want.shape))
+        assert len(swept) == grid.size * rows
+    if name in ("anderson", "hopping"):
+        assert 2 * rows < len(swept) < grid.size * rows
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-couplings", "row-couplings"])
+def test_grid_counts_raise_the_errors_of_sturm_counts(compiled, shared):
+    """A NaN shift and a coupling whose square overflows raise the messages
+    of `sturm_counts`, from `_grid_counts` and from its lane entry
+    `_row_counts`, and an unsorted grid is refused."""
+    if compiled and _native.kernel() is None:
+        pytest.skip("no compiled kernel")
+    diag = np.tile([0.5, -0.2, 0.1], (3, 1))
+    bad = np.array([1.0, np.nextafter(es._MAX_COUPLING, np.inf)])
+    good = np.ones(2)
+    if not shared:
+        bad, good = np.stack([good, bad, good]), np.tile(good, (3, 1))
+    rows, shifts = np.array([0, 2, 1]), np.array([0.0, 0.5, 1.0])
+    with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
+        for call in (lambda: sturm_counts(diag, good, np.array([0.0, np.nan, 1.0])[:, None]),
+                     lambda: es._grid_counts(diag, good, [0.0, np.nan, 1.0]),
+                     lambda: es._grid_counts(diag, good, [-1.0, 0.0, 1.0, np.nan]),
+                     lambda: es._row_counts(diag, good, rows, [0.0, np.nan, 1.0])):
+            with pytest.raises(ValueError, match="^shifts must not be NaN$"):
+                call()
+        for call in (lambda: sturm_counts(diag, bad, np.linspace(-1, 1, 5)[:, None]),
+                     lambda: es._grid_counts(diag, bad, np.linspace(-1, 1, 5)),
+                     lambda: es._row_counts(diag, bad, rows, shifts)):
+            with pytest.raises(ValueError, match="^offdiag entries must be at most 1.341e"):
+                call()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            es._grid_counts(diag, good, [0.0, 1.0, 1.0])
+
+
+def test_row_counts_memory_is_bounded():
+    """The numpy path gathers the lanes' rows one site tile at a time: a
+    whole-row gather of these 64 lanes would hold 64 rows of 20000 sites,
+    about 10 MB."""
+    rng = np.random.default_rng(1)
+    diag = rng.random((64, 20000))
+    rows = rng.permutation(64)
+    with mock.patch.object(_native, "_kernel", None):
+        tracemalloc.start()
+        try:
+            got = es._row_counts(diag, np.ones(19999), rows, np.full(64, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, sturm_counts(diag[rows], np.ones(19999), 0.5))
+    assert peak < 8 * es._TILE_BYTES
+
+
 def test_count_additivity():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -157,6 +157,55 @@ def test_paths_agree_across_a_real_tile_boundary(lanes):
     _agreed(_by_path(diag, off, 0.0))
 
 
+@_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), size=st.integers(1, 24),
+       hopping=st.booleans())
+def test_count_does_not_decrease_as_the_shift_grows(seed, rows, size, hopping):
+    """The lemma `eigensolve._grid_counts` rests on (Kahan 1966; Demmel,
+    Dhillon and Ren, ETNA 3, 1995), on every C body this host runs and on
+    the numpy sweep: each row's count does not decrease as the shift grows,
+    and -0.0 and 0.0 give one count. The shifts include every diagonal entry
+    and its neighbours one ulp away (clamped pivots), +-0.0 and +-1e308;
+    some couplings lie within a few ulp of sqrt(DBL_MAX), whose squares
+    reach DBL_MAX. Entries stay within 1e300, so no diagonal entry minus a
+    shift overflows (see the test below for what happens when one does)."""
+    rng = np.random.default_rng(seed)
+    diag = _adversarial(rng, (rows, size), 300)
+    off = _adversarial(rng, (rows, size - 1) if hopping else (size - 1,), 150)
+    near_limit = np.nextafter(es._MAX_COUPLING, 0.0) * (1.0 - 2.0**-52 * rng.integers(0, 4, off.shape))
+    off = np.where(rng.random(off.shape) < 0.3, near_limit * rng.choice([-1.0, 1.0], off.shape), off)
+    entries = diag.ravel()
+    shifts = np.sort(np.concatenate([
+        entries, np.nextafter(entries, np.inf), np.nextafter(entries, -np.inf),
+        [0.0, -0.0, 1e308, -1e308, np.nextafter(1e308, 0.0), np.nextafter(-1e308, 0.0)],
+        _adversarial(rng, 8, 300),
+    ]))
+    signed_zeros = np.array([-0.0, 0.0])[:, None]
+    for name, counts in _by_path(diag, off, shifts[:, None]).items():
+        assert np.all(np.diff(counts, axis=0) >= 0), name
+    for name, counts in _by_path(diag, off, signed_zeros).items():
+        assert np.array_equal(counts[0], counts[1]), name
+
+
+def test_count_can_decrease_where_a_diagonal_minus_a_shift_overflows():
+    """Outside the lemma. At the shift -1e308, 1.7e308 - s overflows to inf
+    at site 2, where the first pivot is clamped to +1e-300 and b / d is inf
+    too: the pivot is inf - inf = NaN, which poisons the rest of the sweep,
+    and the count is 0, below the count 1 one ulp lower. `_grid_counts`
+    sweeps such a grid whole, in one `sturm_counts` call and no level, so
+    it still gives the counts of the sweep."""
+    diag = np.array([[-1e308, 1.7e308, -1.7e308]])
+    off = np.array([-1e154, -1e-300])
+    below = np.nextafter(-1e308, -np.inf)
+    for name, counts in _by_path(diag, off, np.array([[below], [-1e308]])).items():
+        assert counts.ravel().tolist() == [1, 0], name
+    grid = np.array([-1.5e308, below, -1e308, 0.0, 1e308])
+    no_levels = mock.patch.object(es, "_row_counts", side_effect=AssertionError("a level ran"))
+    for body in [_native.kernel(), *_BODIES.values(), None]:
+        with mock.patch.object(_native, "_kernel", body), no_levels:
+            assert np.array_equal(es._grid_counts(diag, off, grid), sturm_counts(diag, off, grid[:, None]))
+
+
 @pytest.mark.parametrize(
     "diag, off, shift, expected",
     [
