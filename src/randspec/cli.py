@@ -120,7 +120,10 @@ def _parse_law(text: str):
     head, _, rest = text.partition(":")
     if head == "uniform":
         lo, hi = (float(t) for t in rest.split(","))
-        return UniformLaw(lo, hi)
+        try:
+            return UniformLaw(lo, hi)
+        except ValueError as exc:  # the law's own message: a bad or too wide support
+            raise ConfigError(exc) from None
     if head == "piecewise":
         try:
             return PiecewiseLinearLaw.from_csv(rest)

@@ -58,22 +58,24 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     order, so the counts do not depend on the path.
     """
     diag, offdiag, shifts, drow, orow = _lanes(diag, offdiag, np.asarray(shifts, dtype=np.float64))
+    return _sweep(diag, offdiag, drow, orow, shifts,
+                  lambda: _site_major_counts(diag, offdiag, shifts))
+
+
+def _sweep(diag, offdiag, drow, orow, shifts, numpy_sweep):
+    """Counts of the lanes of `shifts` on rows drow, orow (None: one row) of
+    diag, offdiag: the C kernel's, or `numpy_sweep()` after its checks."""
     kernel = _native.kernel()
     if kernel is None:
         if np.isnan(shifts).any():
             raise ValueError("shifts must not be NaN")
-        _check_couplings(offdiag)
-        return _site_major_counts(diag, offdiag, shifts)
+        if np.abs(offdiag).max(initial=0.0) > _MAX_COUPLING:
+            raise ValueError(_COUPLING_OVERFLOW)
+        return numpy_sweep()
     counts = (ctypes.c_int64 * shifts.size)()
     _check_status(kernel(_pointer(diag), _pointer(offdiag), diag.shape[-1], _pointer(drow),
                          _pointer(orow), _pointer(shifts), shifts.size, counts))
     return np.frombuffer(counts, dtype=np.int64).reshape(shifts.shape)
-
-
-def _check_couplings(offdiag):
-    """The C kernel's check, after the NaN shifts: no coupling squares to inf."""
-    if np.abs(offdiag).max(initial=0.0) > _MAX_COUPLING:
-        raise ValueError(_COUPLING_OVERFLOW)
 
 
 def _check_status(status):
@@ -263,11 +265,8 @@ def _row_counts(diag, offdiag, rows, shifts):
     rows = np.asarray(rows, dtype=np.int64)
     drow = None if diag.size == diag.shape[-1] else rows
     orow = None if offdiag.size == offdiag.shape[-1] else rows
-    kernel = _native.kernel()
-    if kernel is None:
-        if np.isnan(shifts).any():
-            raise ValueError("shifts must not be NaN")
-        _check_couplings(offdiag)
+
+    def numpy_sweep():
         if shifts.size == 0:
             return np.zeros(0, dtype=np.int64)
         dsite = _RowTiles(diag, drow) if drow is not None else diag.reshape(-1)[:, None]
@@ -276,10 +275,8 @@ def _row_counts(diag, offdiag, rows, shifts):
         else:  # one row, as in `_site_major_counts`
             osite = np.square(offdiag).ravel().tolist()
         return _sweep_sites(dsite, osite, shifts)
-    counts = (ctypes.c_int64 * shifts.size)()
-    _check_status(kernel(_pointer(diag), _pointer(offdiag), diag.shape[-1], _pointer(drow),
-                         _pointer(orow), _pointer(shifts), shifts.size, counts))
-    return np.frombuffer(counts, dtype=np.int64)
+
+    return _sweep(diag, offdiag, drow, orow, shifts, numpy_sweep)
 
 
 def _grid_counts(diag, offdiag, shifts):
@@ -333,14 +330,31 @@ def _grid_counts(diag, offdiag, shifts):
     return counts
 
 
-def _window_counts(diag, offdiag, lo, hi):
-    """(edges, counts) of the half-open windows (lo, hi]: the edges moved up
-    one ulp, as [lo/hi, *window axes], and the Sturm counts below them, as
-    [lo/hi, *window axes, *row axes of diag], all from one `sturm_counts`
-    call; counts[1] - counts[0] eigenvalues of a row lie in its window."""
-    edges = np.nextafter([lo, hi], np.inf)
-    shifts = edges.reshape(edges.shape + (1,) * (np.ndim(diag) - 1))
-    return edges, sturm_counts(diag, offdiag, shifts)
+def _sorted_set(x):
+    """The distinct values of array x, sorted, as np.unique gives them, from
+    a sort and a compare of neighbours: np.unique imports numpy.ma on its
+    first call, 10-16 ms."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _window_counts(diag, offdiag, windows):
+    """(edges, counts) of the half-open windows, (lo, hi) pairs, on every row
+    of diag (rows, L) or (L,): the edges moved up one ulp, as (lo/hi,
+    window), and the Sturm counts below them, as (lo/hi, window, row), from
+    one `_grid_counts` grid of the distinct edges (one window: one
+    `sturm_counts` call). A count that falls across a window, which only a
+    diagonal entry minus an edge that overflows causes, raises ValueError."""
+    windows = np.array(windows, dtype=np.float64)
+    edges = np.nextafter(windows.T, np.inf)
+    grid = _sorted_set(edges)
+    counts = _grid_counts(diag, offdiag, grid)[np.searchsorted(grid, edges)]
+    falls = np.nonzero((counts[1] < counts[0]).any(axis=-1))[0]
+    if falls.size:
+        lo, hi = windows[falls[0]].tolist()
+        raise ValueError(f"window ({lo!r}, {hi!r}]: the count falls across it, since a "
+                         "diagonal entry minus an edge overflows")
+    return edges, counts
 
 
 def _check_window(lo, hi, tol=0.0):
@@ -353,8 +367,8 @@ def _check_window(lo, hi, tol=0.0):
 def count_in_interval(op: TridiagonalOperator, lo: float, hi: float) -> int:
     """Number of eigenvalues in the half-open interval (lo, hi]."""
     _check_window(lo, hi)
-    c = _window_counts(op.diag, op.offdiag, lo, hi)[1]
-    return int(c[1] - c[0])
+    below_lo, below_hi = _window_counts(op.diag, op.offdiag, [(lo, hi)])[1][:, 0, 0]
+    return int(below_hi - below_lo)
 
 
 def _bisect_indices(diag, offdiag, targets, lo, hi, tol):
@@ -454,9 +468,7 @@ def eigenvalues_in(
     most L eigenvalues, so its memory is O(L), the size of the operator.
     """
     _check_window(lo, hi, tol)
-    diag = op.diag[None]
-    edges, counts = _window_counts(diag, op.offdiag, lo, hi)
-    return np.sort(_bisect_window(diag, op.offdiag, edges, counts, tol)[1])
+    return np.sort(_bisect_window(op.diag[None], op.offdiag, lo, hi, tol)[1])
 
 
 def batched_eigenvalues_in(
@@ -476,12 +488,11 @@ def batched_eigenvalues_in(
     offdiag = np.asarray(offdiag, dtype=np.float64)
     if diag2d.ndim != 2:
         raise ValueError(f"diag2d must be 2-D (batch, L), got shape {diag2d.shape}")
-    edges, counts = _window_counts(diag2d, offdiag, lo, hi)
-    return _bisect_window(diag2d, offdiag, edges, counts, tol)
+    return _bisect_window(diag2d, offdiag, lo, hi, tol)
 
 
-def _bisect_window(diag2d, offdiag, edges, counts, tol):
-    """(draw_index, value) in the window whose `_window_counts` are edges, counts.
+def _bisect_window(diag2d, offdiag, lo, hi, tol):
+    """(draw_index, value) of the eigenvalues of rows diag2d in (lo, hi].
 
     Bisection runs on the batch's own rows: the targets form one (slot, row)
     array over the draws that hold any, each draw's slots padded with copies
@@ -490,8 +501,8 @@ def _bisect_window(diag2d, offdiag, edges, counts, tol):
     The bracket is the window narrowed to a margin around the batch's
     Gershgorin interval (`_bisection_bracket`).
     """
-    lo_e, hi_e = edges
-    c_lo, c_hi = counts
+    edges, counts = _window_counts(diag2d, offdiag, [(lo, hi)])
+    (lo_e, hi_e), (c_lo, c_hi) = edges[:, 0], counts[:, 0]
     per_draw = (c_hi - c_lo).astype(np.int64)
     draws = np.repeat(np.arange(diag2d.shape[0]), per_draw)
     held = per_draw > 0
@@ -520,24 +531,34 @@ def nearest_eigenvalues(
     nearest `energy` from below and from above, -inf or inf where there is
     none, each bisected to width tol.
 
-    The bisection brackets are the Gershgorin interval widened by 1 on each
-    side, and further to reach `energy` when it lies outside.
+    The bisection brackets are those of `_spectrum_bracket`.
     """
     _check_inputs(tol, energy=energy)
     energy = float(energy)
-    glo, ghi = op.gershgorin()
-    glo, ghi = glo - 1.0, ghi + 1.0
-    if energy <= glo:
-        glo = energy - 1.0
-    if energy >= ghi:
-        ghi = energy + 1.0
     j = int(sturm_counts(op.diag, op.offdiag, energy))
+    glo, ghi = _spectrum_bracket(op, energy)
     below, above = -math.inf, math.inf
     if j >= 1:
         below = _nearest_index_value(op, j, glo, energy, tol)
     if j < op.size:
         above = _nearest_index_value(op, j + 1, np.nextafter(energy, -np.inf), ghi, tol)
     return below, above
+
+
+def _spectrum_bracket(op, energy):
+    """(lo, hi): the Gershgorin interval of op widened by 1 on each side, and
+    to reach `energy`; ValueError where (lo, energy] or (energy, hi] is not
+    finite, the brackets of the eigenvalues below and above energy."""
+    lo, hi = op.gershgorin()
+    lo, hi = lo - 1.0, hi + 1.0
+    if energy <= lo:
+        lo = energy - 1.0
+    if energy >= hi:
+        hi = energy + 1.0
+    if not (math.isfinite(energy - lo) and math.isfinite(hi - energy)):
+        raise ValueError(f"energy {energy!r}: a bisection bracket ({lo!r}, {energy!r}] or "
+                         f"({energy!r}, {hi!r}] about it is not finite")
+    return lo, hi
 
 
 def nearest_eigenvalue_distance(
@@ -673,11 +694,10 @@ def eigenvector(op: TridiagonalOperator, energy: float) -> EigenvectorResult:
             break
     ray = float(v @ op.apply(v))
     resid = float(np.linalg.norm(op.apply(v) - ray * v))
-    edges = ray - cluster_tol, ray + cluster_tol
-    j_lo, c_hi = (int(c) for c in _window_counts(op.diag, op.offdiag, *edges)[1])
+    window = [(ray - cluster_tol, ray + cluster_tol)]
+    j_lo, c_hi = _window_counts(op.diag, op.offdiag, window)[1][:, 0, 0].tolist()
     n_cluster = max(c_hi - j_lo, 1)
-    glo, ghi = op.gershgorin()
-    glo, ghi = glo - 1.0, ghi + 1.0
+    glo, ghi = _spectrum_bracket(op, ray)
     j_hi = j_lo + n_cluster
     gap = np.inf
     if j_lo >= 1:

@@ -42,6 +42,13 @@ class DomainError(ValueError):
 # single-site laws
 
 
+def _check_width(lo, hi):
+    """ValueError when the support [lo, hi] is wider than the largest float,
+    where the inverse CDF scales by hi - lo = inf and draws inf and NaN."""
+    if hi - lo == math.inf:
+        raise ValueError(f"law support [{lo!r}, {hi!r}] is wider than the largest float")
+
+
 @dataclass(frozen=True)
 class UniformLaw:
     """Uniform law on [lo, hi]."""
@@ -54,6 +61,7 @@ class UniformLaw:
             raise ValueError("law endpoints must be finite")
         if self.hi < self.lo:
             raise ValueError("need lo <= hi")
+        _check_width(self.lo, self.hi)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -80,6 +88,7 @@ class PiecewiseLinearLaw:
         w = np.asarray(self.weights, dtype=np.float64)
         if k.ndim != 1 or k.size < 2 or w.shape != k.shape:
             raise ValueError("need matching knot/weight arrays, >= 2 knots")
+        _check_width(float(k[0]), float(k[-1]))
         if not np.all(np.diff(k) > 0):
             raise ValueError("knots must be strictly increasing")
         if np.any(w < 0) or not np.all(np.isfinite(w)) or not np.all(np.isfinite(k)):

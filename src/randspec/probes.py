@@ -25,7 +25,7 @@ from functools import partial, reduce
 import numpy as np
 
 from . import _blocks
-from .eigensolve import _grid_counts, batched_eigenvalues_in
+from .eigensolve import _sorted_set, _window_counts, batched_eigenvalues_in
 from .ids import OutsideGridError, estimate_ids, unfold
 from .operators import EnsembleSpec, IntervalGraphFamily, map_draws
 
@@ -198,37 +198,21 @@ def log_slope(widths, values) -> tuple[float, float, int]:
 # block engine: window counts and eigenvalue extraction
 
 
-def _sorted_set(x):
-    """The distinct values of array x, sorted, as np.unique gives them, from
-    a sort and a compare of neighbours: np.unique imports numpy.ma on its
-    first call, 10-16 ms."""
-    x = np.sort(x, axis=None)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
-
-
 def _window_block(groups, kcap, joint_pair, post_affine, first, *draws):
     """One block's integer accumulators, from which `_window_stats` derives
     the rest: count histograms (counts above kcap in the last bin), count
     sums, sums of squares and, for `joint_pair` (i, j), the pair product
     sum(count_i * count_j) and the joint histogram. `groups` holds one tuple
     of half-open windows (lo, hi] per draw stream; `post_affine` (a, b) maps
-    each diagonal to a + b * diag first.
-
-    A window (lo, hi] holds count(hi') - count(lo') eigenvalues, with the
-    edges moved up one ulp. A group's distinct edges, sorted, are one grid
-    for `eigensolve._grid_counts`, so an edge that windows share is swept
-    once, and, since the count does not decrease as the edge grows, a row
-    with equal counts at the outermost edges of nested windows is empty in
-    all of them and is not swept between those edges."""
+    each diagonal to a + b * diag first. A group's counts come from one
+    `eigensolve._window_counts` call on the block's rows."""
     counts = []
     for windows, (diag, off) in zip(groups, draws):
         if post_affine is not None:  # in place: diag is the block's own omega
             a, b = post_affine
             diag *= b
             diag += a
-        edges = np.nextafter(np.array(windows, dtype=np.float64).T, np.inf)  # (lo/hi, window)
-        grid = _sorted_set(edges)
-        c = _grid_counts(diag, off, grid)[np.searchsorted(grid, edges)]
+        c = _window_counts(diag, off, windows)[1]
         counts.append(c[1] - c[0])
     counts = np.concatenate(counts)  # (windows, rows)
     clipped = np.minimum(counts, kcap)
@@ -337,7 +321,8 @@ def wegner_probe(
             for w, k in zip(widths, stats["occupancy"])]
     slope, npts = _slope_estimate("slope", widths, p)
     ests.append(slope)
-    c_hat = float(np.max(p / (np.asarray(widths) * size)))
+    with np.errstate(over="ignore"):  # eps L = inf: p_hat / inf = 0, as meant
+        c_hat = float(np.max(p / (np.asarray(widths) * size)))
     ests.append(Estimate("C_hat", c_hat))
     return _report(
         "wegner", spec,
@@ -773,7 +758,8 @@ def qgraph_minami_probe(
     ests.append(_slope_estimate("slope_k1", widths, p1)[0])
     ests.append(_slope_estimate("slope_k2", widths, p2)[0])
     scaled = np.asarray(widths) * width_scale
-    ests.append(Estimate("c1_hat", float(np.max(p1 / (scaled * size)))))
+    with np.errstate(over="ignore"):  # as for wegner's C_hat
+        ests.append(Estimate("c1_hat", float(np.max(p1 / (scaled * size)))))
     params = {"law": _law_params(law), "size": size, "energy": energy,
               "widths": widths, "width_scale": width_scale}
     return ProbeReport(

@@ -1,5 +1,6 @@
 """Sturm counting, counting-indexed bisection, and eigenvector extraction."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -70,24 +71,41 @@ def test_sturm_count_is_strictly_below():
 def test_count_in_interval_half_open():
     """Windows (lo, hi] with edges on the eigenvalues 1 and 2 give the same
     counts through every reader of the window rule: the counts, the two
-    extractions on one row and on two, and the probes' window engine."""
+    extractions on one row and on two, and the probes' window engine, on
+    the C and the numpy path, with one coupling row and with one per row.
+    The windows nest, overlap, share edges, are disjoint or empty (lo ==
+    hi), and `_window_counts` gives each the counts of one sweep of its two
+    edges. Both operators, diag (1, 2) with coupling 0 and diag (1.5, 1.5)
+    with coupling 0.5, have the eigenvalues 1 and 2 in floating point."""
     op = TridiagonalOperator(np.array([1.0, 2.0]), np.array([0.0]))
+    pair = TridiagonalOperator(np.array([1.5, 1.5]), np.array([0.5]))
     cases = [((1.0, 2.0), 1), ((0.5, 1.0), 1), ((1.0, 1.0), 0), ((0.0, 3.0), 2),
-             ((2.0, 2.0), 0), ((1.5, 2.0), 1), ((1.0, 1.5), 0)]  # (1, 2] holds 2 only
-    rows = np.stack([op.diag, op.diag])
+             ((2.0, 2.0), 0), ((1.5, 2.0), 1), ((1.0, 1.5), 0),  # (1, 2] holds 2 only
+             ((0.5, 1.5), 1), ((1.5, 2.5), 1), ((2.5, 3.0), 0), ((-1.0, 0.5), 0)]
     windows = tuple(w for w, _ in cases)
-    engine = probes._window_block((windows,), 64, None, None, 0, (rows, op.offdiag))["count_sum"]
-    assert engine.tolist() == [2 * want for _, want in cases]
-    for (lo, hi), want in cases:
-        inside = [e for e in (1.0, 2.0) if lo < e <= hi]
-        assert count_in_interval(op, lo, hi) == want
-        assert eigenvalues_in(op, lo, hi) == pytest.approx(inside, abs=1e-12)
-        draws, values = batched_eigenvalues_in(op.diag[None], op.offdiag, lo, hi)
-        assert draws.tolist() == [0] * want
-        assert values == pytest.approx(inside, abs=1e-10)
-        draws, values = batched_eigenvalues_in(rows, op.offdiag, lo, hi)
-        assert draws.tolist() == [0] * want + [1] * want
-        assert values == pytest.approx(inside * 2, abs=1e-10)
+    batches = [(np.stack([op.diag, op.diag]), op.offdiag),  # one coupling row
+               (np.stack([op.diag, pair.diag]), np.stack([op.offdiag, pair.offdiag]))]
+    for kernel in [None] if _native.kernel() is None else [_native.kernel(), None]:
+        with mock.patch.object(_native, "_kernel", kernel):
+            for rows, offs in batches:
+                engine = probes._window_block((windows,), 64, None, None, 0, (rows, offs))
+                assert engine["count_sum"].tolist() == [2 * want for _, want in cases]
+                counts = es._window_counts(rows, offs, windows)[1]
+                for w, (lo, hi) in enumerate(windows):
+                    edges = np.nextafter([[lo], [hi]], np.inf)
+                    assert np.array_equal(counts[:, w], sturm_counts(rows, offs, edges))
+                for (lo, hi), want in cases:
+                    inside = [e for e in (1.0, 2.0) if lo < e <= hi]
+                    draws, values = batched_eigenvalues_in(rows, offs, lo, hi)
+                    assert draws.tolist() == [0] * want + [1] * want
+                    assert values == pytest.approx(inside * 2, abs=1e-10)
+            for one, (lo, hi) in itertools.product((op, pair), windows):
+                inside = [e for e in (1.0, 2.0) if lo < e <= hi]
+                assert count_in_interval(one, lo, hi) == len(inside)
+                assert eigenvalues_in(one, lo, hi) == pytest.approx(inside, abs=1e-12)
+                draws, values = batched_eigenvalues_in(one.diag[None], one.offdiag, lo, hi)
+                assert draws.tolist() == [0] * len(inside)
+                assert values == pytest.approx(inside, abs=1e-10)
     with pytest.raises(ValueError):
         count_in_interval(op, 2.0, 1.0)
 
@@ -539,6 +557,12 @@ def test_midpoints_whose_sum_overflows(diag, lo, hi, compiled):
 
 
 _HUGE_COUPLINGS = TridiagonalOperator(np.array([0.5, -0.2, 0.1]), np.array([1e200, 1e200]))
+# 1.7e308 minus a shift just below -1e308 overflows, so the count falls from 1
+# to 0 between the edges of the window (_BELOW_LO, _BELOW]
+_SHIFT_OVERFLOW = TridiagonalOperator(np.array([-1e308, 1.7e308, -1.7e308]),
+                                      np.array([-1e154, -1e-300]))
+_BELOW = float(np.nextafter(-1e308, -np.inf))
+_BELOW_LO = float(np.nextafter(_BELOW, -np.inf))
 
 
 @pytest.mark.parametrize("call, name", [
@@ -574,6 +598,15 @@ _HUGE_COUPLINGS = TridiagonalOperator(np.array([0.5, -0.2, 0.1]), np.array([1e20
                  "^offdiag entries must be", id="eigenvalues_in-coupling-overflow"),
     pytest.param(lambda op: sturm_counts(op.diag, [1.0, 1.0, -1.4e154, 1.0, 1.0], 0.0),
                  "^offdiag entries must be", id="sturm_counts-negative-coupling-overflow"),
+    # the window's count read -1; the bracket of the eigenvalues above
+    # -1e308 reaches 1.7e308, its width overflows, and the bisection's
+    # iteration count was an OverflowError
+    pytest.param(lambda op: count_in_interval(_SHIFT_OVERFLOW, _BELOW_LO, _BELOW),
+                 r"^window \(-1\.0+4e\+308, -1\.0+2e\+308\]: the count falls",
+                 id="count_in_interval-count-falls"),
+    pytest.param(lambda op: nearest_eigenvalue_distance(_SHIFT_OVERFLOW, -1e308),
+                 r"^energy -1e\+308: a bisection bracket .* is not finite",
+                 id="nearest_eigenvalue_distance-bracket-overflow"),
 ])
 def test_scalar_entry_points_name_bad_input(call, name):
     # `name` is the input a "must be finite" error names, or a whole pattern

@@ -41,6 +41,9 @@ def test_uniform_law_validation():
         UniformLaw(2.0, 1.0)
     with pytest.raises(ValueError):
         UniformLaw(0.0, math.inf)
+    # hi - lo overflows: the draws were [nan, inf] at u = 0 and 0.5
+    with pytest.raises(ValueError, match=r"^law support \[-1e\+308, 1e\+308\] is wider"):
+        UniformLaw(-1e308, 1e308)
 
 
 def _piecewise_cdf(law, x):
@@ -77,6 +80,9 @@ def test_piecewise_linear_validation():
         PiecewiseLinearLaw((0.0, 1.0), (1.0, -1.0))  # negative weight
     with pytest.raises(ValueError):
         PiecewiseLinearLaw((0.0, 1.0), (0.0, 0.0))  # zero mass
+    # knots[-1] - knots[0] overflows: every draw was -1e308
+    with pytest.raises(ValueError, match=r"^law support \[-1e\+308, 1e\+308\] is wider"):
+        PiecewiseLinearLaw((-1e308, 1e308), (1.0, 1.0))
 
 
 def test_piecewise_linear_csv_roundtrip(tmp_path):

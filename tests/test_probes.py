@@ -185,10 +185,13 @@ def _dense_window_counts(spec, size, seed, n, windows, stream=None):
     return counts
 
 
+@pytest.mark.filterwarnings("error")
 def test_wegner_probe_matches_dense_counts():
+    """The widest window's eps L overflows: C_hat reads it as p_hat / inf = 0
+    without a RuntimeWarning."""
     spec = EnsembleSpec("anderson")
     size, n = 16, 300
-    widths = (0.02, 0.05, 0.1)
+    widths = (0.02, 0.05, 0.1, 1e308)
     rep = wegner_probe(spec, 0.0, widths, size, n, seed=5)
     windows = [(-w, w) for w in widths]
     counts = _dense_window_counts(spec, size, 5, n, windows)
@@ -198,9 +201,9 @@ def test_wegner_probe_matches_dense_counts():
         est = rep.estimate(f"p_hat[{w:.6g}]")
         assert est.value == p[i]
         assert est.ci == pytest.approx(wilson_ci(int(occupancy[i]), n), abs=1e-15)
-    assert rep.estimate("C_hat").value == pytest.approx(
-        np.max(p / (np.array(widths) * size)), abs=1e-15
-    )
+    with np.errstate(over="ignore"):
+        want_c = np.max(p / (np.array(widths) * size))
+    assert rep.estimate("C_hat").value == pytest.approx(want_c, abs=1e-15)
     want_slope = log_slope(widths, p)[0]
     got_slope = rep.estimate("slope").value
     assert (got_slope == pytest.approx(want_slope, abs=1e-12)) or (
@@ -277,11 +280,14 @@ def test_decorrelation_disjoint_uses_independent_draws():
         rep.estimate("event_mismatch")
 
 
-@pytest.mark.parametrize("e0, widths", [(4.0, (0.05, 0.1)), (10.0, (10.0, 14.0))],
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e0, widths", [(4.0, (0.05, 0.1, 1e308)), (10.0, (10.0, 14.0))],
                          ids=["4.0", "10.0"])
 def test_qgraph_minami_matches_reduced_operator_counts(e0, widths):
     """At E0 = 10, sin(sqrt E0) < 0: the width scale is still positive, so the
-    windows (-eps, eps] are not reversed, and their counts are nonzero."""
+    windows (-eps, eps] are not reversed, and their counts are nonzero. At
+    E0 = 4 the widest window's eps' L overflows, which c1_hat reads as
+    p1_hat / inf = 0 without a RuntimeWarning."""
     law = UniformLaw(0.0, 1.0)
     size, n = 40, 300
     rep = qgraph_minami_probe(law, e0, widths, size, n, seed=10)
@@ -289,7 +295,7 @@ def test_qgraph_minami_matches_reduced_operator_counts(e0, widths):
     assert ws > 0.0
     assert rep.params["width_scale"] == pytest.approx(ws, rel=1e-15)
     spec = EnsembleSpec("qgraph", law=law)
-    counts = np.zeros((2, n), dtype=np.int64)
+    counts = np.zeros((len(widths), n), dtype=np.int64)
     for i in range(n):
         omega = make_draw(spec, size, 10, i).diag
         op = reduced_operator(QGraphInstance(omega), e0)
@@ -302,7 +308,8 @@ def test_qgraph_minami_matches_reduced_operator_counts(e0, widths):
         assert rep.estimate(f"p2_hat[{w:.6g}]").value == np.mean(counts[i] >= 2)
     assert counts.any()
     scaled = np.array(widths) * ws
-    want_c1 = np.max((counts >= 1).mean(axis=1) / (scaled * size))
+    with np.errstate(over="ignore"):
+        want_c1 = np.max((counts >= 1).mean(axis=1) / (scaled * size))
     assert rep.estimate("c1_hat").value == pytest.approx(want_c1, rel=1e-12)
 
 

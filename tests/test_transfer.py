@@ -157,13 +157,18 @@ def test_lyapunov_qgraph_unsupported():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kind, law", [("anderson", UniformLaw(-1e308, 1e308)),
-                                       ("dimer_sign", UniformLaw(0.0, 1e200))])
-def test_lyapunov_names_an_overflowing_product(kind, law):
+@pytest.mark.parametrize("kind, law, error", [
+    # a support wider than the largest float is refused before any draw
+    pytest.param("anderson", (-1e308, 1e308), "^law support .* is wider than the largest float",
+                 id="anderson-law0"),
+    pytest.param("dimer_sign", (0.0, 1e200), "energy = 0.0: the transfer-matrix product overflows",
+                 id="dimer_sign-law1"),
+])
+def test_lyapunov_names_an_overflowing_product(kind, law, error):
     # a step's entries or the renormalized product overflow: gamma would be
     # NaN; the named error comes with no numpy RuntimeWarning before it
-    with pytest.raises(ValueError, match="energy = 0.0: the transfer-matrix product overflows"):
-        lyapunov(EnsembleSpec(kind, law=law), 0.0, steps=1000, samples=2)
+    with pytest.raises(ValueError, match=error):
+        lyapunov(EnsembleSpec(kind, law=UniformLaw(*law)), 0.0, steps=1000, samples=2)
 
 
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
