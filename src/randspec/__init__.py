@@ -48,10 +48,6 @@ from .probes import (
     wegner_probe,
 )
 from .pruefer import (
-    GradientCheck,
-    PrueferTrace,
-    SplitResult,
-    WronskianResult,
     consecutive_sine_floor,
     hellmann_feynman_check,
     pruefer_trace,
@@ -64,8 +60,6 @@ from .qgraph import (
     reduced_operator,
 )
 from .transfer import (
-    EllipticityReport,
-    LyapunovEstimate,
     ellipticity_report,
     lyapunov,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blocks, _native
-from .operators import TridiagonalOperator
+from .operators import TridiagonalOperator, _one_row
 
 _TINY = 1e-300  # pivot clamp; preserves sign, zero maps to +tiny
 _MAX_COUPLING = math.sqrt(sys.float_info.max)  # larger couplings square to inf
@@ -101,7 +101,7 @@ def _row_index(x, shape):
     """int64 row of x (rows are its last axis) that each lane of shape reads,
     in C order; None when x is one row (of any shape (1, ..., 1, L)), which
     every lane then reads."""
-    if x.size == x.shape[-1]:
+    if _one_row(x):
         return None
     rows = np.arange(math.prod(x.shape[:-1]), dtype=np.int64).reshape(x.shape[:-1])
     return np.broadcast_to(rows, shape)
@@ -120,7 +120,7 @@ def _lanes(diag, offdiag, per_lane):
         raise ValueError(f"diag needs at least one site per row, got shape {diag.shape}")
     if offdiag.shape[-1:] != (size - 1,):
         raise ValueError(f"offdiag needs {size - 1} entries per row, got shape {offdiag.shape}")
-    if diag.ndim == 1 and offdiag.ndim == 1:
+    if diag.ndim == 1 and offdiag.ndim == 1:  # no batch axes: ~8 us less per scalar call
         return diag, offdiag, per_lane, None, None
     shape = np.broadcast_shapes(diag.shape[:-1], offdiag.shape[:-1], per_lane.shape)
     return (diag, offdiag, np.broadcast_to(per_lane, shape),
@@ -165,7 +165,7 @@ def _site_major_counts(diag, offdiag, shifts):
     else:
         order = rows + only
     dsite = dal.transpose([ndim] + order)  # views: sites first, then lanes
-    if offdiag.size == size - 1:  # shared couplings: Python floats per site
+    if _one_row(offdiag):  # shared couplings: Python floats per site
         osite = np.square(offdiag).ravel().tolist()
     else:
         osite = oal.transpose([ndim] + order)
@@ -263,8 +263,7 @@ def _row_counts(diag, offdiag, rows, shifts):
     site tile at a time (`_RowTiles`). Both raise `sturm_counts`'s errors."""
     shifts = np.asarray(shifts, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
-    drow = None if diag.size == diag.shape[-1] else rows
-    orow = None if offdiag.size == offdiag.shape[-1] else rows
+    drow, orow = (None if _one_row(x) else rows for x in (diag, offdiag))
 
     def numpy_sweep():
         if shifts.size == 0:
@@ -478,9 +477,9 @@ def batched_eigenvalues_in(
     hi: float,
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in (lo, hi] for a batch of operators sharing couplings.
+    """Eigenvalues in (lo, hi] for a batch of operators.
 
-    diag2d: (batch, L); offdiag: (L-1,) shared or (batch, L-1).
+    diag2d: (batch, L), or (1, L) shared; offdiag: (L-1,) shared or (batch, L-1).
     Returns (draw_index, value) arrays, sorted by draw then by value.
     """
     _check_window(lo, hi, tol)
@@ -504,13 +503,12 @@ def _bisect_window(diag2d, offdiag, lo, hi, tol):
     edges, counts = _window_counts(diag2d, offdiag, [(lo, hi)])
     (lo_e, hi_e), (c_lo, c_hi) = edges[:, 0], counts[:, 0]
     per_draw = (c_hi - c_lo).astype(np.int64)
-    draws = np.repeat(np.arange(diag2d.shape[0]), per_draw)
+    draws = np.repeat(np.arange(per_draw.size), per_draw)
     held = per_draw > 0
     if held.any():
         lo_e, hi_e = _bisection_bracket(diag2d, offdiag, lo_e, hi_e)
-    if not held.all():  # a row subset of the batch
-        diag2d = diag2d[held]
-        offdiag = offdiag if offdiag.ndim == 1 else offdiag[held]
+    if not held.all():  # a row subset of the batch; a shared row stays
+        diag2d, offdiag = (x if _one_row(x) else x[held] for x in (diag2d, offdiag))
     per_draw = per_draw[held]
     slots = np.arange(per_draw.max(initial=0))
     # 1-based eigenvalue indices within each draw

@@ -70,18 +70,15 @@ class IdsTable:
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if not np.all((y >= self.values[0]) & (y <= self.values[-1])):  # NaN fails both
             raise OutsideGridError("level outside tabulated IDS range")
-        idx = np.searchsorted(self.values, y, side="left")
-        out = np.empty(y.shape)
-        for k, (yy, i) in enumerate(zip(y, idx)):
-            if i == 0:
-                out[k] = self.energies[0]
-                continue
-            v0, v1 = self.values[i - 1], self.values[i]
-            e0, e1 = self.energies[i - 1], self.energies[i]
-            if v1 == v0:
-                out[k] = e0
-            else:
-                out[k] = e0 + (yy - v0) / (v1 - v0) * (e1 - e0)
+        # values[i - 1] < y <= values[i] for i >= 1, so no segment is flat;
+        # i = 0 is y = values[0], whose smallest energy is the grid's first
+        i = np.searchsorted(self.values, y, side="left")
+        out = np.full(y.shape, self.energies[0])
+        inner = i > 0
+        i, y = i[inner], y[inner]
+        v0, v1 = self.values[i - 1], self.values[i]
+        e0, e1 = self.energies[i - 1], self.energies[i]
+        out[inner] = e0 + (y - v0) / (v1 - v0) * (e1 - e0)
         return float(out[0]) if scalar else out
 
     def to_csv(self, path):

@@ -93,9 +93,13 @@ class PiecewiseLinearLaw:
             raise ValueError("knots must be strictly increasing")
         if np.any(w < 0) or not np.all(np.isfinite(w)) or not np.all(np.isfinite(k)):
             raise ValueError("weights must be finite and nonnegative")
-        mass = float(np.sum((w[:-1] + w[1:]) / 2.0 * np.diff(k)))
+        with np.errstate(over="ignore"):
+            mass = float(np.sum((w[:-1] + w[1:]) / 2.0 * np.diff(k)))
         if mass <= 0:
             raise ValueError("density must have positive mass")
+        if not math.isfinite(mass):
+            raise ValueError(f"density mass is {mass!r}: the weights times the knot gaps "
+                             "overflow the largest float")
 
     @classmethod
     def from_csv(cls, path) -> "PiecewiseLinearLaw":
@@ -336,19 +340,19 @@ def coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map law-transformed draws (batch, width) to (diag, offdiag) arrays.
 
-    diag has shape (batch, size). offdiag is (size - 1,) when the couplings
-    are deterministic and (batch, size - 1) for the hopping ensemble. Both
-    are C-contiguous. For anderson and qgraph the returned diag is the
-    fresh omega itself, not a copy (omega is made a C-contiguous float
-    array first, which copies nothing when it is one); every other array is
-    one of its own.
+    diag has shape (batch, size) and offdiag (size - 1,), except for the
+    hopping ensemble: its zero diag is one row, (1, size), that every draw
+    reads, and its offdiag is (batch, size - 1). Both are C-contiguous. For
+    anderson and qgraph the returned diag is the fresh omega itself, not a
+    copy (omega is made a C-contiguous float array first, which copies
+    nothing when it is one); every other array is one of its own.
     """
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[1] != draw_width(spec, size):
         raise ValueError("omega must have shape (batch, draw_width)")
     batch = omega.shape[0]
     if spec.kind == "hopping":
-        return np.zeros((batch, size)), omega[:, 1:].copy()
+        return np.zeros((1, size)), omega[:, 1:].copy()
     if spec.kind == "anderson":
         return omega, np.ones(size - 1)
     if spec.kind == "qgraph":
@@ -402,6 +406,12 @@ def map_draws(fn, spec, size, seed, total, workers, streams=(_blocks.STREAM_PRIM
     return _blocks.map_blocks(job, blocks, workers)
 
 
+def _one_row(x):
+    """Whether coefficient array x is one row, (L,) or (1, ..., 1, L), that
+    every draw reads. The (rows, 0) couplings of L = 1 are rows, not one."""
+    return math.prod(x.shape[:-1]) == 1
+
+
 def make_draw(
     spec: EnsembleSpec,
     size: int,
@@ -415,6 +425,6 @@ def make_draw(
     if index < 0:
         raise ValueError("index must be nonnegative")
     block, row = divmod(index, _blocks.block_size(draw_width(spec, size)))
-    diag, off = draw_block(spec, size, seed, block, row + 1, stream)
     # copies, so that the operator does not keep the block's other rows alive
-    return TridiagonalOperator(diag[row].copy(), (off[row] if off.ndim == 2 else off).copy())
+    return TridiagonalOperator(*((x if _one_row(x) else x[row]).reshape(-1).copy()
+                                 for x in draw_block(spec, size, seed, block, row + 1, stream)))

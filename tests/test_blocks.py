@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randspec import EnsembleSpec, FiniteProfile, PiecewiseLinearLaw, UniformLaw, _blocks, _native
-from randspec.operators import KINDS, draw_block, draw_width, make_draw, map_draws
+from randspec.operators import KINDS, _one_row, draw_block, draw_width, make_draw, map_draws
 
 
 def _square_block(b):
@@ -16,11 +16,16 @@ def _square_block(b):
     return b * b
 
 
+def _row(x, r):
+    """Row r of a block's diag or offdiag: the one row, where it is shared."""
+    return x.reshape(-1) if _one_row(x) else x[r]
+
+
 def _picked_rows(first, *draws):
     # module-level so ProcessPoolExecutor can pickle it: a few rows per stream
-    rows = len(draws[0][0])
+    rows = np.broadcast_shapes(*(x.shape[:-1] for x in draws[0]))[0]
     picks = sorted({0, 1, rows // 2, rows - 1})
-    return first, rows, [[(r, diag[r], off[r] if off.ndim == 2 else off) for r in picks]
+    return first, rows, [[(r, _row(diag, r), _row(off, r)) for r in picks]
                          for diag, off in draws]
 
 
@@ -138,8 +143,8 @@ def test_make_draw_rows_equal_draw_block_rows(kind, law, size, seed, block, stre
         with mock.patch.object(_native, "_library", library):
             diag, off = draw_block(spec, size, seed, block, rows, stream)
             draw = make_draw(spec, size, seed, index, stream)
-        assert draw.diag.tobytes() == diag[row].tobytes()
-        assert draw.offdiag.tobytes() == (off[row] if off.ndim == 2 else off).tobytes()
+        assert draw.diag.tobytes() == _row(diag, row).tobytes()
+        assert draw.offdiag.tobytes() == _row(off, row).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -95,6 +95,15 @@ def test_evaluate_and_inverse():
         t.inverse(1.1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_inverse_maps_plateau_levels_to_their_left_edge():
+    """A level that a flat stretch of the table holds maps to the stretch's
+    left edge, the first grid energy included, without a 0/0 warning."""
+    t = IdsTable(np.arange(5.0), np.array([0.25, 0.25, 0.5, 0.5, 1.0]), np.zeros(5))
+    assert t.inverse(np.array([0.25, 0.5, 0.75, 1.0])).tolist() == [0.0, 2.0, 3.5, 4.0]
+    assert t.inverse(0.5) == 2.0
+
+
 @pytest.mark.parametrize("x", [math.nan, [0.2, math.nan]])
 def test_nan_is_outside_the_grid(x):
     t = _toy_table()

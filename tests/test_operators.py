@@ -73,6 +73,7 @@ def test_piecewise_linear_inverse_cdf_is_exact():
     assert np.all(np.diff(x) >= 0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_piecewise_linear_validation():
     with pytest.raises(ValueError):
         PiecewiseLinearLaw((0.0, 0.0, 1.0), (1.0, 1.0, 1.0))  # non-increasing
@@ -83,6 +84,9 @@ def test_piecewise_linear_validation():
     # knots[-1] - knots[0] overflows: every draw was -1e308
     with pytest.raises(ValueError, match=r"^law support \[-1e\+308, 1e\+308\] is wider"):
         PiecewiseLinearLaw((-1e308, 1e308), (1.0, 1.0))
+    # the weights times the knot gaps overflow: every draw was 0, after two warnings
+    with pytest.raises(ValueError, match=r"^density mass is inf: "):
+        PiecewiseLinearLaw((0.0, 1e300), (1e300, 1e300))
 
 
 def test_piecewise_linear_csv_roundtrip(tmp_path):
@@ -144,11 +148,12 @@ def test_draw_width_per_kind():
 
 
 def test_coefficients_hopping():
+    """The zero diagonal is one row that every draw reads."""
     spec = EnsembleSpec("hopping")
-    omega = np.array([[1.1, 1.2, 1.3, 1.4]])
+    omega = np.array([[1.1, 1.2, 1.3, 1.4], [1.5, 1.6, 1.7, 1.8]])
     diag, off = coefficients(spec, 4, omega)
     assert np.array_equal(diag, np.zeros((1, 4)))
-    assert np.array_equal(off, [[1.2, 1.3, 1.4]])  # a(2..L)
+    assert np.array_equal(off, [[1.2, 1.3, 1.4], [1.6, 1.7, 1.8]])  # a(2..L)
 
 
 def test_coefficients_anderson_and_qgraph():
@@ -281,12 +286,15 @@ def test_make_draw_matches_block_row():
 
 
 def test_make_draw_returns_the_operator():
+    """Draw 5 is a later row of the block, whose diagonal is one shared
+    zero row."""
     spec = EnsembleSpec("hopping")
-    op = make_draw(spec, 6, seed=0, index=0)
-    assert isinstance(op, TridiagonalOperator) and op.size == 6
-    assert np.array_equal(op.diag, np.zeros(6))
-    assert np.all((op.offdiag >= 1.0) & (op.offdiag <= 2.0))
-    assert not (op.diag.flags.writeable or op.offdiag.flags.writeable)
+    for index in (0, 5):
+        op = make_draw(spec, 6, seed=0, index=index)
+        assert isinstance(op, TridiagonalOperator) and op.size == 6
+        assert np.array_equal(op.diag, np.zeros(6))
+        assert np.all((op.offdiag >= 1.0) & (op.offdiag <= 2.0))
+        assert not (op.diag.flags.writeable or op.offdiag.flags.writeable)
 
 
 # ---------------------------------------------------------------------------

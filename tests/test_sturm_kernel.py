@@ -13,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randspec import _native, sturm_counts
+from randspec import EnsembleSpec, _native, batched_eigenvalues_in, sturm_counts
 from randspec import eigensolve as es
+from randspec.operators import draw_block
 
 _SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -271,10 +272,43 @@ def test_coupling_whose_square_overflows_is_rejected(n_shifts, shared):
 
 
 def test_one_site_rows():
-    """L = 1: no couplings, shared or per row; the count is a - s < 0."""
+    """L = 1: no couplings, shared or per row; the count is a - s < 0. The
+    (5, 0) couplings, which the hopping ensemble draws at L = 1, are five
+    rows, so an extraction that leaves a draw empty takes four of them."""
     diag = np.array([[-1.0], [0.0], [-0.0], [-1e-310], [2.0]])
     for off in (np.zeros(0), np.zeros((5, 0))):
         assert _agreed(_by_path(diag, off, 0.0)).tolist() == [1, 0, 0, 1, 0]
+        for kernel in [_native.kernel(), None]:
+            with mock.patch.object(_native, "_kernel", kernel):
+                draws, values = batched_eigenvalues_in(diag, off, -2.0, 0.5)
+            assert draws.tolist() == [0, 1, 2, 3]
+            assert values == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-10)
+
+
+@pytest.mark.parametrize("body", ["compiled", *_BODIES, "site_major"])
+def test_one_shared_zero_row_equals_a_zero_row_per_draw(body):
+    """A hopping block's diagonal is one zero row that every draw reads; on
+    each path it gives the bits of a zero row per draw in the sweep, the
+    window counts and the extraction, whose bisection runs in C on every
+    compiled path. The windows leave some draws empty, so the extraction
+    takes a row subset of the couplings only."""
+    shared, off = draw_block(EnsembleSpec("hopping"), 60, 7, 0, 9)
+    assert shared.shape == (1, 60) and not shared.any()
+    rows = np.zeros((9, 60))
+    shifts = np.linspace(-4.0, 4.0, 33)[:, None]
+    windows = [(0.0, 0.1), (3.5, 4.0), (-1.0, 2.5)]
+    kernel = {"compiled": _native.kernel(), "site_major": None, **_BODIES}[body]
+    with mock.patch.object(_native, "_kernel", kernel):
+        counts = sturm_counts(shared, off, shifts)
+        assert counts.tobytes() == sturm_counts(rows, off, shifts).tobytes()
+        assert counts.shape == (33, 9)
+        window_counts = es._window_counts(shared, off, windows)[1]
+        assert window_counts.tobytes() == es._window_counts(rows, off, windows)[1].tobytes()
+        assert window_counts.shape == (2, 3, 9)
+        for lo, hi in windows:
+            got = batched_eigenvalues_in(shared, off, lo, hi)
+            want = batched_eigenvalues_in(rows, off, lo, hi)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 5, 7, 9, 13, 15, 16, 17, 33])
