@@ -58,23 +58,22 @@ def sturm_counts(diag, offdiag, shifts) -> np.ndarray:
     order, so the counts do not depend on the path.
     """
     diag, offdiag, shifts, drow, orow = _lanes(diag, offdiag, np.asarray(shifts, dtype=np.float64))
-    return _sweep(diag, offdiag, drow, orow, shifts,
-                  lambda: _site_major_counts(diag, offdiag, shifts))
+    if _native.kernel() is not None:
+        return _sweep(diag, offdiag, drow, orow, shifts)
+    if np.isnan(shifts).any():
+        raise ValueError("shifts must not be NaN")
+    if np.abs(offdiag).max(initial=0.0) > _MAX_COUPLING:
+        raise ValueError(_COUPLING_OVERFLOW)
+    return _site_major_counts(diag, offdiag, shifts)
 
 
-def _sweep(diag, offdiag, drow, orow, shifts, numpy_sweep):
-    """Counts of the lanes of `shifts` on rows drow, orow (None: one row) of
-    diag, offdiag: the C kernel's, or `numpy_sweep()` after its checks."""
-    kernel = _native.kernel()
-    if kernel is None:
-        if np.isnan(shifts).any():
-            raise ValueError("shifts must not be NaN")
-        if np.abs(offdiag).max(initial=0.0) > _MAX_COUPLING:
-            raise ValueError(_COUPLING_OVERFLOW)
-        return numpy_sweep()
+def _sweep(diag, offdiag, drow, orow, shifts):
+    """The C kernel's counts of the lanes of `shifts` on rows drow, orow
+    (None: one row) of diag, offdiag, in its one call."""
     counts = (ctypes.c_int64 * shifts.size)()
-    _check_status(kernel(_pointer(diag), _pointer(offdiag), diag.shape[-1], _pointer(drow),
-                         _pointer(orow), _pointer(shifts), shifts.size, counts))
+    _check_status(_native.kernel()(_pointer(diag), _pointer(offdiag), diag.shape[-1],
+                                   _pointer(drow), _pointer(orow), _pointer(shifts),
+                                   shifts.size, counts))
     return np.frombuffer(counts, dtype=np.int64).reshape(shifts.shape)
 
 
@@ -165,25 +164,13 @@ def _site_major_counts(diag, offdiag, shifts):
     else:
         order = rows + only
     dsite = dal.transpose([ndim] + order)  # views: sites first, then lanes
+    shifts = np.ascontiguousarray(shifts.transpose(order))
+    lanes = shifts.shape
+    tile = max(1, min(size, 255, _TILE_BYTES // (8 * shifts.size)))
     if _one_row(offdiag):  # shared couplings: Python floats per site
         osite = np.square(offdiag).ravel().tolist()
     else:
         osite = oal.transpose([ndim] + order)
-    count = _sweep_sites(dsite, osite, np.ascontiguousarray(shifts.transpose(order)))
-    return count.transpose(np.argsort(order))
-
-
-def _sweep_sites(dsite, osite, shifts):
-    """Counts of the lanes of the C-ordered array `shifts`, swept one tile
-    of sites at a time (see `_site_major_counts`). dsite[k0:k1] is the
-    diagonal at sites k0 .. k1 - 1, broadcastable to (k1 - k0, *lanes), and
-    osite[k0:k1] likewise the couplings into sites k0 + 1 .. k1; or osite is
-    the list of the squares of one coupling row that every lane reads, as
-    Python floats."""
-    size = dsite.shape[0]
-    lanes = shifts.shape
-    tile = max(1, min(size, 255, _TILE_BYTES // (8 * shifts.size)))
-    if not isinstance(osite, list):
         obuf = np.empty((tile,) + osite.shape[1:])
         orows = list(obuf)
     piv = np.empty((tile + 1,) + lanes)  # piv[0]: the pivot before the tile
@@ -211,20 +198,7 @@ def _sweep_sites(dsite, osite, shifts):
             np.less(sweep, 0.0, out=negative[:n])
             count += np.add.reduce(negative[:n], axis=0, dtype=np.uint8, out=tile_count)
             piv[0] = piv[n]
-    return count
-
-
-class _RowTiles:
-    """Site-major tiles of the rows that lanes read: [k0:k1] gathers sites
-    k0 .. k1 - 1 of row rows[l] for every lane l, as a (k1 - k0, lanes)
-    array, so a tile holds O(lanes) values and no row is copied whole."""
-
-    def __init__(self, x, rows):
-        self.x, self.rows = x, rows
-        self.shape = (x.shape[-1], rows.size)
-
-    def __getitem__(self, sites):
-        return self.x[self.rows, sites].T
+    return count.transpose(np.argsort(order))
 
 
 def _tile_pivots(sweep, sites, a, shifts, bs, first, q, clamp):
@@ -258,31 +232,20 @@ def _row_counts(diag, offdiag, rows, shifts):
     """Counts of lane l of 1-D `rows` and `shifts`: #{eigenvalues < shifts[l]}
     of row rows[l] of diag (rows, L) and of offdiag, (rows, L - 1) or one
     row shared by every lane. The lanes of one `sturm_counts` call, with the
-    row of each given instead of broadcast: the C path passes `rows` as the
-    kernel's diag and coupling rows, and the numpy path gathers the rows one
-    site tile at a time (`_RowTiles`). Both raise `sturm_counts`'s errors."""
+    row of each given instead of broadcast, which the C kernel takes as its
+    diag and coupling rows; it raises `sturm_counts`'s errors. C path only:
+    `_grid_counts` calls it only when the library is loaded."""
     shifts = np.asarray(shifts, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
     drow, orow = (None if _one_row(x) else rows for x in (diag, offdiag))
-
-    def numpy_sweep():
-        if shifts.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        dsite = _RowTiles(diag, drow) if drow is not None else diag.reshape(-1)[:, None]
-        if orow is not None:
-            osite = _RowTiles(offdiag, orow)
-        else:  # one row, as in `_site_major_counts`
-            osite = np.square(offdiag).ravel().tolist()
-        return _sweep_sites(dsite, osite, shifts)
-
-    return _sweep(diag, offdiag, drow, orow, shifts, numpy_sweep)
+    return _sweep(diag, offdiag, drow, orow, shifts)
 
 
 def _grid_counts(diag, offdiag, shifts):
     """`sturm_counts(diag, offdiag, shifts[:, None])`, the (shifts, rows)
     counts of every row of diag (rows, L) and offdiag ((L - 1,) or (rows,
     L - 1)) at every shift of a strictly increasing 1-D grid, from fewer
-    sweeps.
+    sweeps where the C library is loaded.
 
     The IEEE Sturm count with clamped pivots does not decrease as the shift
     grows (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995) wherever no
@@ -296,6 +259,14 @@ def _grid_counts(diag, offdiag, shifts):
     No (row, shift) is swept twice: the worst case is the full sweep split
     over about log2(shifts) calls. A grid whose end shifts minus some
     diagonal entry overflow, or meet a NaN entry, is swept whole.
+
+    Lane skipping runs only with the C library: without it every grid is
+    swept whole, in one `sturm_counts` call. A numpy level costs a Python
+    loop over all L sites whatever its lane count, so the levels cost more
+    than the lanes they skip. On a 2-core Xeon VM the scale-0.02 paper
+    suite on the numpy path took 3.83 s with one sweep per grid against
+    4.47 s with the levels (medians of 12 interleaved fresh-process pairs
+    at workers 1; faster in 11).
     """
     diag = np.asarray(diag, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
@@ -305,10 +276,11 @@ def _grid_counts(diag, offdiag, shifts):
     if not np.all(shifts[1:] > shifts[:-1]):
         raise ValueError("shifts must be strictly increasing")
     n = shifts.size
-    if n > 2:  # a - s lies between these for every entry a and grid shift s
+    skips = n > 2 and _native.kernel() is not None
+    if skips:  # a - s lies between these for every entry a and grid shift s
         reach = (float(np.max(diag, initial=-math.inf)) - float(shifts[0]),
                  float(np.min(diag, initial=math.inf)) - float(shifts[-1]))
-    if n <= 2 or not all(map(math.isfinite, reach)):
+    if not skips or not all(map(math.isfinite, reach)):
         return sturm_counts(diag, offdiag, shifts[:, None])
     ends = sturm_counts(diag, offdiag, shifts[[0, -1], None])
     counts = np.empty((n,) + ends.shape[1:], dtype=np.int64)

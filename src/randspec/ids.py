@@ -110,12 +110,14 @@ def estimate_ids(
     samples >= 1. Deterministic for fixed (seed, grid): counts are integer
     sums merged in block order, so the result is independent of `workers`.
 
-    Each block counts its rows with `eigensolve._grid_counts`, which sweeps
-    only where a count can change: the Sturm count does not decrease as the
-    energy grows, so a row whose counts at the two ends of a stretch of the
-    grid agree has that count at every grid energy between, unswept. The
-    counts, hence the table, are those of a sweep of every row at every
-    grid energy.
+    Each block counts its rows with `eigensolve._grid_counts`. With the C
+    library it sweeps only where a count can change: the Sturm count does
+    not decrease as the energy grows, so a row whose counts at the two ends
+    of a stretch of the grid agree has that count at every grid energy
+    between, unswept. Without it the grid is one numpy sweep, since a numpy
+    level loops over every site whatever its lanes (see `_grid_counts` for
+    the measured pairs). The counts, hence the table, are those of a sweep
+    of every row at every grid energy on either path.
     """
     if size < 100:
         raise ValueError("need size >= 100")

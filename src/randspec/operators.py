@@ -100,6 +100,19 @@ class PiecewiseLinearLaw:
         if not math.isfinite(mass):
             raise ValueError(f"density mass is {mass!r}: the weights times the knot gaps "
                              "overflow the largest float")
+        with np.errstate(over="ignore", invalid="ignore"):  # the terms of `transform`
+            dens = w / mass
+            slope = np.diff(dens) / np.diff(k)
+            steep = ~np.isfinite(2.0 * slope) | (slope != 0.0) & ~np.isfinite(
+                np.maximum(dens[:-1], dens[1:]) ** 2)
+        if not np.all(np.isfinite(dens)):
+            raise ValueError(f"normalized density is inf: the weights divided by the mass "
+                             f"{mass!r} overflow the largest float")
+        bad = np.flatnonzero(steep)
+        if bad.size:
+            lo, hi = float(k[bad[0]]), float(k[bad[0] + 1])
+            raise ValueError(f"density on the knots [{lo!r}, {hi!r}] is too steep to sample: "
+                             "twice its slope, or its square where it slopes, overflows")
 
     @classmethod
     def from_csv(cls, path) -> "PiecewiseLinearLaw":

@@ -484,13 +484,14 @@ def _unfolded_windows(spec, size, seed, workers, bands, points, samples):
     energy is an independent lane of the same draws, so the density is the
     one the full 41-point table gives.
 
-    Both passes count through `estimate_ids`, which sweeps a row only where
-    its count can change: the Sturm count does not decrease as the energy
-    grows, so between two grid energies where a row's counts agree, no
-    energy of the grid is swept for that row. On the fine grid of a few
-    mean spacings most rows hold no eigenvalue in most of the grid's
-    intervals; on the coarse nodes, whose intervals each hold many
-    eigenvalues, every lane is swept.
+    Both passes count through `estimate_ids`. With the C library it sweeps
+    a row only where its count can change: the Sturm count does not
+    decrease as the energy grows, so between two grid energies where a
+    row's counts agree, no energy of the grid is swept for that row. On the
+    fine grid of a few mean spacings most rows hold no eigenvalue in most
+    of the grid's intervals; on the coarse nodes, whose intervals each hold
+    many eigenvalues, every lane is swept. Without the library each grid is
+    one numpy sweep, which is faster there (see `eigensolve._grid_counts`).
     """
     _check("ids_points", points, 2)
     _check("ids_samples", samples, 1)

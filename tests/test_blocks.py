@@ -1,5 +1,6 @@
 """Block partitioning, per-block RNG keying, draws, and worker invariance."""
 
+import os
 from unittest import mock
 
 import numpy as np
@@ -80,6 +81,29 @@ def test_map_blocks_worker_invariance():
     parallel = _blocks.map_blocks(_square_block, 7, workers=3)
     assert serial == parallel == [b * b for b in range(7)]
     assert _blocks.map_blocks(_square_block, 0, workers=3) == []
+
+
+def test_map_blocks_clamps_workers_to_blocks_and_cpus():
+    """A huge worker count asks the pool for at most one process per block
+    and per CPU. A fake executor records the request, so no process starts."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", RecordingPool):
+        assert _blocks.map_blocks(_square_block, 3, workers=10**9) == [0, 1, 4]
+    assert asked == [min(3, os.cpu_count() or 1)]
 
 
 def _paths():

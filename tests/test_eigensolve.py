@@ -132,22 +132,22 @@ def _grid_case(name):
 
 
 def _grid_counts_logged(diag, off, grid):
-    """`_grid_counts` and the (row, shift) of every lane it swept, through
-    the plain `sturm_counts` end sweep or through `_row_counts`."""
-    swept = []
+    """`_grid_counts` and the (row, shift) lanes of each call it swept, one
+    list per call, through the plain `sturm_counts` or through `_row_counts`."""
+    calls = []
     sweep, rows_sweep = es.sturm_counts, es._row_counts
 
     def ends(d, o, shifts):
         counts = sweep(d, o, shifts)
-        swept.extend((r, s) for s in np.ravel(shifts).tolist() for r in range(counts.shape[1]))
+        calls.append([(r, s) for s in np.ravel(shifts).tolist() for r in range(counts.shape[1])])
         return counts
 
     def lanes(d, o, rows, shifts):
-        swept.extend(zip(np.asarray(rows).tolist(), np.asarray(shifts).tolist()))
+        calls.append(list(zip(np.asarray(rows).tolist(), np.asarray(shifts).tolist())))
         return rows_sweep(d, o, rows, shifts)
 
     with mock.patch.object(es, "sturm_counts", ends), mock.patch.object(es, "_row_counts", lanes):
-        return es._grid_counts(diag, off, grid), swept
+        return es._grid_counts(diag, off, grid), calls
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "no-kernel"])
@@ -155,18 +155,25 @@ def _grid_counts_logged(diag, off, grid):
                                   "every-change"])
 def test_grid_counts_equal_the_full_sweep(name, compiled):
     """`_grid_counts` gives the counts of one sweep of every row at every
-    grid shift, and sweeps no (row, shift) twice: only the two end shifts
-    where no row changes, every lane where every interval changes."""
+    grid shift, and sweeps no (row, shift) twice. With the C library it
+    skips lanes: only the two end shifts where no row changes, every lane
+    where every interval changes. Without it, every (row, shift) is swept
+    once, in one `sturm_counts` call."""
     if compiled and _native.kernel() is None:
         pytest.skip("no compiled kernel")
     diag, off, grid = _grid_case(name)
     with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
         want = sturm_counts(diag, off, grid[:, None])
-        got, swept = _grid_counts_logged(diag, off, grid)
+        got, calls = _grid_counts_logged(diag, off, grid)
     assert got.dtype == want.dtype and got.shape == want.shape == (grid.size, diag.shape[0])
     assert np.array_equal(got, want)
+    swept = [lane for call in calls for lane in call]
     assert len(set(swept)) == len(swept)
     rows = diag.shape[0]
+    if not compiled:
+        assert len(calls) == 1
+        assert sorted(swept) == sorted(itertools.product(range(rows), grid.tolist()))
+        return
     if name == "no-change":
         assert len(swept) == 2 * rows
     if name == "every-change":
@@ -180,8 +187,8 @@ def test_grid_counts_equal_the_full_sweep(name, compiled):
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-couplings", "row-couplings"])
 def test_grid_counts_raise_the_errors_of_sturm_counts(compiled, shared):
     """A NaN shift and a coupling whose square overflows raise the messages
-    of `sturm_counts`, from `_grid_counts` and from its lane entry
-    `_row_counts`, and an unsorted grid is refused."""
+    of `sturm_counts`, from `_grid_counts` and, on the C path, from its lane
+    entry `_row_counts`, and an unsorted grid is refused."""
     if compiled and _native.kernel() is None:
         pytest.skip("no compiled kernel")
     diag = np.tile([0.5, -0.2, 0.1], (3, 1))
@@ -190,37 +197,40 @@ def test_grid_counts_raise_the_errors_of_sturm_counts(compiled, shared):
     if not shared:
         bad, good = np.stack([good, bad, good]), np.tile(good, (3, 1))
     rows, shifts = np.array([0, 2, 1]), np.array([0.0, 0.5, 1.0])
+    nan_calls = [lambda: sturm_counts(diag, good, np.array([0.0, np.nan, 1.0])[:, None]),
+                 lambda: es._grid_counts(diag, good, [0.0, np.nan, 1.0]),
+                 lambda: es._grid_counts(diag, good, [-1.0, 0.0, 1.0, np.nan])]
+    overflow_calls = [lambda: sturm_counts(diag, bad, np.linspace(-1, 1, 5)[:, None]),
+                      lambda: es._grid_counts(diag, bad, np.linspace(-1, 1, 5))]
+    if compiled:
+        nan_calls.append(lambda: es._row_counts(diag, good, rows, [0.0, np.nan, 1.0]))
+        overflow_calls.append(lambda: es._row_counts(diag, bad, rows, shifts))
     with mock.patch.object(_native, "_kernel", _native.kernel() if compiled else None):
-        for call in (lambda: sturm_counts(diag, good, np.array([0.0, np.nan, 1.0])[:, None]),
-                     lambda: es._grid_counts(diag, good, [0.0, np.nan, 1.0]),
-                     lambda: es._grid_counts(diag, good, [-1.0, 0.0, 1.0, np.nan]),
-                     lambda: es._row_counts(diag, good, rows, [0.0, np.nan, 1.0])):
+        for call in nan_calls:
             with pytest.raises(ValueError, match="^shifts must not be NaN$"):
                 call()
-        for call in (lambda: sturm_counts(diag, bad, np.linspace(-1, 1, 5)[:, None]),
-                     lambda: es._grid_counts(diag, bad, np.linspace(-1, 1, 5)),
-                     lambda: es._row_counts(diag, bad, rows, shifts)):
+        for call in overflow_calls:
             with pytest.raises(ValueError, match="^offdiag entries must be at most 1.341e"):
                 call()
         with pytest.raises(ValueError, match="strictly increasing"):
             es._grid_counts(diag, good, [0.0, 1.0, 1.0])
 
 
-def test_row_counts_memory_is_bounded():
-    """The numpy path gathers the lanes' rows one site tile at a time: a
-    whole-row gather of these 64 lanes would hold 64 rows of 20000 sites,
-    about 10 MB."""
+def test_grid_counts_memory_is_bounded():
+    """The numpy path sweeps a grid in site tiles: counting these 64 rows of
+    20000 sites at 161 shifts holds O(lanes) pivots, not a (shifts, rows,
+    sites) array (1.6 GB) or a copy of the rows (10 MB)."""
     rng = np.random.default_rng(1)
     diag = rng.random((64, 20000))
-    rows = rng.permutation(64)
+    grid = np.linspace(-1.0, 3.0, 161)
     with mock.patch.object(_native, "_kernel", None):
         tracemalloc.start()
         try:
-            got = es._row_counts(diag, np.ones(19999), rows, np.full(64, 0.5))
+            got = es._grid_counts(diag, np.ones(19999), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(got, sturm_counts(diag[rows], np.ones(19999), 0.5))
+        assert np.array_equal(got, sturm_counts(diag, np.ones(19999), grid[:, None]))
     assert peak < 8 * es._TILE_BYTES
 
 

@@ -87,6 +87,15 @@ def test_piecewise_linear_validation():
     # the weights times the knot gaps overflow: every draw was 0, after two warnings
     with pytest.raises(ValueError, match=r"^density mass is inf: "):
         PiecewiseLinearLaw((0.0, 1e300), (1e300, 1e300))
+    # the weights divided by the subnormal mass overflow: every draw was NaN
+    with pytest.raises(ValueError, match=r"^normalized density is inf: .* mass 1e-320 "):
+        PiecewiseLinearLaw((0.0, 1e-320), (1.0, 1.0))
+    # the density slope 2 / 1e-310 overflows: the draw at u = 0 was NaN
+    with pytest.raises(ValueError, match=r"^density on the knots \[0\.0, 1e-310\] is too steep"):
+        PiecewiseLinearLaw((0.0, 1e-310, 1.0), (0.0, 1.0, 0.0))
+    # the slope is finite, but the squared density 1.67e154 ** 2 is not: every draw was NaN
+    with pytest.raises(ValueError, match=r"^density on the knots \[0\.0, 1\.2e-154\] is too steep"):
+        PiecewiseLinearLaw((0.0, 1.2e-154), (1.0, 0.0))
 
 
 def test_piecewise_linear_csv_roundtrip(tmp_path):
