@@ -9,6 +9,8 @@ growth, and the density of states. Every probe is deterministic for a fixed
 seed, independent of the worker count.
 """
 
+import gc as _gc
+
 from .eigensolve import (
     batched_eigenvalues_in,
     count_in_interval,
@@ -65,3 +67,12 @@ from .transfer import (
 )
 
 __version__ = "0.1.0"
+
+# The objects that the numpy and randspec imports leave behind (about 22,000)
+# live as long as the process, so move them out of the collector's reach:
+# no later collection scans them, the one at interpreter exit included. That
+# one took about 22 ms of a 0.19 s process of small library calls, and 7 ms
+# after the freeze (2-core Xeon VM). The cost: a garbage cycle that exists
+# at this moment is never freed. The gc documentation recommends freezing
+# before forking workers, as map_blocks does.
+_gc.freeze()

@@ -1,5 +1,5 @@
-"""The compiled Sturm sweep and draws of `_sturm.c`, built on first use, loaded
-by ctypes.
+"""The compiled Sturm sweep, draws and transfer products of `_sturm.c`, built
+on first use, loaded by ctypes.
 
 `kernel()` returns the library's `sturm_counts` function, or None when the
 library cannot be had: no C compiler, a cache directory that cannot be
@@ -9,9 +9,10 @@ exports `sturm_bisect`, the bisection loop of `eigensolve._bisect_indices`,
 its two sweep bodies `sturm_counts_scalar` and (on x86-64)
 `sturm_counts_avx2`, `philox_uniform`, the uniform draws of
 `_blocks.uniform_block` (missing where the compiler has no 128-bit integer;
-`_blocks` then draws with numpy, the same bits), all of which `export`
-returns typed, and `sturm_counts_body`, which names the body the sweeps call
-(`body()`).
+`_blocks` then draws with numpy, the same bits), `transfer_steps`, one chunk
+of the renormalized product of `transfer.lyapunov` (without it `lyapunov`
+runs its numpy loop, the same bits), all of which `export` returns typed,
+and `sturm_counts_body`, which names the body the sweeps call (`body()`).
 
 The library is cached in the `__pycache__` directory beside this file, under
 a name keyed by the sha256 of the source and the compiler flags, so an edited
@@ -52,13 +53,16 @@ _SWEEP = [_PTR, _PTR, _SIZE, _PTR, _PTR, _PTR, _SIZE, _PTR]
 _BISECT = _SWEEP[:7] + [ctypes.c_double] * 3 + [ctypes.c_int64, _PTR]
 # key0, key1, lo, hi, out, n
 _PHILOX = [ctypes.c_uint64] * 2 + [ctypes.c_double] * 2 + [_PTR, _SIZE]
-_TYPES = {"sturm_bisect": (_BISECT, ctypes.c_int64), "philox_uniform": (_PHILOX, None)}
+# (m00, s00, m01, s01, m10, s10, m11, s11), steps, samples, v, norms
+_TRANSFER = [_PTR, _SIZE] * 4 + [_SIZE, _SIZE, _PTR, _PTR]
+_TYPES = {"sturm_bisect": (_BISECT, ctypes.c_int64), "philox_uniform": (_PHILOX, None),
+          "transfer_steps": (_TRANSFER, ctypes.c_int64)}
 
 
 def export(name):
     """The library's function `name`, typed: `sturm_bisect`,
-    `philox_uniform`, or a sweep with the argument types of `sturm_counts`;
-    None without the library or without that export."""
+    `philox_uniform`, `transfer_steps`, or a sweep with the argument types of
+    `sturm_counts`; None without the library or without that export."""
     fn = getattr(_loaded(), name, None)
     if fn is not None and fn.argtypes is None:
         fn.argtypes, fn.restype = _TYPES.get(name, (_SWEEP, ctypes.c_int64))

@@ -1,5 +1,6 @@
-/* Sturm negative-pivot counts of shifted symmetric tridiagonal matrices, and
-   the uniform draws of the boxes they are counted on.
+/* Sturm negative-pivot counts of shifted symmetric tridiagonal matrices, the
+   uniform draws of the boxes they are counted on, and the transfer-matrix
+   products of the Lyapunov estimates.
 
    Lane l sweeps the diagonal row drow[l] and the coupling row orow[l] at the
    shift shifts[l] and stores #{pivots < 0} in counts[l]. The pivots are
@@ -59,7 +60,13 @@
    interleaved, which took about 4 ns per double against 5.7 with one
    counter and 6-8 for numpy's (8 MB blocks on a 2-core Xeon VM). It needs
    a 128-bit product, so it is built only where the compiler has __int128;
-   without it the numpy draws run. */
+   without it the numpy draws run.
+
+   transfer_steps runs one chunk of the renormalized transfer-matrix product
+   of transfer.lyapunov for all replicas in one call, with the operations of
+   its numpy loop in their order: w = M v, one libm hypot (the function
+   np.hypot calls) for the norm, then v = w / norm. Python keeps np.log on
+   the norms, so the exponents are those of the numpy loop, bit for bit. */
 
 #include <float.h>
 #include <math.h>
@@ -417,6 +424,37 @@ void philox_uniform(uint64_t key0, uint64_t key1, double lo, double hi, double *
 }
 
 #endif
+
+/* Steps 0 .. steps - 1 of the product for replicas 0 .. samples - 1. Entry e
+   of step i and replica r is m_e[(i * samples + r) * s_e]: s_e is 1 for a
+   C-ordered (steps, samples) array and 0 for one value shared by every step
+   and replica. v holds v0 of every replica, then v1; per step it becomes
+   w / n with w0 = m00 v0 + m01 v1, w1 = m10 v0 + m11 v1 and n = hypot(w0,
+   w1), and n goes to norms[i * samples + r]. Returns the first step at
+   which a norm is 0, having run no step after it; else -1. */
+int64_t transfer_steps(const double *m00, ptrdiff_t s00, const double *m01, ptrdiff_t s01,
+                       const double *m10, ptrdiff_t s10, const double *m11, ptrdiff_t s11,
+                       ptrdiff_t steps, ptrdiff_t samples, double *v, double *norms)
+{
+    double *v0 = v, *v1 = v + samples;
+    for (ptrdiff_t i = 0; i < steps; i++) {
+        const ptrdiff_t at = i * samples;
+        int zero = 0;
+        for (ptrdiff_t r = 0; r < samples; r++) {
+            const ptrdiff_t x = at + r;
+            double w0 = m00[x * s00] * v0[r] + m01[x * s01] * v1[r];
+            double w1 = m10[x * s10] * v0[r] + m11[x * s11] * v1[r];
+            double n = hypot(w0, w1);
+            norms[x] = n;
+            zero |= n == 0.0;
+            v0[r] = w0 / n;
+            v1[r] = w1 / n;
+        }
+        if (zero)
+            return i;
+    }
+    return -1;
+}
 
 /* "avx2" or "scalar": the body sturm_counts calls on this CPU. */
 const char *sturm_counts_body(void)

@@ -540,8 +540,9 @@ def cmd_lyapunov(args) -> int:
         est = transfer.lyapunov(
             spec, args.energy, steps=args.steps, samples=args.samples, seed=args.seed
         )
-    except ValueError as exc:  # a product that overflows or vanishes at this law and energy
-        raise ConfigError(f"--law and --energy: {exc}") from None
+    except ValueError as exc:  # too many replicas, or a product that overflows or vanishes
+        flags = "--samples" if str(exc).startswith("samples = ") else "--law and --energy"
+        raise ConfigError(f"{flags}: {exc}") from None
     payload = {
         "gamma": est.gamma, "stderr": est.stderr, "ci99": list(est.ci99),
         "steps": est.steps, "samples": est.samples, "energy": args.energy,
@@ -550,18 +551,19 @@ def cmd_lyapunov(args) -> int:
     return 0
 
 
-def _flag(p, name: str, field: Field):
+def _flag(p, name: str, field: Field, note: str = ""):
     """Add --name, parsed and range-checked by `field`; errors name the flag."""
     required = field.default is REQUIRED
     p.add_argument(f"--{name}", type=_arg(field), required=required,
-                   default=None if required else field.default, help=field.describe())
+                   default=None if required else field.default,
+                   help=field.describe() + note)
 
 
-def _add_spec_args(p, samples: Field, kinds=KINDS):
+def _add_spec_args(p, samples: Field, kinds=KINDS, samples_note: str = ""):
     p.add_argument("--kind", required=True, choices=kinds)
     for key in ("law", "profile"):
         _flag(p, key, _ENSEMBLE[key])
-    _flag(p, "samples", samples)
+    _flag(p, "samples", samples, samples_note)
     _flag(p, "seed", Field(_int, "0", ge=0))
 
 
@@ -600,7 +602,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ly = sub.add_parser("lyapunov", help="estimate a Lyapunov exponent")
     lyapunov_kinds = [k for k in KINDS if k in transfer._STEP_TABLE]
-    _add_spec_args(p_ly, Field(_int, "64", ge=2), lyapunov_kinds)
+    _add_spec_args(p_ly, Field(_int, "64", ge=2), lyapunov_kinds,
+                   f", <= {transfer._MAX_SAMPLES}")
     _flag(p_ly, "energy", _ENERGY)
     _flag(p_ly, "steps", Field(_int, "2000", ge=1000))  # transfer.lyapunov's minimum
     p_ly.set_defaults(fn=cmd_lyapunov)

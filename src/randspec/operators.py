@@ -161,9 +161,11 @@ class PiecewiseLinearLaw:
         dx = np.diff(k)[seg]
         f0 = dens[seg]
         slope = (dens[seg + 1] - dens[seg]) / dx
-        # solve (slope/2) t^2 + f0 t = q on each segment
-        disc = np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * q, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # solve (slope/2) t^2 + f0 t = q on each segment; f0 * f0 overflows
+        # only on flat segments (__post_init__ refuses sloped ones where it
+        # does), which read t_flat, not disc
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            disc = np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * q, 0.0))
             t_lin = np.where(slope != 0.0, (disc - f0) / slope, 0.0)
             t_flat = np.where(f0 > 0.0, q / f0, 0.0)
         t = np.where(slope != 0.0, t_lin, t_flat)

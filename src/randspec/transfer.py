@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blocks
+from . import _blocks, _native
 from .operators import EnsembleSpec
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -108,6 +108,9 @@ def ellipticity_report(energy: float, delta: float = 0.5) -> EllipticityReport:
 # Uniform draws per chunk of the product: a chunk runs max(1, _CHUNK //
 # samples) steps, so its arrays stay near this size at any step count.
 _CHUNK = 1 << 16
+# The most replicas: one step's draws fill one 8 MB draw block of _blocks.
+_MAX_SAMPLES = _blocks._BLOCK_BYTES // 8
+_VANISHED = "replica vanished; singular step matrix"
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,40 @@ _STEP_TABLE = {
 }
 
 
+def _numpy_steps(m, k, v, acc):
+    """Run k steps of entries m on v = (u(n+1), u(n)) of every replica, adding
+    each step's log-norm to acc; returns the new v."""
+    m00, m01, m10, m11 = m
+    # cols[i, c] is column c of step i's matrix: M v = c0 * v0 + c1 * v1
+    cols = np.empty((k, 2, 2, v.shape[1]))
+    cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1] = m00, m10, m01, m11
+    for col in cols:
+        w = col[0] * v[0] + col[1] * v[1]
+        nrm = np.hypot(w[0], w[1])
+        if not nrm.all():
+            raise ValueError(_VANISHED)
+        acc += np.log(nrm)
+        v = w / nrm
+    return v
+
+
+def _c_steps(run, m, k, v, acc):
+    """`_numpy_steps` with the product in one call of the C `transfer_steps`
+    (`run`), which updates v in place: the same bits."""
+    shape = (k, v.shape[1])
+    # a scalar entry is read at stride 0, an array one as C-ordered (k, samples)
+    m = [np.asarray(x, dtype=np.float64) for x in m]
+    m = [x if x.ndim == 0 else np.ascontiguousarray(np.broadcast_to(x, shape)) for x in m]
+    args = [a for x in m for a in (x.ctypes.data, 1 if x.ndim else 0)]
+    norms = np.empty(shape)
+    if run(*args, k, shape[1], v.ctypes.data, norms.ctypes.data) >= 0:
+        raise ValueError(_VANISHED)
+    logs = np.log(norms)
+    logs[0] += acc  # then each step's logs in step order, as the numpy loop adds them
+    acc[:] = np.add.accumulate(logs, axis=0)[-1]
+    return v
+
+
 def lyapunov(
     spec: EnsembleSpec,
     energy: float,
@@ -171,8 +208,10 @@ def lyapunov(
     alloy. The first kept rows are drawn replica-major, as
     rng.random((samples, carry)).T. Replicas evolve independently with
     per-step renormalization; gamma is averaged per lattice site and the
-    replica mean is merged with math.fsum. Requires steps >= 1000 and
-    samples >= 2; a product that overflows raises ValueError.
+    replica mean is merged with math.fsum. Each chunk's product is one call
+    of the C `transfer_steps` when the library loads and a numpy loop over
+    the steps otherwise, the same bits. Requires steps >= 1000 and 2 <=
+    samples <= 2^20; a product that overflows raises ValueError.
     """
     e = float(energy)
     if not math.isfinite(e):
@@ -189,28 +228,22 @@ def lyapunov(
         raise ValueError("need steps >= 1000 for a stable estimate")
     if samples < 2:
         raise ValueError("need samples >= 2 for a spread-based CI")
+    if samples > _MAX_SAMPLES:  # before a (2, samples) array is allocated
+        raise ValueError(f"samples = {samples}: at most {_MAX_SAMPLES} replicas")
     law = spec.law
     rng = _blocks.block_rng(seed, 0, stream=_blocks.STREAM_LYAPUNOV)
     u = rng.random((samples, carry)).T
     v = np.array([np.ones(samples), np.zeros(samples)])  # (u(n+1), u(n))
     acc = np.zeros(samples)
     chunk = max(1, _CHUNK // samples)
+    run = _native.export("transfer_steps")
     for start in range(0, steps, chunk):
         k = min(chunk, steps - start)
         u = np.concatenate([u[len(u) - carry:], rng.random((k, samples))])
         # an overflow leaves inf or NaN in acc, which the check below names
         with np.errstate(over="ignore", invalid="ignore"):
-            m00, m01, m10, m11 = entries(law.transform(u), e, profile)
-            # cols[i, c] is column c of step i's matrix: M v = c0 * v0 + c1 * v1
-            cols = np.empty((k, 2, 2, samples))
-            cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1] = m00, m10, m01, m11
-            for col in cols:
-                w = col[0] * v[0] + col[1] * v[1]
-                nrm = np.hypot(w[0], w[1])
-                if not nrm.all():
-                    raise ValueError("replica vanished; singular step matrix")
-                acc += np.log(nrm)
-                v = w / nrm
+            m = entries(law.transform(u), e, profile)
+            v = _numpy_steps(m, k, v, acc) if run is None else _c_steps(run, m, k, v, acc)
     if not np.isfinite(acc).all():  # a step's entries or the product overflowed
         raise ValueError(f"energy = {e!r}: the transfer-matrix product overflows")
     per = acc / (steps * (2 if spec.kind == "dimer_sign" else 1))

@@ -49,14 +49,33 @@ def test_probe_seed_derivation():
     assert 0 <= probe_seed(2**62, "x") < 2**63
 
 
+def _fresh_output(code):
+    """What a fresh interpreter running `code` prints, stripped."""
+    src = str(Path(randspec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def _modules_after(code, prefixes=("scipy",)):
     """Modules named with one of `prefixes` (scipy's by default) that a
     fresh interpreter running `code` has loaded, as the printed sorted list."""
-    src = str(Path(randspec.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += f"\nimport sys; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout.strip()
+    return _fresh_output(
+        code + f"\nimport sys; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+
+
+@pytest.mark.parametrize("before", ["", "gc.disable()"])
+def test_import_freezes_its_heap_and_loads_no_library(before):
+    # randspec/__init__.py ends with gc.freeze(), which leaves the collector
+    # on or off as it was; the C library loads on its first call, not here
+    code = "\n".join([
+        "import gc", before, "enabled = gc.isenabled()",
+        "import randspec.cli",
+        "from randspec import _native",
+        "print(gc.get_freeze_count() > 0, gc.isenabled() == enabled,",
+        "      _native._library is _native._UNLOADED)",
+    ])
+    assert _fresh_output(code) == "True True True"
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -728,6 +747,9 @@ _LYAPUNOV_ARGV = ["lyapunov", "--kind", "anderson", "--energy", "0", "--steps", 
                      id="base22---margin-1-unrecognized arguments: --margin"),
         pytest.param(_IDS_ARGV, "--margin", "1", "unrecognized arguments: --margin",
                      id="base23---margin-1-unrecognized arguments: --margin"),
+        # refused before any replica array is allocated
+        pytest.param(_LYAPUNOV_ARGV, "--samples", "100000000", "--samples: samples = 100000000",
+                     id="base24---samples-100000000---samples"),
     ],
 )
 def test_subcommand_rejects_bad_flag(tmp_path, capsys, base, flag, text, label):

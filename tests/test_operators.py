@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_piecewise_linear_inverse_cdf_is_exact():
     lo, hi = law.support
     assert np.all(x >= lo) and np.all(x <= hi)
     assert np.all(np.diff(x) >= 0)
+
+
+def test_piecewise_linear_narrow_flat_law_draws_without_warning():
+    # the density 1e160 squares to inf on this flat segment, where the draw
+    # does not read the square; the bits are those drawn before the fix
+    law = PiecewiseLinearLaw((0.0, 1e-160), (1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = law.transform(np.linspace(0, 0.99, 4))
+    assert [v.hex() for v in x] == [
+        "0x0.0p+0", "0x1.db15d601391cdp-534", "0x1.db15d601391cdp-533", "0x1.64506080ead59p-532"]
 
 
 @pytest.mark.filterwarnings("error")

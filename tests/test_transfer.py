@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from randspec import (
     FiniteProfile,
     PiecewiseLinearLaw,
     UniformLaw,
+    _native,
     ellipticity_report,
     lyapunov,
     transfer,
@@ -81,11 +83,61 @@ def test_ellipticity_report_formulas_and_classes():
 
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
+#
+# A test runs the product in the C `transfer_steps` when the library loads,
+# and in the numpy loop otherwise (test_lyapunov_runs_the_product_of_its_path).
+# The golden and overflow cases run again on the numpy loop, the reference.
+
+
+@pytest.fixture
+def numpy_product():
+    """The numpy loop of the product, with the library patched away."""
+    with mock.patch.object(_native, "_library", None):
+        yield
+
+
+@pytest.fixture(params=["c", "numpy"])
+def product(request):
+    """The path of the product: "c", skipped without the library, or "numpy"."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_product")
+    elif _native.export("transfer_steps") is None:
+        pytest.skip("no C library")
+    return request.param
 
 
 def _constant_step(monkeypatch, kind, m00, m01, m10, m11):
     """Make every step of `kind` the same matrix [[m00, m01], [m10, m11]]."""
     monkeypatch.setitem(transfer._STEP_TABLE, kind, lambda x, e, profile: (m00, m01, m10, m11))
+
+
+def test_lyapunov_runs_the_product_of_its_path(monkeypatch, product):
+    calls = {"c": 0, "numpy": 0}
+    for name, path in (("_c_steps", "c"), ("_numpy_steps", "numpy")):
+        def spy(*args, _fn=getattr(transfer, name), _path=path):
+            calls[_path] += 1
+            return _fn(*args)
+        monkeypatch.setattr(transfer, name, spy)
+    lyapunov(EnsembleSpec("anderson"), 0.0, steps=1000, samples=2)
+    assert calls == {"c": 0, "numpy": 0, product: 1}
+
+
+def test_lyapunov_vanished_on_both_paths(monkeypatch, product):
+    # every step singular (scalar entries), or only step 700 of replica 1
+    # (array entries, mid-chunk)
+    _constant_step(monkeypatch, "anderson", 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="vanished"):
+        lyapunov(EnsembleSpec("anderson"), 0.0, steps=1000, samples=2)
+
+    def one_singular_step(x, e, profile):
+        m = [np.full(x.shape, value) for value in (2.5, -1.0, 1.0, 0.0)]
+        for entry in m:
+            entry[700, 1] = 0.0
+        return m
+
+    monkeypatch.setitem(transfer._STEP_TABLE, "anderson", one_singular_step)
+    with pytest.raises(ValueError, match="vanished"):
+        lyapunov(EnsembleSpec("anderson"), 0.0, steps=1000, samples=2)
 
 
 def test_lyapunov_constant_hyperbolic_product(monkeypatch):
@@ -112,6 +164,18 @@ def test_lyapunov_validation(monkeypatch):
     _constant_step(monkeypatch, "anderson", 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="vanished"):
         lyapunov(spec, 0.0, steps=1000, samples=2)
+
+
+def test_lyapunov_refuses_too_many_samples_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^samples = 100000000: at most 1048576 replicas"):
+            lyapunov(EnsembleSpec("anderson"), 0.5, steps=1000, samples=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transfer._MAX_SAMPLES == 1 << 20
+    assert peak < 1 << 20
 
 
 def test_lyapunov_reproducible_and_seeded():
@@ -156,19 +220,28 @@ def test_lyapunov_qgraph_unsupported():
         lyapunov(EnsembleSpec("qgraph"), 4.0, steps=1500, samples=4)
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kind, law, error", [
+_OVERFLOWS = [
     # a support wider than the largest float is refused before any draw
     pytest.param("anderson", (-1e308, 1e308), "^law support .* is wider than the largest float",
                  id="anderson-law0"),
     pytest.param("dimer_sign", (0.0, 1e200), "energy = 0.0: the transfer-matrix product overflows",
                  id="dimer_sign-law1"),
-])
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, law, error", _OVERFLOWS)
 def test_lyapunov_names_an_overflowing_product(kind, law, error):
     # a step's entries or the renormalized product overflow: gamma would be
     # NaN; the named error comes with no numpy RuntimeWarning before it
     with pytest.raises(ValueError, match=error):
         lyapunov(EnsembleSpec(kind, law=UniformLaw(*law)), 0.0, steps=1000, samples=2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, law, error", _OVERFLOWS)
+def test_lyapunov_names_an_overflowing_product_numpy_product(kind, law, error, numpy_product):
+    test_lyapunov_names_an_overflowing_product(kind, law, error)
 
 
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
@@ -248,6 +321,11 @@ def test_lyapunov_golden_bits(name):
     est = lyapunov(spec, energy, steps=steps, samples=samples, seed=seed)
     got = (est.gamma.hex(), est.stderr.hex(), est.ci99[0].hex(), est.ci99[1].hex())
     assert got == want
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_lyapunov_golden_bits_numpy_product(name, numpy_product):
+    test_lyapunov_golden_bits(name)
 
 
 @pytest.mark.parametrize("kind", ["hopping", "alloy"])
